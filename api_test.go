@@ -9,50 +9,12 @@ import (
 	"smtavf"
 )
 
-// The deprecated constructors must be indistinguishable from the Option
-// path: same machine, same streams, bit-identical Results.
-func TestNewMatchesDeprecatedConstructors(t *testing.T) {
-	runBoth := func(t *testing.T, old, new *smtavf.Simulator, err1, err2 error) {
-		t.Helper()
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		a, err := old.Run(8_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := new.Run(8_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatal("Option path diverges from deprecated constructor")
-		}
-	}
-
-	t.Run("benchmarks", func(t *testing.T) {
-		cfg := smtavf.DefaultConfig(2)
-		old, err1 := smtavf.NewSimulator(cfg, []string{"gcc", "mcf"})
-		new, err2 := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"))
-		runBoth(t, old, new, err1, err2)
-	})
-	t.Run("phases", func(t *testing.T) {
-		cfg := smtavf.DefaultConfig(1)
-		old, err1 := smtavf.NewSimulatorPhased(cfg, [][]string{{"eon", "twolf"}}, 2_000)
-		new, err2 := smtavf.New(cfg, smtavf.WithPhases([][]string{{"eon", "twolf"}}, 2_000))
-		runBoth(t, old, new, err1, err2)
-	})
-	t.Run("tracefiles", func(t *testing.T) {
-		paths := writeTestTraces(t, t.TempDir())
-		cfg := smtavf.DefaultConfig(2)
-		old, err1 := smtavf.NewSimulatorFromTraceFiles(cfg, paths)
-		new, err2 := smtavf.New(cfg, smtavf.WithTraceFiles(paths...))
-		runBoth(t, old, new, err1, err2)
-	})
-}
-
 func TestNewOptionErrors(t *testing.T) {
 	cfg := smtavf.DefaultConfig(2)
+	camp, err := smtavf.NewFaultCampaign(cfg, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		opts []smtavf.Option
@@ -78,6 +40,21 @@ func TestNewOptionErrors(t *testing.T) {
 			smtavf.WithShards(2, 2),
 			smtavf.WithPipeTrace(smtavf.NewPipeTrace(smtavf.PipeTraceOptions{})),
 		}, "WithPipeTrace"},
+		{"fault injection with shards", []smtavf.Option{
+			smtavf.WithBenchmarks("gcc", "mcf"),
+			smtavf.WithShards(2, 2),
+			smtavf.WithFaultInjection(camp),
+		}, "WithFaultInjection"},
+		{"propagation with shards", []smtavf.Option{
+			smtavf.WithBenchmarks("gcc", "mcf"),
+			smtavf.WithShards(2, 2),
+			smtavf.WithPropagation(smtavf.NewPropagation(smtavf.PropagationOptions{})),
+		}, "WithPropagation"},
+		{"cpistack with shards", []smtavf.Option{
+			smtavf.WithBenchmarks("gcc", "mcf"),
+			smtavf.WithShards(2, 2),
+			smtavf.WithCPIStack(smtavf.NewCPIStack(smtavf.CPIStackOptions{})),
+		}, "WithCPIStack"},
 		{"short warmup window", []smtavf.Option{
 			smtavf.WithBenchmarks("gcc", "mcf"),
 			smtavf.WithShardWarmupWindow(512),
@@ -161,21 +138,6 @@ func TestNewShardedRunSplitsEvenly(t *testing.T) {
 	if res.Committed[0] != 5_001 || res.Committed[1] != 5_000 {
 		t.Fatalf("committed %v, want [5001 5000]", res.Committed)
 	}
-}
-
-func TestShardedAttachPanics(t *testing.T) {
-	sim, err := smtavf.New(smtavf.DefaultConfig(2),
-		smtavf.WithBenchmarks("gcc", "mcf"),
-		smtavf.WithShards(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetTelemetry on sharded simulator did not panic")
-		}
-	}()
-	sim.SetTelemetry(smtavf.NewTelemetry(smtavf.TelemetryOptions{}))
 }
 
 // Options attach observers on the monolithic path.

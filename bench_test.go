@@ -19,6 +19,8 @@ import (
 	"smtavf/internal/core"
 	"smtavf/internal/experiments"
 	"smtavf/internal/fetch"
+	"smtavf/internal/trace"
+	"smtavf/internal/workload"
 )
 
 // dgPolicy builds a DG fetch policy with an explicit gating threshold.
@@ -396,13 +398,53 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
+// runSim builds a simulator from opts and runs the overhead benchmarks'
+// budget.
+func runSim(b *testing.B, cfg smtavf.Config, opts ...smtavf.Option) *smtavf.Results {
+	sim, err := smtavf.New(cfg, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sim.Run(uint64(benchBase) * 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// runTypedNil runs ablationMix for the same budget on a processor built
+// directly, with attach installing a typed-nil observer. The With* options treat a nil
+// observer as absent, so only this path exercises the nil-receiver no-op
+// on the hot path.
+func runTypedNil(b *testing.B, cfg core.Config, attach func(*core.Processor)) *core.Results {
+	profiles := make([]trace.Profile, 0, len(ablationMix))
+	for _, name := range ablationMix {
+		p, err := workload.Profile(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	proc, err := core.New(cfg, profiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	attach(proc)
+	res, err := proc.Run(core.Limits{TotalInstructions: uint64(benchBase) * 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkInjectOverhead measures the cost of a fault-injection
 // campaign. "off" runs with no sink attached — the tracker's sink==nil
-// fast path — and "nil" attaches a typed-nil *Campaign, exercising the
-// nil-receiver no-op on the hot path (the pipetrace convention); both
-// must stay within 5% of BenchmarkSimulatorCycles. "on" attaches a
-// dense every-cycle campaign and also runs the post-run strike phase,
-// showing what a full -inject run pays.
+// fast path — and "nil" attaches a typed-nil *Campaign to a directly
+// built processor, exercising the nil-receiver no-op on the hot path
+// (the pipetrace convention); both must stay within 5% of
+// BenchmarkSimulatorCycles. "on" attaches a dense every-cycle campaign and
+// also runs the post-run strike phase, showing what a full -inject run
+// pays.
 func BenchmarkInjectOverhead(b *testing.B) {
 	b.ReportAllocs()
 	run := func(b *testing.B, mode string) {
@@ -420,19 +462,11 @@ func BenchmarkInjectOverhead(b *testing.B) {
 				}
 				opts = append(opts, smtavf.WithFaultInjection(camp))
 			}
-			sim, err := smtavf.New(cfg, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
+			var res *smtavf.Results
 			if mode == "nil" {
-				// The typed-nil sink exercises the nil-receiver no-op on
-				// the hot path; only the deprecated setter can install it
-				// (WithFaultInjection treats a nil campaign as absent).
-				sim.InjectFaults(camp)
-			}
-			res, err := sim.Run(uint64(benchBase) * 2)
-			if err != nil {
-				b.Fatal(err)
+				res = runTypedNil(b, cfg, func(p *core.Processor) { p.AttachSink(camp) })
+			} else {
+				res = runSim(b, cfg, opts...)
 			}
 			if mode == "on" {
 				camp.RunStrikes(res.Cycles, smtavf.StopWhen(0.02, 1<<20))
@@ -480,8 +514,8 @@ func BenchmarkPipetraceOverhead(b *testing.B) {
 
 // BenchmarkPropagationOverhead measures the cost of the fault-propagation
 // tracer. "off" runs with no tracer — the prop==nil fast path at the
-// commit/squash hooks — and "nil" attaches a typed-nil *PropagationTracer,
-// exercising the nil-receiver no-op; both must stay within noise of
+// commit/squash hooks — and "nil" attaches a typed-nil *PropagationTracer
+// to a directly built processor, exercising the nil-receiver no-op; both must stay within noise of
 // BenchmarkSimulatorCycles. "on" attaches a tracer, samples strikes into
 // every structure, and runs the Analyze pass, showing what a full
 // -propagation run pays.
@@ -507,18 +541,11 @@ func BenchmarkPropagationOverhead(b *testing.B) {
 				opts = append(opts, smtavf.WithFaultInjection(camp),
 					smtavf.WithPropagation(tracer))
 			}
-			sim, err := smtavf.New(cfg, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
+			var res *smtavf.Results
 			if mode == "nil" {
-				// The typed-nil tracer exercises the nil-receiver no-op on
-				// the hot path.
-				sim.SetPropagation(tracer)
-			}
-			res, err := sim.Run(uint64(benchBase) * 2)
-			if err != nil {
-				b.Fatal(err)
+				res = runTypedNil(b, cfg, func(p *core.Processor) { p.SetPropagation(tracer) })
+			} else {
+				res = runSim(b, cfg, opts...)
 			}
 			if mode == "on" {
 				var strikes []smtavf.InjectStrike

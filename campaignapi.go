@@ -8,8 +8,7 @@ import (
 // specification every driver consumes — the experiments runner, the
 // smtsim/avfsweep/avfreport CLIs, and the cmd/avfd job service all run
 // the same spec, so a campaign submitted over HTTP is byte-for-byte the
-// campaign a CLI would run. See docs/campaign-service.md for the schema
-// and docs/api.md for the migration from the per-kind experiments specs.
+// campaign a CLI would run. See docs/campaign-service.md for the schema.
 type CampaignSpec = campaign.Spec
 
 // CampaignMatrix fans one base CampaignSpec out over policy/mix/seed axes
@@ -76,10 +75,4 @@ func SpecOptions(spec CampaignSpec) ([]Option, error) {
 // modes the strike campaign classifies against.
 func SpecProtection(spec CampaignSpec) (ProtectionModes, error) {
 	return campaign.ParseProtection(spec.Protection)
-}
-
-// ProtectionMap inverts SpecProtection for writing specs: unprotected
-// structures are omitted, an all-silent assignment maps to nil.
-func ProtectionMap(p ProtectionModes) map[string]string {
-	return campaign.ProtectionMap(p)
 }

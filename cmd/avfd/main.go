@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"time"
 
 	"smtavf/internal/campaign"
 	"smtavf/internal/cliopts"
@@ -51,6 +52,24 @@ import (
 // shut coordinates graceful exit: drain, listener close, and the final
 // log line run exactly once whether avfd exits or catches a signal.
 var shut cliopts.Shutdown
+
+// Server timeouts. A client gets readHeaderTimeout to send its request
+// headers, so one that never finishes them cannot hold a connection
+// forever, and an idle keep-alive connection closes after idleTimeout.
+// There is no write timeout: a /stream response lasts a whole campaign.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer builds the HTTP server for h with the timeouts above.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	var (
@@ -125,7 +144,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: campaign.NewMux(svc)}
+	srv := newServer(campaign.NewMux(svc))
 
 	// LIFO drain on exit or signal: mark the service draining and record
 	// "interrupted" manifests first, then close the listener (Close, not

@@ -277,3 +277,18 @@ func TestHealthEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestServerTimeouts: a client that never finishes its request headers
+// is cut off, idle connections close, and streams are never cut short.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want 120s", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none: a /stream response lasts a whole campaign", srv.WriteTimeout)
+	}
+}

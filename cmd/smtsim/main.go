@@ -28,7 +28,7 @@
 //
 // With -telemetry the run emits a cycle-windowed time-series (JSONL, or
 // CSV if the path ends in .csv); with -debug-addr a live HTTP server
-// exposes /telemetry, /debug/vars, /debug/metrics (OpenMetrics),
+// exposes /telemetry, /debug/metrics (OpenMetrics),
 // /debug/progress, and /debug/pprof/ while the run is in flight.
 // Structured progress logs go to stderr (-log-level, -log-json).
 //
@@ -355,7 +355,8 @@ func main() {
 		}
 	}
 	// Fault-injection campaign: samples the run on a cycle grid, then the
-	// strike phase after the run cross-validates the tracker's AVF.
+	// strike phase after the run cross-validates the tracker's AVF. Strike
+	// outcomes honour the spec's protection map, as they do under avfd.
 	var camp *smtavf.FaultCampaign
 	campSeed := inj.CampaignSeed(cfg.Seed)
 	if inj.On {
@@ -363,6 +364,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		prot, err := smtavf.SpecProtection(spec)
+		if err != nil {
+			fatal(err)
+		}
+		camp.SetProtection(prot.Detections())
 		camp.PublishTelemetry(col)
 		opts = append(opts, smtavf.WithFaultInjection(camp))
 		man.CampaignSeed = campSeed

@@ -9,9 +9,8 @@
 // core.Config override), the execution shape (instruction budget, warmup,
 // shards), and at most one experiment kind beyond the plain run:
 // fault-injection cross-validation, a fault-propagation atlas, or the
-// CPI-stack explainability study. The per-kind experiments.*Spec types it
-// replaces remain as deprecated adapters; docs/api.md maps their fields
-// onto Spec.
+// CPI-stack explainability study. The experiments runner executes every
+// Spec through one assembly point, shard.Build.
 //
 // The package also carries the campaign job service behind cmd/avfd: a
 // Matrix fans one base Spec out into points, a Service executes points on
@@ -351,7 +350,9 @@ type Resolved struct {
 	Seeds []uint64
 }
 
-// Resolve validates the spec and joins it with the defaults.
+// Resolve validates the spec and joins it with the defaults; the resolved
+// machine configuration is validated too, so a bad Machine override fails
+// here rather than inside a run.
 func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -404,6 +405,9 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 	if d.Configure != nil {
 		d.Configure(&cfg)
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	rv.Config = cfg
 
 	rv.Protection, _ = ParseProtection(s.Protection) // Validate vetted it
@@ -443,21 +447,7 @@ func (rv *Resolved) SourceFactory() (func() ([]core.Source, error), error) {
 			return core.Sources(cfg, profiles)
 		}, nil
 	}
-	masters := make([]*trace.Replay, 0, len(rv.Spec.TraceFiles))
-	for _, p := range rv.Spec.TraceFiles {
-		r, err := trace.LoadTraceFile(p)
-		if err != nil {
-			return nil, err
-		}
-		masters = append(masters, r)
-	}
-	return func() ([]core.Source, error) {
-		srcs := make([]core.Source, 0, len(masters))
-		for _, m := range masters {
-			srcs = append(srcs, core.Source{Gen: m.Clone()})
-		}
-		return srcs, nil
-	}, nil
+	return core.ReplayFactory(rv.Spec.TraceFiles)
 }
 
 // ReadSpecFile loads and validates a Spec from a JSON file.

@@ -15,7 +15,7 @@ var helpText = map[string]string{
 	"telemetry":        "write a cycle-windowed telemetry series to this file (JSONL; .csv for CSV, .gz compresses)",
 	"telemetry-window": "telemetry sampling window in cycles",
 	"telemetry-dir":    "record one cycle-windowed JSONL series per run into this directory",
-	"debug-addr":       "serve /telemetry, /debug/vars and /debug/pprof on this address during the run (e.g. :6060)",
+	"debug-addr":       "serve /telemetry, /debug/metrics and /debug/pprof on this address during the run (e.g. :6060)",
 
 	// Inject
 	"inject":         "attach a statistical fault-injection campaign and cross-validate the AVF report against it",

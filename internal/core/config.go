@@ -147,7 +147,8 @@ func (c *Config) SetPolicy(name string) error {
 	return nil
 }
 
-// Validate reports configuration errors before a Processor is built.
+// Validate reports configuration errors before a Processor is built,
+// including cache, TLB and BTB geometries the simulator cannot index.
 func (c *Config) Validate() error {
 	switch {
 	case c.Threads < 1:
@@ -168,6 +169,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: FrontEndDepth must be >= 1")
 	case c.MaxFetchThreads < 1:
 		return fmt.Errorf("core: MaxFetchThreads must be >= 1")
+	case c.BTBEntries < 1 || c.BTBWays < 1:
+		return fmt.Errorf("core: BTBEntries and BTBWays must be >= 1")
+	}
+	for _, g := range []struct {
+		name string
+		err  error
+	}{
+		{"IL1", c.IL1.Validate()}, {"DL1", c.DL1.Validate()}, {"L2", c.L2.Validate()},
+		{"ITLB", c.ITLB.Validate()}, {"DTLB", c.DTLB.Validate()},
+	} {
+		if g.err != nil {
+			return fmt.Errorf("core: %s: %w", g.name, g.err)
+		}
 	}
 	return nil
 }

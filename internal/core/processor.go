@@ -156,6 +156,28 @@ func Sources(cfg Config, profiles []trace.Profile) ([]Source, error) {
 	return srcs, nil
 }
 
+// ReplayFactory loads recorded traces (cmd/tracegen) once and returns a
+// factory whose every call clones them, so each processor built from it
+// replays the same program from the start — what a sharded run's
+// per-interval machines need.
+func ReplayFactory(paths []string) (func() ([]Source, error), error) {
+	masters := make([]*trace.Replay, 0, len(paths))
+	for _, p := range paths {
+		r, err := trace.LoadTraceFile(p)
+		if err != nil {
+			return nil, err
+		}
+		masters = append(masters, r)
+	}
+	return func() ([]Source, error) {
+		srcs := make([]Source, 0, len(masters))
+		for _, m := range masters {
+			srcs = append(srcs, Source{Gen: m.Clone()})
+		}
+		return srcs, nil
+	}, nil
+}
+
 // NewFromSources builds a processor from explicit instruction sources,
 // which lets tests drive the pipeline with scripted traces.
 func NewFromSources(cfg Config, srcs []Source) (*Processor, error) {

@@ -113,9 +113,9 @@ type Options struct {
 }
 
 // Observer accumulates the per-thread CPI stack and the occupancy-by-fate
-// series. Attach with core.Processor.SetCPIStack (or the facade's
-// WithCPIStack); all methods are nil-receiver no-ops so a detached
-// observer costs nothing.
+// series. Attach with the facade's WithCPIStack (shard.Options.CPIStack);
+// all methods are nil-receiver no-ops so a detached observer costs
+// nothing.
 //
 // Ownership: Record copies everything it keeps out of the pooled uop
 // before returning (docs/performance.md).

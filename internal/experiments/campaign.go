@@ -13,9 +13,8 @@ import (
 	"smtavf/internal/shard"
 )
 
-// defaults exposes the runner's options as the spec-resolution fallbacks,
-// so a campaign.Spec run through the runner behaves exactly like the
-// per-kind methods it replaced.
+// defaults exposes the runner's options as the spec-resolution fallbacks:
+// every run the runner makes resolves a campaign.Spec against them.
 func (r *Runner) defaults() campaign.Defaults {
 	return campaign.Defaults{
 		Seed:      r.opts.Seed,
@@ -58,85 +57,64 @@ func newResult(spec campaign.Spec, title string, seed uint64) *campaign.Result {
 }
 
 // campaignRun executes a plain simulation point: sharded when the spec
-// asks for it, monolithic otherwise, with an optional strike campaign
-// cross-validated against the tracker.
+// (or, for a spec without a strike campaign, the runner) asks for it,
+// monolithic otherwise, with an optional strike campaign cross-validated
+// against the tracker.
 func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
+	if spec.Inject == nil {
+		spec = r.withShards(spec)
+	}
 	rv, err := spec.Resolve(r.defaults())
-	if err != nil {
-		return nil, err
-	}
-	result := newResult(spec, rv.Title, rv.Config.Seed)
-	factory, err := rv.SourceFactory()
-	if err != nil {
-		return nil, err
-	}
-
-	// A spec that leaves its shard shape unset inherits the runner's
-	// (avfd -shards); specs with a strike campaign stay monolithic, as
-	// spec.Validate requires of explicitly sharded ones.
-	shardsN, shardWorkers := spec.Shards, spec.ShardWorkers
-	if shardsN == 0 && spec.Inject == nil {
-		shardsN, shardWorkers = r.opts.Shards, r.opts.ShardWorkers
-	}
-	if shardsN > 1 {
-		eng, err := shard.New(rv.Config, factory, shard.Options{
-			Shards:       shardsN,
-			Workers:      shardWorkers,
-			WarmupWindow: spec.ShardWarmupWindow,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Run(rv.Quota)
-		if err != nil {
-			return nil, fmt.Errorf("campaign run %s: %w", rv.Title, err)
-		}
-		result.FillRun(res)
-		return result, nil
-	}
-
-	srcs, err := factory()
-	if err != nil {
-		return nil, err
-	}
-	proc, err := core.NewFromSources(rv.Config, srcs)
 	if err != nil {
 		return nil, err
 	}
 	var camp *inject.Campaign
 	if spec.Inject != nil {
-		camp, err = inject.NewCampaign(core.StructBits(rv.Config), rv.Every, rv.CampaignSeed)
-		if err != nil {
+		if camp, err = newCampaign(rv); err != nil {
 			return nil, err
 		}
-		camp.SetProtection(rv.Protection.Detections())
-		proc.AttachSink(camp)
 	}
-	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
+	res, err := simulate(rv, shard.Options{Inject: camp})
 	if err != nil {
 		return nil, fmt.Errorf("campaign run %s: %w", rv.Title, err)
 	}
+	result := newResult(spec, rv.Title, rv.Config.Seed)
 	result.FillRun(res)
 	if camp != nil {
 		stats := camp.RunStrikes(res.Cycles, rv.Stop)
 		result.Strikes = stats.TotalStrikes
-		result.CrossVal = crossval.Build(crossval.Meta{
-			Workload: rv.Title,
-			Policy:   spec.PolicyName(),
-			Seed:     rv.CampaignSeed,
-			Seeds:    1,
-			Every:    rv.Every,
-			Cycles:   res.Cycles,
-		}, trackerAVF(res), stats)
+		result.CrossVal = crossvalReport(rv, rv.CampaignSeed, res, stats)
 	}
 	return result, nil
+}
+
+// newCampaign builds rv's strike campaign with its protection applied.
+func newCampaign(rv *campaign.Resolved) (*inject.Campaign, error) {
+	camp, err := inject.NewCampaign(core.StructBits(rv.Config), rv.Every, rv.CampaignSeed)
+	if err != nil {
+		return nil, err
+	}
+	camp.SetProtection(rv.Protection.Detections())
+	return camp, nil
+}
+
+// crossvalReport builds the agreement report of one run and its strike
+// experiment; seed labels the report.
+func crossvalReport(rv *campaign.Resolved, seed uint64, res *core.Results, stats *inject.Stats) *crossval.Report {
+	return crossval.Build(crossval.Meta{
+		Workload: rv.Title,
+		Policy:   rv.Spec.PolicyName(),
+		Seed:     seed,
+		Seeds:    1,
+		Every:    rv.Every,
+		Cycles:   res.Cycles,
+	}, trackerAVF(res), stats)
 }
 
 // campaignCrossVal runs the seed fanout concurrently (one simulation +
 // campaign per seed) and pools the per-seed agreement reports into one.
 // Each fanout seed seeds both the simulation and its campaign (unless
-// Inject.Seed pins the campaign seed), exactly as the deprecated
-// Runner.CrossVal did.
+// Inject.Seed pins the campaign seed).
 func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {
@@ -151,11 +129,15 @@ func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) 
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		rep, err := r.campaignCrossValSeed(rv)
+		camp, err := newCampaign(rv)
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		perSeed[i] = rep
+		res, err := simulate(rv, shard.Options{Inject: camp})
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", seeds[i], err)
+		}
+		perSeed[i] = crossvalReport(rv, rv.Config.Seed, res, camp.RunStrikes(res.Cycles, rv.Stop))
 		return nil
 	})
 	if err != nil {
@@ -178,35 +160,6 @@ func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) 
 	return result, nil
 }
 
-// campaignCrossValSeed runs one resolved seed's simulation with a
-// campaign attached and builds its agreement report.
-func (r *Runner) campaignCrossValSeed(rv *campaign.Resolved) (*crossval.Report, error) {
-	camp, err := inject.NewCampaign(core.StructBits(rv.Config), rv.Every, rv.CampaignSeed)
-	if err != nil {
-		return nil, err
-	}
-	camp.SetProtection(rv.Protection.Detections())
-	proc, err := core.New(rv.Config, rv.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	proc.AttachSink(camp)
-	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
-	if err != nil {
-		return nil, err
-	}
-	stats := camp.RunStrikes(res.Cycles, rv.Stop)
-	meta := crossval.Meta{
-		Workload: rv.Title,
-		Policy:   rv.Spec.PolicyName(),
-		Seed:     rv.Config.Seed,
-		Seeds:    1,
-		Every:    rv.Every,
-		Cycles:   res.Cycles,
-	}
-	return crossval.Build(meta, trackerAVF(res), stats), nil
-}
-
 // campaignPropagation runs the workload with a strike campaign and the
 // propagation tracer attached, then taint-tracks sampled strikes through
 // the recorded dataflow.
@@ -220,19 +173,12 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 		strikes = 256
 	}
 	title := rv.Title + " under " + spec.PolicyName()
-	camp, err := inject.NewCampaign(core.StructBits(rv.Config), rv.Every, rv.CampaignSeed)
+	camp, err := newCampaign(rv)
 	if err != nil {
 		return nil, err
 	}
-	camp.SetProtection(rv.Protection.Detections())
-	proc, err := core.New(rv.Config, rv.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	proc.AttachSink(camp)
 	tracer := propagation.New(spec.Propagation.Options)
-	proc.SetPropagation(tracer)
-	res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
+	res, err := simulate(rv, shard.Options{Inject: camp, Propagation: tracer})
 	if err != nil {
 		return nil, fmt.Errorf("propagation run %s: %w", title, err)
 	}
@@ -252,7 +198,7 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 // campaignExplain runs the workload once per policy with the CPI-stack
 // observer attached and distills the runs into the explainability figure
 // family. Each policy re-resolves the spec so the Configure hook sees the
-// final per-policy configuration, as the deprecated Runner.Explain did.
+// final per-policy configuration.
 func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {
@@ -274,13 +220,8 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		proc, err := core.New(rv.Config, rv.Profiles)
-		if err != nil {
-			return nil, err
-		}
 		obs := cpistack.New(cpistack.Options{WindowCycles: window})
-		proc.SetCPIStack(obs)
-		res, err := proc.Run(core.Limits{TotalInstructions: rv.Quota})
+		res, err := simulate(rv, shard.Options{CPIStack: obs})
 		if err != nil {
 			return nil, fmt.Errorf("explain run %s under %s: %w", rv0.Title, policy, err)
 		}

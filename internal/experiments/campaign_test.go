@@ -1,107 +1,17 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
-	"smtavf/internal/avf"
 	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/inject"
 )
 
-// adapterOpts keeps the adapter runs fast; the comparison only needs the
-// two paths to agree, not to converge.
-func adapterOpts() Options {
+// campaignOpts keeps the campaign runs fast; the checks need the runs to
+// be well-formed, not converged.
+func campaignOpts() Options {
 	return Options{Base: 4000, Seed: 3}
-}
-
-// TestSpecAdaptersMatch pins the deprecated per-kind specs to the unified
-// campaign.Spec path: each old entry point must produce bit-identical
-// results to Runner.Campaign over the adapter conversion (the same
-// guarantee TestNewMatchesDeprecatedConstructors gives the facade
-// constructors).
-func TestSpecAdaptersMatch(t *testing.T) {
-	var protection core.ProtectionModes
-	protection[avf.IQ] = core.ProtectECC
-
-	t.Run("crossval", func(t *testing.T) {
-		spec := CrossValSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policy:     "STALL",
-			Seeds:      []uint64{1, 2},
-			Every:      4,
-			Stop:       inject.Stop{MaxStrikes: 200},
-			Protection: protection,
-		}
-		pooled, perSeed, err := NewRunner(adapterOpts()).CrossVal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pooled, res.CrossVal) {
-			t.Errorf("pooled reports diverge:\n old %+v\n new %+v", pooled, res.CrossVal)
-		}
-		if !reflect.DeepEqual(perSeed, res.CrossValSeeds) {
-			t.Errorf("per-seed reports diverge")
-		}
-		if res.Kind != campaign.KindCrossVal {
-			t.Errorf("kind = %s", res.Kind)
-		}
-	})
-
-	t.Run("propagation", func(t *testing.T) {
-		spec := PropagationSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policy:     "FLUSH",
-			Seed:       5,
-			Strikes:    32,
-			Protection: protection,
-		}
-		atlas, title, err := NewRunner(adapterOpts()).Propagation(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if title != res.Title {
-			t.Errorf("title %q != %q", title, res.Title)
-		}
-		if !reflect.DeepEqual(atlas, res.Atlas) {
-			t.Errorf("atlases diverge: old %d/%d strikes, new %d/%d",
-				atlas.Strikes, atlas.Resolved, res.Atlas.Strikes, res.Atlas.Resolved)
-		}
-		if res.Propagation == nil || res.Propagation.Strikes != atlas.Strikes {
-			t.Errorf("wire summary = %+v", res.Propagation)
-		}
-	})
-
-	t.Run("explain", func(t *testing.T) {
-		spec := ExplainSpec{
-			Benchmarks: []string{"gcc", "mcf"},
-			Policies:   []string{"ICOUNT", "STALL"},
-			Window:     2048,
-		}
-		tables, title, err := NewRunner(adapterOpts()).Explain(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := NewRunner(adapterOpts()).Campaign(spec.Campaign())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if title != res.Title {
-			t.Errorf("title %q != %q", title, res.Title)
-		}
-		if !reflect.DeepEqual(tables, TablesFromCampaign(res.Tables)) {
-			t.Errorf("tables diverge: %d vs %d", len(tables), len(res.Tables))
-		}
-	})
 }
 
 // TestCampaignRunKinds covers the plain-run executor: monolithic vs
@@ -110,7 +20,7 @@ func TestSpecAdaptersMatch(t *testing.T) {
 func TestCampaignRunKinds(t *testing.T) {
 	base := campaign.Spec{Benchmarks: []string{"gcc", "mcf"}, Instructions: 40_000, Seed: 2, NoWarmup: true}
 
-	mono, err := NewRunner(adapterOpts()).Campaign(base)
+	mono, err := NewRunner(campaignOpts()).Campaign(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +37,12 @@ func TestCampaignRunKinds(t *testing.T) {
 	// out of scope here, as it is for smtsim.)
 	sharded := base
 	sharded.Shards = 4
-	sh4, err := NewRunner(adapterOpts()).Campaign(sharded)
+	sh4, err := NewRunner(campaignOpts()).Campaign(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded.Shards = 2
-	sh2, err := NewRunner(adapterOpts()).Campaign(sharded)
+	sh2, err := NewRunner(campaignOpts()).Campaign(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +56,7 @@ func TestCampaignRunKinds(t *testing.T) {
 
 	injected := base
 	injected.Inject = &campaign.InjectSpec{Every: 4, Stop: inject.Stop{MaxStrikes: 100}}
-	inj, err := NewRunner(adapterOpts()).Campaign(injected)
+	inj, err := NewRunner(campaignOpts()).Campaign(injected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +72,7 @@ func TestCampaignRunKinds(t *testing.T) {
 // TestCampaignRejectsZeroQuota: a spec with no budget and a runner with
 // no budget rule must not silently run forever.
 func TestCampaignErrors(t *testing.T) {
-	r := NewRunner(adapterOpts())
+	r := NewRunner(campaignOpts())
 	if _, err := r.Campaign(campaign.Spec{}); err == nil {
 		t.Error("sourceless spec ran")
 	}
@@ -171,5 +81,43 @@ func TestCampaignErrors(t *testing.T) {
 	}
 	if _, err := r.Campaign(campaign.Spec{Benchmarks: []string{"no-such-bench"}}); err == nil {
 		t.Error("unknown benchmark ran")
+	}
+}
+
+// TestCampaignRejectsBadMachine: a machine override the simulator cannot
+// index fails every kind with an error before a processor or strike
+// campaign is built, instead of panicking the worker that runs it.
+func TestCampaignRejectsBadMachine(t *testing.T) {
+	machines := map[string]func(*core.Config){
+		"zero":        func(c *core.Config) { *c = core.Config{} },
+		"DL1-ways-0":  func(c *core.Config) { c.DL1.Ways = 0 },
+		"L2-3-sets":   func(c *core.Config) { c.L2.Size = 3 * c.L2.Ways * c.L2.LineSize },
+		"DTLB-ways-0": func(c *core.Config) { c.DTLB.Ways = 0 },
+		"BTB-ways-0":  func(c *core.Config) { c.BTBWays = 0 },
+	}
+	kinds := map[string]campaign.Spec{
+		"run":         {},
+		"crossval":    {CrossVal: &campaign.CrossValSpec{}},
+		"propagation": {Propagation: &campaign.PropagationSpec{}},
+		"explain":     {Explain: &campaign.ExplainSpec{}},
+	}
+	r := NewRunner(campaignOpts())
+	for kind, base := range kinds {
+		for name, breakMachine := range machines {
+			t.Run(kind+"/"+name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				machine := core.DefaultConfig(2)
+				breakMachine(&machine)
+				spec := base
+				spec.Mix, spec.Machine = "2ctx-CPU-A", &machine
+				if _, err := r.Campaign(spec); err == nil {
+					t.Fatal("bad machine ran")
+				}
+			})
+		}
 	}
 }

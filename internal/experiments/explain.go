@@ -4,72 +4,15 @@ import (
 	"math"
 
 	"smtavf/internal/avf"
-	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/cpistack"
 )
-
-// ExplainSpec describes one explainability experiment: a workload run
-// under each listed fetch policy with the CPI-stack/occupancy observer
-// attached, so per-policy AVF differences can be read against where the
-// cycles went and how full the structures were.
-//
-// Deprecated: build a campaign.Spec with an Explain section instead (or
-// convert with the Campaign method) and run it through Runner.Campaign;
-// docs/api.md maps the fields. This type remains as a bit-identical
-// adapter, pinned by TestSpecAdaptersMatch.
-type ExplainSpec struct {
-	// Mix is a Table 2 mix name; alternatively list Benchmarks directly.
-	Mix        string
-	Benchmarks []string
-	// Policies lists the fetch policies to compare (default
-	// ICOUNT/STALL/FLUSH — the paper's baseline and its two
-	// occupancy-throttling variants).
-	Policies []string
-	// Seed seeds each simulation (default: runner seed).
-	Seed uint64
-	// Instructions overrides the runner's context-scaled budget.
-	Instructions uint64
-	// Window is the observer's window size in cycles (default
-	// cpistack.DefaultWindowCycles).
-	Window uint64
-}
-
-// Campaign converts the deprecated spec to its campaign.Spec equivalent.
-func (s ExplainSpec) Campaign() campaign.Spec {
-	return campaign.Spec{
-		V:            campaign.SpecVersion,
-		Mix:          s.Mix,
-		Benchmarks:   s.Benchmarks,
-		Seed:         s.Seed,
-		Instructions: s.Instructions,
-		Explain:      &campaign.ExplainSpec{Policies: s.Policies, Window: s.Window},
-	}
-}
 
 // explainRun is one policy's worth of raw material for the tables.
 type explainRun struct {
 	policy string
 	obs    *cpistack.Observer
 	res    *core.Results
-}
-
-// Explain runs the workload once per policy with a CPI-stack observer
-// attached and distills the runs into the explainability figure family:
-// a stacked-CPI chart across policies, a per-policy occupancy-by-fate
-// table, and an occupancy-versus-AVF correlation summary. Explain runs
-// are not memoized — the observer holds windowed state, so each policy
-// uses its own dedicated simulation.
-//
-// Deprecated: use Runner.Campaign with spec.Campaign(); the tables ride
-// on Result.Tables (TablesFromCampaign converts them back) and the title
-// on Result.Title.
-func (r *Runner) Explain(spec ExplainSpec) ([]*Table, string, error) {
-	res, err := r.Campaign(spec.Campaign())
-	if err != nil {
-		return nil, "", err
-	}
-	return TablesFromCampaign(res.Tables), res.Title, nil
 }
 
 // explainStackTable builds the stacked-CPI chart: the share of all

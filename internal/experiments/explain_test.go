@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/campaign"
 	"smtavf/internal/cpistack"
 )
 
@@ -14,13 +15,14 @@ import (
 // the correlation table carries well-formed coefficients.
 func TestExplainTables(t *testing.T) {
 	r := NewRunner(Options{Base: 2_000, Seed: 1})
-	ts, title, err := r.Explain(ExplainSpec{
+	res, err := r.Campaign(campaign.Spec{
 		Benchmarks: []string{"mcf", "gcc"},
-		Policies:   []string{"ICOUNT", "FLUSH"},
+		Explain:    &campaign.ExplainSpec{Policies: []string{"ICOUNT", "FLUSH"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts, title := TablesFromCampaign(res.Tables), res.Title
 	if title == "" {
 		t.Fatal("empty title")
 	}

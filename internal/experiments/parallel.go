@@ -3,6 +3,7 @@ package experiments
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"smtavf/internal/workload"
 )
@@ -37,28 +38,32 @@ func AllSpecs() []MixSpec {
 
 // forEach runs fn(0..n-1) concurrently on a worker pool bounded by
 // GOMAXPROCS. Each job must be fully independent — simulations share no
-// state — which is what makes this safe. The first error stops the
-// worker that hit it and is returned; other workers finish their current
-// job.
+// state — which is what makes this safe. The first error is returned;
+// after it the workers drain the remaining jobs without running them, so
+// the sender never blocks on a pool whose workers have all failed.
 func forEach(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers < 1 {
 		workers = 1
 	}
 	jobs := make(chan int)
-	errc := make(chan error, n)
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		once   sync.Once
+		failed atomic.Bool
+		first  error
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				if failed.Load() {
+					continue
+				}
 				if err := fn(i); err != nil {
-					errc <- err
-					return
+					once.Do(func() { first = err })
+					failed.Store(true)
 				}
 			}
 		}()
@@ -68,8 +73,7 @@ func forEach(n int, fn func(i int) error) error {
 	}
 	close(jobs)
 	wg.Wait()
-	close(errc)
-	return <-errc // nil when the channel is empty
+	return first
 }
 
 // Preload runs the given specs concurrently (bounded by GOMAXPROCS) and

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"smtavf/internal/avf"
-	"smtavf/internal/core"
+	"smtavf/internal/campaign"
 	"smtavf/internal/pipetrace"
-	"smtavf/internal/trace"
-	"smtavf/internal/workload"
+	"smtavf/internal/shard"
 )
 
 // Provenance runs the named Table 2 mix under the given fetch policy with
@@ -17,42 +16,12 @@ import (
 // Provenance runs are not memoized — the recorder holds per-uop state, so
 // they use their own (single) simulation.
 func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
-	var m workload.Mix
-	found := false
-	for _, mm := range workload.Mixes() {
-		if mm.Name() == mixName {
-			m, found = mm, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("experiments: unknown mix %q", mixName)
-	}
-	contexts := len(m.Benchmarks)
-	cfg := core.DefaultConfig(contexts)
-	cfg.Seed = r.opts.Seed
-	cfg.Warmup = r.opts.Warmup
-	if err := cfg.SetPolicy(policy); err != nil {
-		return nil, err
-	}
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
-	profiles := make([]trace.Profile, 0, contexts)
-	for _, b := range m.Benchmarks {
-		p, err := workload.Profile(b)
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
-	}
-	proc, err := core.New(cfg, profiles)
+	rv, err := campaign.Spec{Mix: mixName, Policy: policy}.Resolve(r.defaults())
 	if err != nil {
 		return nil, err
 	}
 	rec := pipetrace.New(pipetrace.Options{})
-	proc.SetPipeTrace(rec)
-	if _, err := proc.Run(core.Limits{TotalInstructions: r.budget(contexts)}); err != nil {
+	if _, err := simulate(rv, shard.Options{PipeTrace: rec}); err != nil {
 		return nil, fmt.Errorf("provenance run %s under %s: %w", mixName, policy, err)
 	}
 	title := fmt.Sprintf("%s under %s", mixName, policy)

@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"sync"
 
+	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/shard"
-	"smtavf/internal/trace"
 	"smtavf/internal/workload"
 )
 
@@ -121,49 +121,11 @@ func (r *Runner) runMix(contexts int, kind workload.Kind, group workload.Group, 
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig(contexts)
-	cfg.Seed = r.opts.Seed
-	cfg.Warmup = r.opts.Warmup
-	if err := cfg.SetPolicy(policy); err != nil {
-		return nil, err
-	}
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
-	profiles := make([]trace.Profile, 0, len(m.Benchmarks))
-	for _, b := range m.Benchmarks {
-		p, err := workload.Profile(b)
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
-	}
-	res, err := r.run(cfg, profiles, r.budget(contexts))
+	res, err := r.runSpec(r.withShards(campaign.Spec{Mix: m.Name(), Policy: policy}))
 	if err != nil {
 		return nil, fmt.Errorf("mix %s under %s: %w", m.Name(), policy, err)
 	}
 	return res, nil
-}
-
-// run executes profiles under cfg until total instructions commit —
-// monolithically, or split across a shard engine when Options.Shards asks
-// for parallelism. Sharded totals are divided evenly across threads (the
-// engine's stop rule), so per-thread commits are exact either way.
-func (r *Runner) run(cfg core.Config, profiles []trace.Profile, total uint64) (*core.Results, error) {
-	if r.opts.Shards > 1 {
-		eng, err := shard.New(cfg, func() ([]core.Source, error) {
-			return core.Sources(cfg, profiles)
-		}, shard.Options{Shards: r.opts.Shards, Workers: r.opts.ShardWorkers})
-		if err != nil {
-			return nil, err
-		}
-		return eng.Run(total)
-	}
-	proc, err := core.New(cfg, profiles)
-	if err != nil {
-		return nil, err
-	}
-	return proc.Run(core.Limits{TotalInstructions: total})
 }
 
 // Single runs (or recalls) benchmark bench alone for quota instructions —
@@ -176,21 +138,48 @@ func (r *Runner) Single(bench string, quota uint64) (*core.Results, error) {
 }
 
 func (r *Runner) runSingle(bench string, quota uint64) (*core.Results, error) {
-	p, err := workload.Profile(bench)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultConfig(1)
-	cfg.Seed = r.opts.Seed
-	cfg.Warmup = r.opts.Warmup
-	if r.opts.Configure != nil {
-		r.opts.Configure(&cfg)
-	}
-	res, err := r.run(cfg, []trace.Profile{p}, quota)
+	res, err := r.runSpec(r.withShards(campaign.Spec{Benchmarks: []string{bench}, Instructions: quota}))
 	if err != nil {
 		return nil, fmt.Errorf("single %s: %w", bench, err)
 	}
 	return res, nil
+}
+
+// withShards gives a spec that leaves its shard shape unset the runner's
+// (Options.Shards, avfd -shards). Only runs without pipeline observers
+// take it: the observers need a monolithic run.
+func (r *Runner) withShards(spec campaign.Spec) campaign.Spec {
+	if spec.Shards == 0 {
+		spec.Shards, spec.ShardWorkers = r.opts.Shards, r.opts.ShardWorkers
+	}
+	return spec
+}
+
+// runSpec resolves spec against the runner's defaults and runs it with no
+// observer attached.
+func (r *Runner) runSpec(spec campaign.Spec) (*core.Results, error) {
+	rv, err := spec.Resolve(r.defaults())
+	if err != nil {
+		return nil, err
+	}
+	return simulate(rv, shard.Options{})
+}
+
+// simulate assembles rv's run through shard.Build, in the spec's shard
+// shape with opts' observers attached, and runs it to the resolved quota.
+// A sharded run splits the quota evenly across threads (the engine's stop
+// rule), so per-thread commits are exact either way.
+func simulate(rv *campaign.Resolved, opts shard.Options) (*core.Results, error) {
+	factory, err := rv.SourceFactory()
+	if err != nil {
+		return nil, err
+	}
+	opts.Shards, opts.Workers, opts.WarmupWindow = rv.Spec.Shards, rv.Spec.ShardWorkers, rv.Spec.ShardWarmupWindow
+	sim, err := shard.Build(rv.Config, factory, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(rv.Quota)
 }
 
 // MixAvg runs a mix over every available group and returns the results

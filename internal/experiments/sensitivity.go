@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/campaign"
 	"smtavf/internal/core"
-	"smtavf/internal/trace"
 	"smtavf/internal/workload"
 )
 
@@ -53,14 +53,6 @@ func (r *Runner) Sensitivity() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles := make([]trace.Profile, 0, len(m.Benchmarks))
-	for _, b := range m.Benchmarks {
-		p, err := workload.Profile(b)
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
-	}
 
 	var out []*Table
 	for _, sw := range sweeps {
@@ -71,18 +63,9 @@ func (r *Runner) Sensitivity() ([]*Table, error) {
 		t := NewTable(sw.title, []string{"IPC", "AVF", "IPC/AVF", "ACE entries"}, cols)
 		t.Note = "AVF of the swept structure; 'ACE entries' = AVF × entries, the absolute exposed state"
 		for i, n := range sw.sizes {
-			cfg := core.DefaultConfig(4)
-			cfg.Seed = r.opts.Seed
-			cfg.Warmup = r.opts.Warmup
-			sw.apply(&cfg, n)
-			if r.opts.Configure != nil {
-				r.opts.Configure(&cfg)
-			}
-			proc, err := core.New(cfg, profiles)
-			if err != nil {
-				return nil, err
-			}
-			res, err := proc.Run(core.Limits{TotalInstructions: r.budget(4)})
+			machine := core.DefaultConfig(4)
+			sw.apply(&machine, n)
+			res, err := r.runSpec(campaign.Spec{Mix: m.Name(), Machine: &machine})
 			if err != nil {
 				return nil, fmt.Errorf("sensitivity %s=%d: %w", sw.title, n, err)
 			}

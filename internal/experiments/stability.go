@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"smtavf/internal/core"
-	"smtavf/internal/trace"
+	"smtavf/internal/campaign"
 	"smtavf/internal/workload"
 )
 
@@ -32,27 +31,9 @@ func (r *Runner) Stability(seeds int) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		profiles := make([]trace.Profile, 0, len(m.Benchmarks))
-		for _, b := range m.Benchmarks {
-			p, err := workload.Profile(b)
-			if err != nil {
-				return nil, err
-			}
-			profiles = append(profiles, p)
-		}
 		samples := make([][]float64, len(ss))
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			cfg := core.DefaultConfig(4)
-			cfg.Seed = seed
-			cfg.Warmup = r.opts.Warmup
-			if r.opts.Configure != nil {
-				r.opts.Configure(&cfg)
-			}
-			proc, err := core.New(cfg, profiles)
-			if err != nil {
-				return nil, err
-			}
-			res, err := proc.Run(core.Limits{TotalInstructions: r.budget(4)})
+			res, err := r.runSpec(campaign.Spec{Mix: m.Name(), Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("stability seed %d: %w", seed, err)
 			}

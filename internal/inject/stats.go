@@ -278,7 +278,7 @@ func etaStrikes(st *Stats, rule Stop, z float64) float64 {
 // interval during the run, and the strike phase (RunStrikes) keeps
 // inject.strikes, inject.rounds, inject.eta_strikes, and per-structure
 // inject.halfwidth.* gauges current — all visible on the /telemetry and
-// /debug/vars endpoints while a long campaign converges. A nil collector
+// /debug/metrics endpoints while a long campaign converges. A nil collector
 // leaves the campaign unobserved.
 func (c *Campaign) PublishTelemetry(col *telemetry.Collector) {
 	if c == nil {

@@ -259,8 +259,8 @@ func TestPublishTelemetry(t *testing.T) {
 }
 
 // TestTelemetryNameParity pins the migration contract of the campaign
-// gauges: every legacy dotted name stays in the collector snapshot (the
-// /debug/vars surface) AND registers on the obs registry (the
+// gauges: every dotted name stays in the collector snapshot (the
+// /telemetry surface) AND registers on the obs registry (the
 // /debug/metrics surface) under the same dotted family name.
 func TestTelemetryNameParity(t *testing.T) {
 	var bits [avf.NumStructs]uint64

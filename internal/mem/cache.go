@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 
 	"smtavf/internal/avf"
@@ -28,6 +29,23 @@ type Config struct {
 
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.Size / (c.Ways * c.LineSize) }
+
+// Validate rejects a geometry New cannot index: a size, way count or line
+// size below 1, or a set count that is not a positive power of two.
+func (c Config) Validate() error {
+	if c.Size < 1 || c.Ways < 1 || c.LineSize < 1 {
+		return fmt.Errorf("mem: size, ways and line size must be >= 1, got %d, %d and %d", c.Size, c.Ways, c.LineSize)
+	}
+	return validSets(c.Sets())
+}
+
+// validSets checks the set count the index masks assume.
+func validSets(sets int) error {
+	if sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: set count %d is not a positive power of two", sets)
+	}
+	return nil
+}
 
 // TagBits returns the per-line tag-array bit count (address tag plus
 // valid and dirty state).

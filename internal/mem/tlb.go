@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 
 	"smtavf/internal/avf"
@@ -13,6 +14,16 @@ type TLBConfig struct {
 	Ways        int
 	PageSize    int // bytes
 	MissPenalty int // cycles added on a miss (paper: 200)
+}
+
+// Validate rejects a geometry NewTLB cannot index: an entry count, way
+// count or page size below 1, or a set count that is not a positive power
+// of two.
+func (c TLBConfig) Validate() error {
+	if c.Entries < 1 || c.Ways < 1 || c.PageSize < 1 {
+		return fmt.Errorf("mem: entries, ways and page size must be >= 1, got %d, %d and %d", c.Entries, c.Ways, c.PageSize)
+	}
+	return validSets(c.Entries / c.Ways)
 }
 
 // EntryBits returns the bit width of one TLB entry: virtual tag + physical

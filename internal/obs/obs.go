@@ -12,8 +12,8 @@
 //     OpenMetrics/Prometheus text (openmetrics.go) at /debug/metrics on
 //     the telemetry debug server. The telemetry.Collector's live
 //     counters/gauges are backed by it, so the inject.* and inject.prop.*
-//     campaign gauges surface on both /debug/vars (legacy dotted names)
-//     and /debug/metrics (sanitized smtavf_* families) without the
+//     campaign gauges surface on both /telemetry (dotted names) and
+//     /debug/metrics (sanitized smtavf_* families) without the
 //     publishing code changing.
 //
 //   - Ledger (ledger.go): an append-only runs.jsonl of versioned

@@ -18,7 +18,7 @@ const MetricPrefix = "smtavf_"
 // ExpositionName maps a registry name onto its OpenMetrics family name:
 // the smtavf_ prefix plus the name with every character outside
 // [a-zA-Z0-9_:] replaced by '_'. Dotted legacy names (inject.halfwidth.IQ)
-// stay one family each — the /debug/vars compatibility contract keeps
+// stay one family each — the /telemetry snapshot's dotted names keep
 // their identity flat rather than re-encoding suffixes as labels.
 func ExpositionName(name string) string {
 	var b strings.Builder

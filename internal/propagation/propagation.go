@@ -137,9 +137,10 @@ func (n *node) committed() bool {
 }
 
 // Tracer records the per-uop nodes the propagation analysis needs. Attach
-// with core.Processor.SetPropagation before Run; a nil *Tracer is a valid
-// detached tracer (Record and Rebase are nil-receiver no-ops, the same
-// convention the pipetrace recorder and the injection campaign follow).
+// with the facade's WithPropagation (shard.Options.Propagation); a nil
+// *Tracer is a valid detached tracer (Record and Rebase are nil-receiver
+// no-ops, the same convention the pipetrace recorder and the injection
+// campaign follow).
 //
 // A Tracer is driven from the simulator's goroutine and is not safe for
 // concurrent use during a run; Analyze it after Run returns.
@@ -259,7 +260,7 @@ func (t *Tracer) Dropped() uint64 {
 // PublishTelemetry registers the tracer's result gauges on the collector:
 // after Analyze runs, inject.prop.strikes, inject.prop.resolved,
 // inject.prop.sdc, inject.prop.cross_thread, and inject.prop.depth_max
-// carry the atlas headline numbers on the /telemetry and /debug/vars
+// carry the atlas headline numbers on the /telemetry and /debug/metrics
 // endpoints. A nil collector leaves the tracer unobserved.
 func (t *Tracer) PublishTelemetry(col *telemetry.Collector) {
 	if t == nil {

@@ -29,7 +29,12 @@ import (
 	"time"
 
 	"smtavf/internal/core"
+	"smtavf/internal/cpistack"
+	"smtavf/internal/inject"
 	"smtavf/internal/obs"
+	"smtavf/internal/pipetrace"
+	"smtavf/internal/propagation"
+	"smtavf/internal/telemetry"
 )
 
 // SourceFactory builds a fresh, identically-seeded set of per-thread
@@ -39,7 +44,8 @@ import (
 // trace.LoadTraceFile), never shared state.
 type SourceFactory func() ([]core.Source, error)
 
-// Options configure sharded execution.
+// Options configure a Build: the shard shape, campaign observability,
+// and the pipeline observers a monolithic run attaches.
 type Options struct {
 	// Shards is the number of intervals each thread's instruction quota is
 	// split into. 1 means a single detailed run (no boundary error).
@@ -64,8 +70,16 @@ type Options struct {
 	// Obs, when non-nil, receives campaign observability: per-worker
 	// phase spans (Engine.Timeline), shard metrics on the registry, and
 	// shard-completion progress. Attaching it does not perturb results —
-	// it watches the pool, not the simulated machines.
+	// it watches the pool, not the simulated machines. On a monolithic
+	// Build its Progress tracks the "run" phase instead.
 	Obs *obs.Observability
+
+	// Pipeline observers, attached by Build to a monolithic run only.
+	Telemetry   *telemetry.Collector
+	PipeTrace   *pipetrace.Recorder
+	Inject      *inject.Campaign
+	Propagation *propagation.Tracer
+	CPIStack    *cpistack.Observer
 }
 
 // Engine runs sharded simulations for one configuration and workload.
@@ -87,9 +101,11 @@ type Engine struct {
 // execution order; "merge" runs once on the coordinating goroutine.
 var spanPhases = []string{"sources", "warmup", "run", "merge"}
 
-// New builds an engine. The configuration's Warmup is honoured by folding
-// it into each shard's functional warmup (split evenly across threads);
-// detailed-warmup semantics are only available from a monolithic run.
+// New builds an engine; Build is the entry point that also vets the
+// workload and rejects pipeline observers. The configuration's Warmup is
+// honoured by folding it into each shard's functional warmup (split evenly
+// across threads); detailed-warmup semantics are only available from a
+// monolithic run.
 func New(cfg core.Config, factory SourceFactory, opt Options) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

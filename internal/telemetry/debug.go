@@ -2,40 +2,20 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 
 	"smtavf/internal/obs"
 )
 
-// debugCollector is the collector the process-wide expvar export reads.
-// expvar.Publish is global and panics on duplicate names, so the variable
-// is published once and indirects through this pointer; starting a new
-// debug server (a second run in the same process, or tests) just swaps
-// the target.
-var debugCollector atomic.Pointer[Collector]
-
-var publishOnce sync.Once
-
-func publishExpvars() {
-	publishOnce.Do(func() {
-		expvar.Publish("smtavf", expvar.Func(func() any {
-			return debugCollector.Load().Snapshot()
-		}))
-	})
-}
-
 // DebugServer is the optional live-inspection HTTP server for long
 // unattended runs (-debug-addr). It serves:
 //
 //	/debug/pprof/    the standard Go profiler endpoints
-//	/debug/vars      expvar, including the "smtavf" live snapshot
 //	/debug/metrics   the obs registry as OpenMetrics/Prometheus text
 //	/debug/progress  the live campaign progress as JSON
 //	/telemetry       the Collector's JSON Snapshot
@@ -53,12 +33,11 @@ type DebugServer struct {
 
 func (d *DebugServer) collector() *Collector { return d.col.Load() }
 
-// SetCollector points the server (and the process-wide expvar snapshot)
-// at a new collector — one sweep point ended and the next began. The
+// SetCollector points the server at a new collector — one sweep point
+// ended and the next began. The
 // scraped registry follows the collector's unless SetRegistry overrode it.
 func (d *DebugServer) SetCollector(c *Collector) {
 	d.col.Store(c)
-	debugCollector.Store(c)
 	if r := c.Registry(); r != nil {
 		d.reg.Store(r)
 	}
@@ -90,7 +69,6 @@ func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, e
 	if c == nil {
 		return nil, fmt.Errorf("telemetry: debug server needs a collector")
 	}
-	publishExpvars()
 	d := &DebugServer{}
 	d.SetCollector(c)
 
@@ -100,7 +78,6 @@ func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, e
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, d.collector().Snapshot())
 	})
@@ -126,7 +103,6 @@ func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, e
 			"/telemetry/ring  retained window series\n"+
 			"/debug/metrics   OpenMetrics exposition of the campaign registry\n"+
 			"/debug/progress  live campaign progress (phase, fraction, ETA)\n"+
-			"/debug/vars      expvar\n"+
 			"/debug/pprof/    profiler\n")
 	})
 

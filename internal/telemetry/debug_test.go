@@ -79,12 +79,6 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Fatalf("/telemetry/ring: err=%v len=%d", err, len(ring))
 	}
 
-	// /debug/vars carries the smtavf expvar with the same dotted names.
-	code, body, _ = get(t, base+"/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"inject.events"`) {
-		t.Fatalf("/debug/vars (%d) missing dotted names:\n%s", code, body)
-	}
-
 	// /debug/metrics serves lint-clean OpenMetrics with sanitized names.
 	code, body, hdr := get(t, base+"/debug/metrics")
 	if code != http.StatusOK {
@@ -144,7 +138,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, path := range []string{"/telemetry", "/telemetry/ring", "/debug/metrics", "/debug/progress", "/debug/vars"} {
+	for _, path := range []string{"/telemetry", "/telemetry/ring", "/debug/metrics", "/debug/progress"} {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()

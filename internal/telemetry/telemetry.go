@@ -10,7 +10,7 @@
 // predictable branch), and a set of pluggable Exporters — JSONL and CSV
 // file writers plus an in-memory ring buffer — that each completed Window
 // fans out to. An optional debug HTTP server (debug.go) exposes
-// net/http/pprof, expvar, and a /telemetry JSON snapshot for live
+// net/http/pprof, OpenMetrics, and a /telemetry JSON snapshot for live
 // inspection of long unattended sweeps.
 //
 // AVF is strongly phase-dependent (Fu et al., MASCOTS 2006; Jaulmes et
@@ -103,9 +103,9 @@ type Options struct {
 	// line per rebase.
 	Logger *slog.Logger
 	// Registry backs the collector's live counters and gauges, surfacing
-	// them on /debug/metrics as OpenMetrics families alongside the legacy
-	// dotted names on /debug/vars. Nil builds a private registry, so
-	// existing call sites change nothing.
+	// them on /debug/metrics as OpenMetrics families alongside the
+	// dotted names of the /telemetry snapshot. Nil builds a private
+	// registry, so existing call sites change nothing.
 	Registry *obs.Registry
 }
 
@@ -338,8 +338,8 @@ func (c *Collector) Counter(name string) *Counter {
 	if ctr, ok := c.counters[name]; ok {
 		return ctr
 	}
-	// The registry owns the instrument; the collector's map is the legacy
-	// dotted-name view that /debug/vars and Snapshot serve.
+	// The registry owns the instrument; the collector's map is the
+	// dotted-name view that Snapshot serves.
 	ctr := c.reg.Counter(name, "")
 	c.counters[name] = ctr
 	return ctr
@@ -361,7 +361,7 @@ func (c *Collector) Gauge(name string) *Gauge {
 	return g
 }
 
-// Snapshot is the live state the /telemetry endpoint and expvar publish:
+// Snapshot is the live state the /telemetry endpoint serves:
 // the latest window, cumulative AVF so far, and every registered
 // counter/gauge.
 type Snapshot struct {

@@ -243,9 +243,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if len(ring) != 1 {
 		t.Fatalf("ring = %+v", ring)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "smtavf") {
-		t.Fatal("/debug/vars does not publish the smtavf snapshot")
-	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Fatal("/debug/pprof/ index missing")
 	}

@@ -20,11 +20,12 @@
 //
 // Long runs can be split into deterministic intervals and simulated in
 // parallel with WithShards; see docs/sharding.md for the accuracy
-// contract. docs/api.md maps the deprecated NewSimulator* constructors
-// onto New.
+// contract. docs/api.md lists the removed constructors and setters with
+// their replacements.
 package smtavf
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -114,18 +115,12 @@ func MixByName(name string) (Mix, error) {
 // Simulator runs one workload on one machine configuration. A Simulator is
 // single-shot: build a fresh one for each run.
 type Simulator struct {
-	proc   *core.Processor // monolithic path (shards <= 1)
-	engine *shard.Engine   // sharded path (WithShards(n > 1, ...))
-	used   bool
-
-	// Campaign observability (WithObservability): progress phases begin
-	// at Run, and a run manifest is appended to the ledger when the run
-	// finishes — on both the monolithic and the sharded path.
-	obsv      *obs.Observability
-	cfg       Config
-	kind      string
-	workloads []string
-	shards    int
+	sim  *shard.Sim
+	used bool
+	// set is what New resolved; with WithObservability attached, a run
+	// manifest built from it is appended to the ledger when the run
+	// finishes, on both the monolithic and the sharded path.
+	set settings
 }
 
 // Checkpoint is the lightweight architectural checkpoint a sharded run
@@ -146,15 +141,7 @@ type settings struct {
 	factory   shard.SourceFactory // builds one fresh set of per-thread sources
 	kind      string              // which workload option supplied the factory
 	workloads []string            // workload identifiers for the run manifest
-	tel       *telemetry.Collector
-	rec       *pipetrace.Recorder
-	camp      *inject.Campaign
-	prop      *propagation.Tracer
-	cpi       *cpistack.Observer
-	obsv      *obs.Observability
-	shards    int
-	workers   int
-	window    uint64
+	opts      shard.Options       // shard shape, observers, observability
 }
 
 func (s *settings) setSource(kind string, workloads []string, f shard.SourceFactory) error {
@@ -233,21 +220,11 @@ func WithPhases(phases [][]string, period uint64) Option {
 // share the recording across shards.
 func WithTraceFiles(paths ...string) Option {
 	return func(s *settings) error {
-		masters := make([]*trace.Replay, 0, len(paths))
-		for _, p := range paths {
-			r, err := trace.LoadTraceFile(p)
-			if err != nil {
-				return err
-			}
-			masters = append(masters, r)
+		f, err := core.ReplayFactory(paths)
+		if err != nil {
+			return err
 		}
-		return s.setSource("WithTraceFiles", paths, func() ([]core.Source, error) {
-			srcs := make([]core.Source, 0, len(masters))
-			for _, m := range masters {
-				srcs = append(srcs, core.Source{Gen: m.Clone()})
-			}
-			return srcs, nil
-		})
+		return s.setSource("WithTraceFiles", paths, f)
 	}
 }
 
@@ -256,7 +233,7 @@ func WithTraceFiles(paths ...string) Option {
 // has no single contiguous cycle timeline to sample.
 func WithTelemetry(c *Telemetry) Option {
 	return func(s *settings) error {
-		s.tel = c
+		s.opts.Telemetry = c
 		return nil
 	}
 }
@@ -265,7 +242,7 @@ func WithTelemetry(c *Telemetry) Option {
 // PipeTrace). Incompatible with WithShards(n > 1).
 func WithPipeTrace(r *PipeTrace) Option {
 	return func(s *settings) error {
-		s.rec = r
+		s.opts.PipeTrace = r
 		return nil
 	}
 }
@@ -274,7 +251,7 @@ func WithPipeTrace(r *PipeTrace) Option {
 // the run (see FaultCampaign). Incompatible with WithShards(n > 1).
 func WithFaultInjection(c *FaultCampaign) Option {
 	return func(s *settings) error {
-		s.camp = c
+		s.opts.Inject = c
 		return nil
 	}
 }
@@ -286,7 +263,7 @@ func WithFaultInjection(c *FaultCampaign) Option {
 // sharded run has no single dataflow timeline to trace over.
 func WithPropagation(t *PropagationTracer) Option {
 	return func(s *settings) error {
-		s.prop = t
+		s.opts.Propagation = t
 		return nil
 	}
 }
@@ -300,7 +277,7 @@ func WithPropagation(t *PropagationTracer) Option {
 // cost (BenchmarkCPIStackOverhead pins this).
 func WithCPIStack(o *CPIStack) Option {
 	return func(s *settings) error {
-		s.cpi = o
+		s.opts.CPIStack = o
 		return nil
 	}
 }
@@ -313,7 +290,7 @@ func WithCPIStack(o *CPIStack) Option {
 // campaign, not the simulated cycle timeline. See docs/campaigns.md.
 func WithObservability(o *Observability) Option {
 	return func(s *settings) error {
-		s.obsv = o
+		s.opts.Obs = o
 		return nil
 	}
 }
@@ -334,7 +311,7 @@ func WithShards(n, workers int) Option {
 		if n < 1 {
 			return fmt.Errorf("smtavf: shard count must be at least 1, got %d", n)
 		}
-		s.shards, s.workers = n, workers
+		s.opts.Shards, s.opts.Workers = n, workers
 		return nil
 	}
 }
@@ -349,18 +326,27 @@ func WithShardWarmupWindow(window uint64) Option {
 		if window != 0 && window < 4096 {
 			return fmt.Errorf("smtavf: shard warmup window %d below the documented floor of 4096", window)
 		}
-		s.window = window
+		s.opts.WarmupWindow = window
 		return nil
 	}
+}
+
+// observerOption names the With* Option behind each shard.Options
+// pipeline-observer field, for New's sharded-run rejection.
+var observerOption = map[string]string{
+	"Telemetry":   "WithTelemetry",
+	"PipeTrace":   "WithPipeTrace",
+	"Inject":      "WithFaultInjection",
+	"Propagation": "WithPropagation",
+	"CPIStack":    "WithCPIStack",
 }
 
 // New builds a simulator for cfg. Exactly one workload option
 // (WithBenchmarks, WithPhases, WithTraceFiles) selects what runs;
 // the remaining options attach observers or split the run into parallel
-// shards. New replaces the NewSimulator* constructors — docs/api.md has
-// the migration table.
+// shards.
 func New(cfg Config, opts ...Option) (*Simulator, error) {
-	s := settings{cfg: cfg, shards: 1}
+	s := settings{cfg: cfg, opts: shard.Options{Shards: 1}}
 	for _, o := range opts {
 		if o == nil {
 			return nil, fmt.Errorf("smtavf: nil Option")
@@ -372,93 +358,15 @@ func New(cfg Config, opts ...Option) (*Simulator, error) {
 	if s.factory == nil {
 		return nil, fmt.Errorf("smtavf: no workload given; pass WithBenchmarks, WithPhases, or WithTraceFiles")
 	}
-	if s.shards > 1 {
-		switch {
-		case s.tel != nil:
-			return nil, fmt.Errorf("smtavf: WithTelemetry requires a monolithic run (WithShards(1, ...))")
-		case s.rec != nil:
-			return nil, fmt.Errorf("smtavf: WithPipeTrace requires a monolithic run (WithShards(1, ...))")
-		case s.camp != nil:
-			return nil, fmt.Errorf("smtavf: WithFaultInjection requires a monolithic run (WithShards(1, ...))")
-		case s.prop != nil:
-			return nil, fmt.Errorf("smtavf: WithPropagation requires a monolithic run (WithShards(1, ...))")
-		case s.cpi != nil:
-			return nil, fmt.Errorf("smtavf: WithCPIStack requires a monolithic run (WithShards(1, ...))")
-		}
-		// Fail construction-time errors here rather than from a worker
-		// goroutine mid-run: one throwaway set of sources validates the
-		// factory (source construction is cheap and deterministic).
-		if _, err := s.factory(); err != nil {
-			return nil, err
-		}
-		eng, err := shard.New(cfg, s.factory, shard.Options{
-			Shards:       s.shards,
-			Workers:      s.workers,
-			WarmupWindow: s.window,
-			Obs:          s.obsv,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Simulator{engine: eng, obsv: s.obsv, cfg: cfg, kind: s.kind,
-			workloads: s.workloads, shards: s.shards}, nil
+	sim, err := shard.Build(cfg, s.factory, s.opts)
+	var oe *shard.ObserverError
+	if errors.As(err, &oe) {
+		return nil, fmt.Errorf("smtavf: %s requires a monolithic run (WithShards(1, ...))", observerOption[oe.Observer])
 	}
-	srcs, err := s.factory()
 	if err != nil {
 		return nil, err
 	}
-	proc, err := core.NewFromSources(cfg, srcs)
-	if err != nil {
-		return nil, err
-	}
-	sim := &Simulator{proc: proc, obsv: s.obsv, cfg: cfg, kind: s.kind,
-		workloads: s.workloads, shards: 1}
-	if s.tel != nil {
-		proc.SetTelemetry(s.tel)
-		if s.obsv != nil && s.obsv.Progress != nil {
-			s.tel.SetProgress(s.obsv.Progress)
-		}
-	}
-	if s.rec != nil {
-		proc.SetPipeTrace(s.rec)
-	}
-	if s.camp != nil {
-		proc.AttachSink(s.camp)
-	}
-	if s.prop != nil {
-		proc.SetPropagation(s.prop)
-	}
-	if s.cpi != nil {
-		// After the campaign attach: SetCPIStack joins the tracker's sink
-		// via AddSink, so the campaign and the observer share the stream.
-		proc.SetCPIStack(s.cpi)
-	}
-	return sim, nil
-}
-
-// NewSimulator builds a simulator for cfg running the named benchmarks,
-// one per hardware context (len(benchmarks) must equal cfg.Threads).
-//
-// Deprecated: Use New with WithBenchmarks; results are bit-identical.
-func NewSimulator(cfg Config, benchmarks []string) (*Simulator, error) {
-	return New(cfg, WithBenchmarks(benchmarks...))
-}
-
-// NewSimulatorPhased builds a simulator whose contexts alternate among
-// several benchmark behaviours every period instructions.
-//
-// Deprecated: Use New with WithPhases; results are bit-identical.
-func NewSimulatorPhased(cfg Config, phases [][]string, period uint64) (*Simulator, error) {
-	return New(cfg, WithPhases(phases, period))
-}
-
-// NewSimulatorFromTraceFiles builds a simulator whose contexts replay
-// recorded instruction traces (cmd/tracegen); len(paths) must equal
-// cfg.Threads.
-//
-// Deprecated: Use New with WithTraceFiles; results are bit-identical.
-func NewSimulatorFromTraceFiles(cfg Config, paths []string) (*Simulator, error) {
-	return New(cfg, WithTraceFiles(paths...))
+	return &Simulator{sim: sim, set: s}, nil
 }
 
 // Run simulates until total instructions have committed across all threads
@@ -473,14 +381,7 @@ func (s *Simulator) Run(total uint64) (*Results, error) {
 	if err := s.markUsed(); err != nil {
 		return nil, err
 	}
-	var res *Results
-	var err error
-	if s.engine != nil {
-		res, err = s.engine.Run(total)
-	} else {
-		s.beginProgress(total)
-		res, err = s.proc.Run(core.Limits{TotalInstructions: total})
-	}
+	res, err := s.sim.Run(total)
 	s.appendManifest(res, err)
 	return res, err
 }
@@ -491,79 +392,50 @@ func (s *Simulator) RunPerThread(quotas []uint64) (*Results, error) {
 	if err := s.markUsed(); err != nil {
 		return nil, err
 	}
-	var res *Results
-	var err error
-	if s.engine != nil {
-		res, err = s.engine.RunPerThread(quotas)
-	} else {
-		var total uint64
-		for _, q := range quotas {
-			total += q
-		}
-		s.beginProgress(total)
-		res, err = s.proc.Run(core.Limits{PerThread: quotas})
-	}
+	res, err := s.sim.RunPerThread(quotas)
 	s.appendManifest(res, err)
 	return res, err
-}
-
-// beginProgress opens the monolithic run phase on the attached progress
-// tracker: the target is committed instructions, which is what the
-// telemetry collector feeds back window by window.
-func (s *Simulator) beginProgress(total uint64) {
-	if s.obsv == nil {
-		return
-	}
-	s.obsv.Progress.Phase("run", total)
 }
 
 // appendManifest writes the run's provenance record to the attached
 // ledger — on success, on error, and regardless of execution path.
 func (s *Simulator) appendManifest(res *Results, runErr error) {
-	if s.obsv == nil || s.obsv.Ledger == nil {
+	o := s.set.opts.Obs
+	if o == nil || o.Ledger == nil {
 		return
 	}
-	program := s.obsv.Program
+	program := o.Program
 	if program == "" {
 		program = "smtavf"
 	}
+	cfg := s.set.cfg
 	m := obs.NewManifest("run", program)
-	m.ConfigDigest = obs.ConfigDigest(s.cfg)
-	m.Seed = s.cfg.Seed
-	if s.cfg.Policy != nil {
-		m.Policy = s.cfg.Policy.Name()
+	m.ConfigDigest = obs.ConfigDigest(cfg)
+	m.Seed = cfg.Seed
+	if cfg.Policy != nil {
+		m.Policy = cfg.Policy.Name()
 	}
-	m.Workloads = append([]string(nil), s.workloads...)
-	m.Shards = s.shards
-	if s.kind != "" {
-		m.Extra = map[string]string{"source": s.kind}
+	m.Workloads = append([]string(nil), s.set.workloads...)
+	m.Shards = s.set.opts.Shards
+	if s.set.kind != "" {
+		m.Extra = map[string]string{"source": s.set.kind}
 	}
 	if res != nil {
 		m.Cycles = res.Cycles
 		m.Instructions = res.Total
 	}
 	m.Finish(obs.StatusOK, runErr)
-	s.obsv.Ledger.Append(m)
+	o.Ledger.Append(m)
 }
 
 // Timeline returns the per-worker phase spans of the last sharded run —
 // export them with WriteTimeline for chrome://tracing. Nil unless the
 // simulator was built with both WithShards(n > 1) and WithObservability.
-func (s *Simulator) Timeline() []Span {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Timeline()
-}
+func (s *Simulator) Timeline() []Span { return s.sim.Timeline() }
 
 // Checkpoints returns the interval-boundary checkpoints recorded by the
 // last sharded run, in shard order; nil for monolithic simulators.
-func (s *Simulator) Checkpoints() []Checkpoint {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Checkpoints()
-}
+func (s *Simulator) Checkpoints() []Checkpoint { return s.sim.Checkpoints() }
 
 func (s *Simulator) markUsed() error {
 	if s.used {
@@ -574,7 +446,7 @@ func (s *Simulator) markUsed() error {
 }
 
 // Telemetry is a cycle-windowed live-metrics collector: attach one with
-// Simulator.SetTelemetry and the run emits a per-window time-series of
+// WithTelemetry and the run emits a per-window time-series of
 // IPC, per-structure AVF, occupancy, and event counters — to JSONL/CSV
 // exporters, an in-memory ring buffer, and the optional debug HTTP
 // server. See docs/telemetry.md.
@@ -590,14 +462,8 @@ type TelemetryWindow = telemetry.Window
 // NewTelemetry builds a telemetry collector (default 10k-cycle windows).
 func NewTelemetry(o TelemetryOptions) *Telemetry { return telemetry.New(o) }
 
-// SetTelemetry attaches a telemetry collector to the simulator. Must be
-// called before Run; a nil collector leaves telemetry disabled. Panics on
-// a sharded simulator — pass WithTelemetry to New instead, which reports
-// the incompatibility as an error.
-func (s *Simulator) SetTelemetry(c *Telemetry) { s.mono("SetTelemetry").SetTelemetry(c) }
-
 // PipeTrace is a pipeline flight recorder: attach one with
-// Simulator.SetPipeTrace and the run records one lifecycle record per uop
+// WithPipeTrace and the run records one lifecycle record per uop
 // (fetch/dispatch/issue/writeback/retire cycles, per-structure residency,
 // ACE fate), exportable as a Kanata log, a Chrome trace_event JSON, or
 // compact JSONL, and foldable into an AVF provenance report attributing
@@ -626,11 +492,6 @@ const (
 // NewPipeTrace builds a pipeline flight recorder.
 func NewPipeTrace(o PipeTraceOptions) *PipeTrace { return pipetrace.New(o) }
 
-// SetPipeTrace attaches a flight recorder to the simulator. Must be called
-// before Run; a nil recorder leaves tracing disabled. Panics on a sharded
-// simulator — pass WithPipeTrace to New instead.
-func (s *Simulator) SetPipeTrace(r *PipeTrace) { s.mono("SetPipeTrace").SetPipeTrace(r) }
-
 // FaultCampaign is a statistical fault-injection campaign: it samples the
 // machine's state on a regular cycle grid and estimates, per structure,
 // the probability that a random particle strike corrupts the program —
@@ -638,17 +499,15 @@ func (s *Simulator) SetPipeTrace(r *PipeTrace) { s.mono("SetPipeTrace").SetPipeT
 type FaultCampaign = inject.Campaign
 
 // NewFaultCampaign builds a campaign for machines configured like cfg,
-// sampling every sampleEvery cycles. Attach it with
-// Simulator.InjectFaults before Run; afterwards compare
-// campaign.Estimate(s, res.Cycles) with res.StructAVF(s).
+// sampling every sampleEvery cycles. Attach it with WithFaultInjection;
+// after the run compare campaign.Estimate(s, res.Cycles) with
+// res.StructAVF(s).
 func NewFaultCampaign(cfg Config, sampleEvery, seed uint64) (*FaultCampaign, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return inject.NewCampaign(core.StructBits(cfg), sampleEvery, seed)
 }
-
-// InjectFaults attaches a fault-injection campaign to the simulator. Must
-// be called before Run. Panics on a sharded simulator — pass
-// WithFaultInjection to New instead.
-func (s *Simulator) InjectFaults(c *FaultCampaign) { s.mono("InjectFaults").AttachSink(c) }
 
 // PropagationTracer records the per-uop dataflow nodes a strike-propagation
 // analysis runs over: after the run, Analyze taint-tracks each of a
@@ -674,13 +533,6 @@ type InjectStrike = inject.Strike
 
 // NewPropagation builds a fault-propagation tracer.
 func NewPropagation(o PropagationOptions) *PropagationTracer { return propagation.New(o) }
-
-// SetPropagation attaches a propagation tracer to the simulator. Must be
-// called before Run; a nil tracer leaves propagation tracing disabled.
-// Panics on a sharded simulator — pass WithPropagation to New instead.
-func (s *Simulator) SetPropagation(t *PropagationTracer) {
-	s.mono("SetPropagation").SetPropagation(t)
-}
 
 // WritePropagationTraces writes per-strike propagation traces as versioned
 // JSONL to path (.gz compresses); ReadPropagationTraces inverts it.
@@ -711,25 +563,9 @@ type CPIStackWindow = cpistack.Window
 // NewCPIStack builds an explainability observer.
 func NewCPIStack(o CPIStackOptions) *CPIStack { return cpistack.New(o) }
 
-// SetCPIStack attaches an explainability observer to the simulator. Must
-// be called before Run, and after InjectFaults when a campaign is also
-// attached; a nil observer leaves the layer detached. Panics on a sharded
-// simulator — pass WithCPIStack to New instead.
-func (s *Simulator) SetCPIStack(o *CPIStack) { s.mono("SetCPIStack").SetCPIStack(o) }
-
 // ReadCPIStackWindows reads a windowed CPI-stack/occupancy series written
 // by CPIStack.WriteFile as JSONL.
 func ReadCPIStackWindows(path string) ([]CPIStackWindow, error) { return cpistack.ReadFile(path) }
-
-// mono returns the monolithic processor or panics with a pointer at the
-// Option-based alternative; the attach methods predate sharding and have
-// no error return.
-func (s *Simulator) mono(method string) *core.Processor {
-	if s.proc == nil {
-		panic(fmt.Sprintf("smtavf: %s is not supported on a sharded Simulator; use the matching With* Option", method))
-	}
-	return s.proc
-}
 
 // InjectStats is the result of a sequential strike experiment: the
 // per-structure / per-thread strike-outcome taxonomy (masked, SDC, DUE,

@@ -9,7 +9,7 @@ import (
 
 func TestQuickstart(t *testing.T) {
 	cfg := smtavf.DefaultConfig(2)
-	sim, err := smtavf.NewSimulator(cfg, []string{"bzip2", "mcf"})
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks("bzip2", "mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestQuickstart(t *testing.T) {
 }
 
 func TestSimulatorSingleShot(t *testing.T) {
-	sim, err := smtavf.NewSimulator(smtavf.DefaultConfig(1), []string{"eon"})
+	sim, err := smtavf.New(smtavf.DefaultConfig(1), smtavf.WithBenchmarks("eon"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,16 +39,16 @@ func TestSimulatorSingleShot(t *testing.T) {
 }
 
 func TestNewSimulatorErrors(t *testing.T) {
-	if _, err := smtavf.NewSimulator(smtavf.DefaultConfig(1), []string{"bogus"}); err == nil {
+	if _, err := smtavf.New(smtavf.DefaultConfig(1), smtavf.WithBenchmarks("bogus")); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := smtavf.NewSimulator(smtavf.DefaultConfig(2), []string{"eon"}); err == nil {
+	if _, err := smtavf.New(smtavf.DefaultConfig(2), smtavf.WithBenchmarks("eon")); err == nil {
 		t.Error("benchmark/thread mismatch accepted")
 	}
 }
 
 func TestRunPerThread(t *testing.T) {
-	sim, err := smtavf.NewSimulator(smtavf.DefaultConfig(2), []string{"bzip2", "eon"})
+	sim, err := smtavf.New(smtavf.DefaultConfig(2), smtavf.WithBenchmarks("bzip2", "eon"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStructsCatalog(t *testing.T) {
 func TestSimulatorFromTraceFiles(t *testing.T) {
 	paths := writeTestTraces(t, t.TempDir())
 	cfg := smtavf.DefaultConfig(2)
-	sim, err := smtavf.NewSimulatorFromTraceFiles(cfg, paths)
+	sim, err := smtavf.New(cfg, smtavf.WithTraceFiles(paths...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSimulatorFromTraceFiles(t *testing.T) {
 	if res.Thread[0].Workload != "bzip2" {
 		t.Fatalf("workload %q", res.Thread[0].Workload)
 	}
-	if _, err := smtavf.NewSimulatorFromTraceFiles(cfg, []string{"missing.trc", paths[1]}); err == nil {
+	if _, err := smtavf.New(cfg, smtavf.WithTraceFiles("missing.trc", paths[1])); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
 }
@@ -139,7 +139,7 @@ func TestSimulatorFromTraceFiles(t *testing.T) {
 func TestSimulatorPhased(t *testing.T) {
 	cfg := smtavf.DefaultConfig(1)
 	cfg.PhaseInterval = 2_000
-	sim, err := smtavf.NewSimulatorPhased(cfg, [][]string{{"eon", "twolf"}}, 3_000)
+	sim, err := smtavf.New(cfg, smtavf.WithPhases([][]string{{"eon", "twolf"}}, 3_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestSimulatorPhased(t *testing.T) {
 	if !strings.Contains(res.Thread[0].Workload, "phased") {
 		t.Fatalf("workload %q", res.Thread[0].Workload)
 	}
-	if _, err := smtavf.NewSimulatorPhased(cfg, [][]string{{"bogus"}}, 100); err == nil {
+	if _, err := smtavf.New(cfg, smtavf.WithPhases([][]string{{"bogus"}}, 100)); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := smtavf.NewSimulatorPhased(cfg, [][]string{{"eon"}}, 0); err == nil {
+	if _, err := smtavf.New(cfg, smtavf.WithPhases([][]string{{"eon"}}, 0)); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -170,7 +170,7 @@ func TestRunMixFromTable2(t *testing.T) {
 	if err := cfg.SetPolicy("STALL"); err != nil {
 		t.Fatal(err)
 	}
-	sim, err := smtavf.NewSimulator(cfg, m.Benchmarks)
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks(m.Benchmarks...))
 	if err != nil {
 		t.Fatal(err)
 	}
