@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"testing"
+	"time"
 
 	"smtavf/internal/campaign"
 	"smtavf/internal/core"
@@ -66,6 +68,41 @@ func TestCampaignRunKinds(t *testing.T) {
 	// The simulation itself must be unperturbed by the observer.
 	if inj.Cycles != mono.Cycles {
 		t.Errorf("inject observer perturbed the run: %d vs %d cycles", inj.Cycles, mono.Cycles)
+	}
+}
+
+// TestCampaignInjectNoSamples: a valid spec whose grid phase lands past
+// the end of the run (a pitch far above the cycle count, and the
+// zero-value stop rule's half-width 0) returns with no strikes instead of
+// pinning its worker in an endless strike phase.
+func TestCampaignInjectNoSamples(t *testing.T) {
+	var spec campaign.Spec
+	raw := `{"v":1,"mix":"2ctx-CPU-A","instructions":2000,"inject":{"every":100000000}}`
+	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec rejected: %v", err)
+	}
+	type outcome struct {
+		res *campaign.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := NewRunner(campaignOpts()).Campaign(spec)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Strikes != 0 {
+			t.Errorf("strikes = %d, want 0 on a run with no samples", o.res.Strikes)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Campaign did not return on a run with no samples")
 	}
 }
 

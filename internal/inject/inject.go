@@ -32,16 +32,115 @@ import (
 	"smtavf/internal/telemetry"
 )
 
-// cell is the state recorded at one sample cycle of one structure: the
-// occupied bits, the ACE bits, and the per-thread partition of the ACE
-// bits (strike outcomes are attributed to the thread that owned the
+// grid is the state recorded on one structure's sample grid: per sample
+// index, the occupied bits, the ACE bits, and each thread's share of the
+// ACE bits (strike outcomes are attributed to the thread that owned the
 // struck state).
-type cell struct {
-	occ uint64
-	ace uint64
-	// perThread[tid] is thread tid's share of the ACE bits; the slice
-	// grows to the highest thread id seen.
-	perThread []uint64
+//
+// Interval books difference-encoded — +bits at the first covered sample
+// index and -bits one past the last — so booking costs O(1) whatever the
+// interval's length. The first read resolves every column with one prefix
+// sum. The arithmetic wraps mod 2^64, so resolved values equal the plain
+// per-sample sums exactly. Memory is (2 + threads) words per sample up to
+// the last sample any interval covers, rounded up to whole blocks, so the
+// run's sample count bounds it.
+type grid struct {
+	occ, ace column
+	// thread[tid] is thread tid's share of the ACE bits, one column per
+	// thread id seen; at every index the shares sum to ace.
+	thread []column
+	// resolved reports the columns hold per-sample values (after a read)
+	// rather than differences (while intervals are booked).
+	resolved bool
+}
+
+// setResolved converts the grid between differences and per-sample
+// values. The two are exact inverses, so an Interval booked after a read
+// (reads normally follow the run) stays exact.
+func (g *grid) setResolved(resolved bool) {
+	if g.resolved == resolved {
+		return
+	}
+	g.resolved = resolved
+	for _, c := range append([]column{g.occ, g.ace}, g.thread...) {
+		if resolved {
+			c.prefixSum()
+		} else {
+			c.difference()
+		}
+	}
+}
+
+// blockLen is the number of samples per column block. Columns grow a
+// block at a time, so booking never copies what is already recorded.
+const blockLen = 1 << 10
+
+// column holds one per-sample quantity of a grid in fixed-size blocks;
+// samples past the last block are zero.
+type column [][]uint64
+
+// book adds bits over sample indices [first, last] as differences: +bits
+// at first and -bits one past last.
+func (c *column) book(first, last, bits uint64) {
+	c.add(first, bits)
+	c.add(last+1, -bits)
+}
+
+func (c *column) add(idx, v uint64) {
+	b := idx / blockLen
+	for uint64(len(*c)) <= b {
+		*c = append(*c, make([]uint64, blockLen))
+	}
+	(*c)[b][idx%blockLen] += v
+}
+
+// at returns the value at sample index idx.
+func (c column) at(idx uint64) uint64 {
+	if b := idx / blockLen; b < uint64(len(c)) {
+		return c[b][idx%blockLen]
+	}
+	return 0
+}
+
+// sumBelow sums the values at sample indices below n.
+func (c column) sumBelow(n uint64) uint64 {
+	var sum uint64
+	for _, blk := range c {
+		if n < blockLen {
+			blk = blk[:n]
+		}
+		for _, v := range blk {
+			sum += v
+		}
+		if n <= blockLen {
+			break
+		}
+		n -= blockLen
+	}
+	return sum
+}
+
+// prefixSum turns differences into per-sample values.
+func (c column) prefixSum() {
+	var run uint64
+	for _, blk := range c {
+		for i := range blk {
+			run += blk[i]
+			blk[i] = run
+		}
+	}
+}
+
+// difference turns per-sample values back into differences, the exact
+// inverse of prefixSum.
+func (c column) difference() {
+	var prev uint64
+	for _, blk := range c {
+		for i, v := range blk {
+			blk[i] = v - prev
+			prev = v
+		}
+	}
 }
 
 // Campaign collects strike samples. Create with NewCampaign, attach via
@@ -57,12 +156,15 @@ type cell struct {
 // A nil *Campaign is a valid detached campaign: the hot-path methods
 // (Interval, Rebase) are nil-receiver no-ops, matching the pipetrace
 // recorder convention, so call sites need no branching.
+//
+// A Campaign is not safe for concurrent use: reads resolve the grid in
+// place, and strikes advance the shared rng stream.
 type Campaign struct {
 	every      uint64 // sample grid pitch in cycles
 	phase      uint64 // grid offset, drawn in [0, every)
 	origin     uint64 // cycle the grid is anchored at (nonzero after a rebase)
 	bits       [avf.NumStructs]uint64
-	cells      [avf.NumStructs]map[uint64]*cell // sample index -> resident state
+	grids      [avf.NumStructs]grid
 	protection [avf.NumStructs]Detection
 	rnd        *rng.Source
 	events     uint64
@@ -92,9 +194,6 @@ func NewCampaign(bits [avf.NumStructs]uint64, every uint64, seed uint64) (*Campa
 	}
 	c := &Campaign{every: every, bits: bits, rnd: rng.New(seed)}
 	c.phase = c.rnd.Uint64n(every)
-	for s := range c.cells {
-		c.cells[s] = make(map[uint64]*cell)
-	}
 	return c, nil
 }
 
@@ -126,15 +225,13 @@ func (c *Campaign) Rebase(cycle uint64) {
 		return
 	}
 	c.origin = cycle
-	for s := range c.cells {
-		c.cells[s] = make(map[uint64]*cell)
-	}
+	c.grids = [avf.NumStructs]grid{}
 }
 
 // Interval implements avf.Sink: it books the interval's bits into every
-// sample cycle the interval covers. Cycles are re-expressed relative to
-// the grid origin (the last rebase), matching the measured cycle counts
-// the estimate queries use.
+// sample cycle the interval covers, in O(1) (see grid). Cycles are
+// re-expressed relative to the grid origin (the last rebase), matching
+// the measured cycle counts the estimate queries use.
 func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace bool) {
 	if c == nil {
 		return
@@ -149,27 +246,35 @@ func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 	end -= c.origin
 	c.events++
 	c.telEvents.Inc() // nil-receiver no-op without telemetry
-	// First sample index at or after start.
-	var idx uint64
+	if end <= c.phase {
+		return // ends before the first sample cycle
+	}
+	// First sample index at or after start, last one before end.
+	var first uint64
 	if start > c.phase {
-		idx = (start - c.phase + c.every - 1) / c.every
+		first = (start - c.phase + c.every - 1) / c.every
 	}
-	for cyc := c.phase + idx*c.every; cyc < end; cyc += c.every {
-		cl := c.cells[s][idx]
-		if cl == nil {
-			cl = &cell{}
-			c.cells[s][idx] = cl
-		}
-		cl.occ += bits
-		if ace {
-			cl.ace += bits
-			for len(cl.perThread) <= tid {
-				cl.perThread = append(cl.perThread, 0)
-			}
-			cl.perThread[tid] += bits
-		}
-		idx++
+	last := (end - 1 - c.phase) / c.every
+	if first > last {
+		return
 	}
+	g := &c.grids[s]
+	g.setResolved(false)
+	g.occ.book(first, last, bits)
+	if ace {
+		g.ace.book(first, last, bits)
+		for len(g.thread) <= tid {
+			g.thread = append(g.thread, nil)
+		}
+		g.thread[tid].book(first, last, bits)
+	}
+}
+
+// values returns structure s's grid resolved into per-sample values.
+func (c *Campaign) values(s avf.Struct) *grid {
+	g := &c.grids[s]
+	g.setResolved(true)
+	return g
 }
 
 // Samples returns the number of sample cycles within a run of 'cycles'
@@ -189,13 +294,7 @@ func (c *Campaign) Estimate(s avf.Struct, cycles uint64) float64 {
 	if n == 0 || c.bits[s] == 0 {
 		return 0
 	}
-	var sum uint64
-	for idx, cl := range c.cells[s] {
-		if idx < n {
-			sum += cl.ace
-		}
-	}
-	return float64(sum) / (float64(n) * float64(c.bits[s]))
+	return float64(c.values(s).ace.sumBelow(n)) / (float64(n) * float64(c.bits[s]))
 }
 
 // Occupancy returns the estimated fraction of (bits × cycles) holding any
@@ -205,13 +304,7 @@ func (c *Campaign) Occupancy(s avf.Struct, cycles uint64) float64 {
 	if n == 0 || c.bits[s] == 0 {
 		return 0
 	}
-	var sum uint64
-	for idx, cl := range c.cells[s] {
-		if idx < n {
-			sum += cl.occ
-		}
-	}
-	return float64(sum) / (float64(n) * float64(c.bits[s]))
+	return float64(c.values(s).occ.sumBelow(n)) / (float64(n) * float64(c.bits[s]))
 }
 
 // Overbooked reports sample cycles where the recorded occupancy exceeds
@@ -219,9 +312,11 @@ func (c *Campaign) Occupancy(s avf.Struct, cycles uint64) float64 {
 // hit indicates overlapping or double-counted intervals.
 func (c *Campaign) Overbooked(s avf.Struct) int {
 	n := 0
-	for _, cl := range c.cells[s] {
-		if cl.occ > c.bits[s] {
-			n++
+	for _, blk := range c.values(s).occ {
+		for _, occ := range blk {
+			if occ > c.bits[s] {
+				n++
+			}
 		}
 	}
 	return n
@@ -310,20 +405,23 @@ func (c *Campaign) strike(s avf.Struct, samples uint64) Strike {
 		TID:       -1,
 		Outcome:   Masked,
 	}
-	cl := c.cells[s][idx]
-	if cl == nil || bit >= cl.ace {
+	g := c.values(s)
+	if bit >= g.ace.at(idx) {
 		return st // idle or un-ACE state: the strike is masked
 	}
+	// The shares sum to ace, so the walk stops at the owning thread;
+	// trailing zero shares of threads seen elsewhere are never reached.
 	tid := 0
-	for _, share := range cl.perThread {
-		if bit < share {
+	for _, share := range g.thread {
+		v := share.at(idx)
+		if bit < v {
 			break
 		}
-		bit -= share
+		bit -= v
 		tid++
 	}
-	if tid >= len(cl.perThread) {
-		tid = len(cl.perThread) - 1 // unreachable unless shares disagree with ace
+	if tid >= len(g.thread) {
+		tid = len(g.thread) - 1 // unreachable unless shares disagree with ace
 	}
 	st.TID = tid
 	st.ThreadBit = bit

@@ -207,6 +207,7 @@ func (c *Campaign) RunStrikes(cycles uint64, rule Stop) *Stats {
 	for {
 		st.Rounds++
 		capped := false
+		drawn := 0
 		for s := avf.Struct(0); s < avf.NumStructs; s++ {
 			r := &st.PerStruct[s]
 			if samples[s] == 0 {
@@ -226,6 +227,7 @@ func (c *Campaign) RunStrikes(cycles uint64, rule Stop) *Stats {
 					r.PerThread[strike.TID]++
 				}
 			}
+			drawn += n
 			r.Strikes += uint64(n)
 			st.TotalStrikes += uint64(n)
 			if int(r.Strikes) >= rule.MaxStrikes {
@@ -241,11 +243,11 @@ func (c *Campaign) RunStrikes(cycles uint64, rule Stop) *Stats {
 			st.StoppedEarly = !capped
 			break
 		}
-		if capped {
+		// Without a CI target the rule is one full pass to MaxStrikes; a
+		// round that drew nothing (no structure has samples) ends it too,
+		// or it would repeat forever.
+		if capped || drawn == 0 {
 			break
-		}
-		if rule.HalfWidth <= 0 { // no CI target: one full pass to MaxStrikes
-			continue
 		}
 	}
 	return st

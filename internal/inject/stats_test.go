@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
@@ -189,6 +190,29 @@ func TestRunStrikesRespectsCap(t *testing.T) {
 	}
 	if got := st.PerStruct[avf.IQ].Strikes; got != 2000 {
 		t.Errorf("strikes = %d, want the 2000 cap", got)
+	}
+}
+
+// TestRunStrikesNoSamplesTerminates: with no CI target and no structure
+// holding a sample (the grid phase lands past the end of the run), the
+// experiment ends after one empty round instead of repeating it forever.
+func TestRunStrikesNoSamplesTerminates(t *testing.T) {
+	c, err := NewCampaign(bits(), 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Samples(10); n != 0 {
+		t.Fatalf("precondition: %d samples in a 10-cycle run at phase %d", n, c.Phase())
+	}
+	done := make(chan *Stats, 1)
+	go func() { done <- c.RunStrikes(10, StopWhen(0, 100)) }()
+	select {
+	case st := <-done:
+		if st.TotalStrikes != 0 || st.Rounds != 1 {
+			t.Errorf("strike phase = %d strikes / %d rounds, want 0/1", st.TotalStrikes, st.Rounds)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunStrikes did not return on a run with no samples")
 	}
 }
 

@@ -35,10 +35,12 @@ type analysis struct {
 	opt Options
 
 	regWrites map[int32][]int // executed writers per phys reg, by (writeback, gseq)
+	writePos  []int           // node -> its position in regWrites[physDest]
 	regReads  map[int32][]int // issued readers per phys reg, by issue cycle
 	fwdOut    map[int][]int   // store node -> loads it forwarded to
 	memOut    map[int][]int   // store node -> loads that read it through memory
 	sets      [][]touch       // DL1 set -> touches, by cycle
+	pairKeys  [][]string      // [from tid][to tid] -> "from>to" Pairs key
 }
 
 // build indexes the tracer's nodes. Every list is sorted by explicit keys
@@ -59,8 +61,10 @@ func (t *Tracer) build() *analysis {
 	fwdStores := make(map[wordKey][]int) // executed stores, by gseq
 	memStores := make(map[wordKey][]int) // committed stores, by (retire, gseq)
 	var loads []int
+	threads := t.threads
 	for i := range t.nodes {
 		n := &t.nodes[i]
+		threads = max(threads, int(n.tid)+1)
 		if n.executed && n.physDest >= 0 {
 			a.regWrites[n.physDest] = append(a.regWrites[n.physDest], i)
 		}
@@ -91,6 +95,7 @@ func (t *Tracer) build() *analysis {
 			}
 		}
 	}
+	a.writePos = make([]int, len(t.nodes))
 	for _, idxs := range a.regWrites {
 		sort.Slice(idxs, func(x, y int) bool {
 			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
@@ -99,6 +104,9 @@ func (t *Tracer) build() *analysis {
 			}
 			return nx.gseq < ny.gseq
 		})
+		for p, idx := range idxs {
+			a.writePos[idx] = p
+		}
 	}
 	for _, idxs := range a.regReads {
 		sort.Slice(idxs, func(x, y int) bool {
@@ -131,6 +139,13 @@ func (t *Tracer) build() *analysis {
 			}
 			return tx.idx < ty.idx
 		})
+	}
+	a.pairKeys = make([][]string, threads)
+	for from := range a.pairKeys {
+		a.pairKeys[from] = make([]string, threads)
+		for to := range a.pairKeys[from] {
+			a.pairKeys[from][to] = fmt.Sprintf("%d>%d", from, to)
+		}
 	}
 	// Match every load to the store it observed, mirroring the LSQ and
 	// cache semantics: forwarded loads take the youngest older executed
@@ -203,36 +218,26 @@ func (a *analysis) strikeSet(st inject.Strike) (int, bool) {
 // consumers returns the readers a write of phys by writer node wi would
 // wake: reads issuing at or after the writeback, before the register's
 // next reallocation (approximated by the next writeback to the same
-// physical register).
+// physical register). The readers are sorted by issue cycle, so they form
+// one run of regReads[phys], found by binary search; the returned slice
+// aliases the index and must not be modified.
 func (a *analysis) consumers(phys int32, wi int) []int {
 	writers := a.regWrites[phys]
-	pos := -1
-	for p, idx := range writers {
-		if idx == wi {
-			pos = p
-			break
-		}
-	}
-	if pos < 0 {
+	pos := a.writePos[wi]
+	if pos >= len(writers) || writers[pos] != wi {
 		return nil
 	}
-	w := &a.t.nodes[wi]
 	limit := ^uint64(0)
 	if pos+1 < len(writers) {
 		limit = a.t.nodes[writers[pos+1]].ready
 	}
-	var out []int
-	for _, ri := range a.regReads[phys] {
-		r := &a.t.nodes[ri]
-		if r.issueAt < w.ready {
-			continue
-		}
-		if r.issueAt >= limit {
-			break
-		}
-		out = append(out, ri)
+	reads := a.regReads[phys]
+	issuedFrom := func(cycle uint64) int {
+		return sort.Search(len(reads), func(i int) bool {
+			return a.t.nodes[reads[i]].issueAt >= cycle
+		})
 	}
-	return out
+	return reads[issuedFrom(a.t.nodes[wi].ready):issuedFrom(limit)]
 }
 
 // resolve identifies the victim uop of a corrupting strike, plus the
@@ -420,7 +425,7 @@ func (a *analysis) trace(st inject.Strike) Trace {
 		if fn.tid != tn.tid {
 			tr.CrossThread++
 		}
-		tr.Pairs[fmt.Sprintf("%d>%d", fn.tid, tn.tid)]++
+		tr.Pairs[a.pairKeys[fn.tid][tn.tid]]++
 		if len(tr.Hops) < a.opt.MaxRecordedHops {
 			tr.Hops = append(tr.Hops, Hop{
 				Hop: h, Type: typ,

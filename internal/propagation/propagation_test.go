@@ -23,6 +23,19 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func runAtlas(t *testing.T, benches []string, total uint64, every, seed uint64,
 	strikesPer int, opt propagation.Options) (*propagation.Atlas, []inject.Strike) {
 	t.Helper()
+	tracer, camp, res := record(t, benches, total, every, seed, opt)
+	var strikes []inject.Strike
+	for _, s := range avf.Structs() {
+		strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, strikesPer)...)
+	}
+	return tracer.Analyze(strikes), strikes
+}
+
+// record drives one deterministic simulation with a campaign and tracer
+// attached.
+func record(t *testing.T, benches []string, total uint64, every, seed uint64,
+	opt propagation.Options) (*propagation.Tracer, *inject.Campaign, *core.Results) {
+	t.Helper()
 	cfg := core.DefaultConfig(len(benches))
 	cfg.Seed = seed
 	profiles := make([]trace.Profile, 0, len(benches))
@@ -54,11 +67,21 @@ func runAtlas(t *testing.T, benches []string, total uint64, every, seed uint64,
 	if tracer.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d nodes below the cap", tracer.Dropped())
 	}
-	var strikes []inject.Strike
-	for _, s := range avf.Structs() {
-		strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, strikesPer)...)
+	return tracer, camp, res
+}
+
+// TestConsumersMatchLinearScan checks the binary-searched register
+// consumer lookup against the linear scan for every writer of a recorded
+// two-thread run.
+func TestConsumersMatchLinearScan(t *testing.T) {
+	tracer, _, _ := record(t, []string{"mcf", "gcc"}, 20_000, 2, 7, propagation.Options{})
+	writers, err := tracer.CheckConsumers()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tracer.Analyze(strikes), strikes
+	if writers == 0 {
+		t.Fatal("no register writers recorded")
+	}
 }
 
 // TestAtlasEndToEnd runs a two-thread workload and checks the atlas
