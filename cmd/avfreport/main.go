@@ -12,8 +12,8 @@
 //	avfreport -explain 2ctx-MEM-A -explain-policies ICOUNT,FLUSH
 //
 // The -crossval stopping rule shares the -inject-ci / -inject-strikes /
-// -inject-report flags with smtsim and avfsweep (they were previously
-// spelled -crossval-ci and -crossval-out here).
+// -inject-report flags with smtsim (they were previously spelled
+// -crossval-ci and -crossval-out here).
 //
 // avfreport is also the run ledger's browser: -runs lists the manifests
 // a runs.jsonl accumulated (filter with -runs-kind, -runs-program,
@@ -72,8 +72,8 @@ func main() {
 
 		runsPath   = flag.String("runs", "", "list the run-manifest ledger at this path and exit (see -obs-ledger)")
 		runsID     = flag.String("runs-id", "", "print the full manifest with this ID (or unique ID prefix) from -runs")
-		runsKind   = flag.String("runs-kind", "", "filter the -runs listing by kind (run, sweep-point, crossval-seed, ...)")
-		runsProg   = flag.String("runs-program", "", "filter the -runs listing by program (smtsim, avfsweep, avfreport)")
+		runsKind   = flag.String("runs-kind", "", "filter the -runs listing by kind (run, crossval-seed, campaign-point, ...)")
+		runsProg   = flag.String("runs-program", "", "filter the -runs listing by program (smtsim, avfreport, avfd)")
 		runsStatus = flag.String("runs-status", "", "filter the -runs listing by exit status (ok, error, interrupted)")
 
 		logFlags cliopts.Log

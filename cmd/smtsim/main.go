@@ -1,5 +1,5 @@
-// Command smtsim runs one SMT workload on the simulated machine and prints
-// its performance and per-structure AVF report.
+// Command smtsim runs SMT workloads on the simulated machine and prints
+// each run's performance and per-structure AVF report.
 //
 // Usage:
 //
@@ -10,13 +10,32 @@
 //	smtsim -mix 4ctx-MIX-A -instructions 10000000 -shards 8 -shard-workers 4
 //	smtsim -spec run.json
 //	smtsim -mix 4ctx-MIX-A -policy FLUSH -dumpspec > run.json
+//	smtsim -spec sweep.json -json -telemetry-dir series/
 //
 // The workload, policy, seed, machine override, and shard shape resolve
 // into one versioned campaign spec (docs/campaign-service.md): -dumpspec
-// prints it, -spec loads one instead of the per-axis flags, and the same
-// JSON submits to the avfd campaign service unchanged. Observer flags
-// (-telemetry, -pipetrace, -cpistack, -obs-*) layer on top of a loaded
-// spec rather than living inside it.
+// prints it, and -spec loads one instead of the per-axis flags. Observer
+// flags (-telemetry, -pipetrace, -cpistack, -obs-*) layer on top of a
+// loaded spec rather than living inside it, -inject attaches a strike
+// campaign to a spec without one, and the -inject-* flags fill the fields
+// a spec's strike campaign leaves zero.
+//
+// A -spec file may instead hold a campaign matrix: a base spec fanned out
+// over policies, mixes, machine patches and seeds. That is the body the
+// avfd campaign service accepts, so the same file submits there unchanged:
+//
+//	{"base":{"benchmarks":["gcc","mcf"],"instructions":20000},
+//	 "policies":["ICOUNT","FLUSH"],"machines":[{"IQSize":48},{"IQSize":192}]}
+//
+// smtsim runs the points in expansion order. With several points each
+// prints its report under a "== <point name> ==" header (-json prints one
+// Results document per point instead), appends its own manifest to
+// -obs-ledger, and with -telemetry-dir writes its own series, named after
+// the point with "/" replaced by "_". -inject-report collects every
+// point's cross-validation report in one file, and -dumpspec and
+// -dumpconfig print one document per point. The flags that write a
+// single run's file (-telemetry, -pipetrace, -cpistack-out,
+// -propagation-out, -obs-timeline) are rejected for several points.
 //
 // With -shards N the run is split into N deterministic intervals per
 // thread and simulated in parallel; committed-instruction counts stay
@@ -29,7 +48,8 @@
 // With -telemetry the run emits a cycle-windowed time-series (JSONL, or
 // CSV if the path ends in .csv); with -debug-addr a live HTTP server
 // exposes /telemetry, /debug/metrics (OpenMetrics),
-// /debug/progress, and /debug/pprof/ while the run is in flight.
+// /debug/progress, and /debug/pprof/ while the run is in flight, and
+// follows each point of a matrix as it runs.
 // Structured progress logs go to stderr (-log-level, -log-json).
 //
 // With -obs-ledger every run appends a provenance manifest — config
@@ -73,25 +93,34 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"smtavf"
 	"smtavf/internal/campaign"
 	"smtavf/internal/cliopts"
+	"smtavf/internal/core"
+	"smtavf/internal/cpistack"
+	"smtavf/internal/crossval"
 	"smtavf/internal/inject"
+	"smtavf/internal/jsonlio"
 	"smtavf/internal/obs"
 	"smtavf/internal/pipetrace"
 	"smtavf/internal/propagation"
+	"smtavf/internal/shard"
 	"smtavf/internal/telemetry"
 )
 
-// shut coordinates graceful exit: exporter closers and the run-manifest
-// append run exactly once whether the run finishes, fails, or catches ^C.
+// shut coordinates graceful exit: each run's exporter closers and
+// manifest append run exactly once whether it finishes, fails, or
+// catches ^C.
 var shut cliopts.Shutdown
 
 func main() {
@@ -107,46 +136,35 @@ func main() {
 		list     = flag.Bool("list", false, "list available mixes and benchmarks, then exit")
 		cfgPath  = flag.String("config", "", "JSON machine configuration to load (overrides defaults; Threads is set from the workload)")
 		dumpCfg  = flag.Bool("dumpconfig", false, "print the effective machine configuration as JSON and exit")
-		specPath = flag.String("spec", "", "load the run from this campaign-spec JSON file instead of the workload/policy flags (observer flags still apply)")
+		specPath = flag.String("spec", "", "load the run from this campaign-spec or campaign-matrix JSON file instead of the workload/policy flags (observer flags still apply)")
 		dumpSpec = flag.Bool("dumpspec", false, "print the effective campaign spec as JSON and exit (submit it to avfd or rerun with -spec)")
-		asJSON   = flag.Bool("json", false, "emit the full results as JSON")
 
+		s        session
 		logFlags cliopts.Log
-		tel      cliopts.Telemetry
-		inj      cliopts.Inject
-		prop     cliopts.Propagation
-		pt       cliopts.PipeTrace
-		cpi      cliopts.CPIStack
 		shards   cliopts.Shards
 		prof     cliopts.Profile
-		obsFlags cliopts.Obs
 	)
+	flag.BoolVar(&s.asJSON, "json", false, "emit the full results as JSON")
 	logFlags.Register(flag.CommandLine)
-	tel.Register(flag.CommandLine)
-	inj.Register(flag.CommandLine)
-	prop.Register(flag.CommandLine)
-	pt.Register(flag.CommandLine)
-	cpi.Register(flag.CommandLine)
+	s.tel.Register(flag.CommandLine)
+	s.tel.RegisterDir(flag.CommandLine)
+	s.inj.Register(flag.CommandLine)
+	s.prop.Register(flag.CommandLine)
+	s.pt.Register(flag.CommandLine)
+	s.cpi.Register(flag.CommandLine)
 	shards.Register(flag.CommandLine)
 	prof.Register(flag.CommandLine)
-	obsFlags.Register(flag.CommandLine)
+	s.obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
+	var err error
+	if s.logger, err = logFlags.Logger(os.Stderr); err != nil {
 		fatal(err)
 	}
-	if err := tel.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := prop.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := cpi.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := shards.Validate(); err != nil {
-		fatal(err)
+	for _, validate := range []func() error{s.tel.Validate, s.inj.Validate, s.prop.Validate, s.cpi.Validate, shards.Validate} {
+		if err := validate(); err != nil {
+			fatal(err)
+		}
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -166,47 +184,21 @@ func main() {
 		return
 	}
 
-	// Resolve the run to one versioned campaign spec: either loaded from
-	// -spec, or assembled from the per-axis flags. Everything downstream —
-	// machine config, workload sources, shard shape, the strike campaign —
-	// derives from the spec, so a run submitted to avfd and a run typed
-	// here resolve identically.
-	var spec smtavf.CampaignSpec
+	// Resolve the invocation to campaign points: the -spec file's spec or
+	// matrix expansion, or one spec assembled from the per-axis flags.
+	// Everything downstream — machine config, workload sources, shard
+	// shape, the strike campaign — derives from a point's spec, so a run
+	// submitted to avfd and a run typed here resolve identically.
+	var points []campaign.Spec
 	if *specPath != "" {
-		spec, err = smtavf.ReadCampaignSpec(*specPath)
-		if err != nil {
+		if points, err = campaign.ReadFile(*specPath); err != nil {
 			fatal(err)
 		}
-		if k := spec.Kind(); k != campaign.KindRun {
-			fatal(fmt.Errorf("%s: smtsim runs plain specs; submit %s specs to avfd or avfreport", *specPath, k))
-		}
-		// The spec's knobs replace the corresponding flags.
-		shards.N, shards.Workers = spec.Shards, spec.ShardWorkers
-		if shards.N < 1 {
-			shards.N = 1
-		}
-		if spec.Inject != nil {
-			inj.On = true
-			if spec.Inject.Every != 0 {
-				inj.Every = spec.Inject.Every
-			}
-			inj.Seed = spec.Inject.Seed
-			if spec.Inject.Stop.HalfWidth != 0 {
-				inj.CI = spec.Inject.Stop.HalfWidth
-			}
-			if spec.Inject.Stop.MaxStrikes != 0 {
-				inj.Strikes = spec.Inject.Stop.MaxStrikes
-			}
-		}
-		if spec.Instructions == 0 {
-			spec.Instructions = *instrs
-		}
 	} else {
-		spec = smtavf.CampaignSpec{
+		spec := campaign.Spec{
 			Mix:           *mixName,
 			Policy:        *policy,
 			Seed:          *seed,
-			Instructions:  *instrs,
 			Warmup:        *warmup,
 			PhaseInterval: *phases,
 			Shards:        shards.N,
@@ -222,7 +214,7 @@ func main() {
 			fatal(fmt.Errorf("need -mix, -bench, -trace, or -spec (try -list)"))
 		}
 		if *cfgPath != "" {
-			machine := smtavf.DefaultConfig(spec.Threads())
+			machine := core.DefaultConfig(spec.Threads())
 			data, err := os.ReadFile(*cfgPath)
 			if err != nil {
 				fatal(err)
@@ -232,97 +224,169 @@ func main() {
 			}
 			spec.Machine = &machine
 		}
-		if inj.On {
-			spec.Inject = &campaign.InjectSpec{
-				Every: inj.Every,
-				Seed:  inj.Seed,
-				Stop:  inject.Stop{HalfWidth: inj.CI, MaxStrikes: inj.Strikes},
+		points = []campaign.Spec{spec}
+	}
+	s.multi = len(points) > 1
+	if s.multi {
+		for _, f := range []struct{ name, val string }{
+			{"telemetry", s.tel.Path}, {"pipetrace", s.pt.Path}, {"cpistack-out", s.cpi.Out},
+			{"propagation-out", s.prop.Out}, {"obs-timeline", s.obsFlags.Timeline},
+		} {
+			if f.val != "" {
+				fatal(fmt.Errorf("-%s writes a single run's file, but %s expands to %d points (use -telemetry-dir for per-point series)", f.name, *specPath, len(points)))
 			}
 		}
 	}
-	if err := inj.Validate(); err != nil {
-		fatal(err)
-	}
-	if prop.Enabled() && !inj.On {
-		fatal(fmt.Errorf("-propagation needs the strike campaign: pass -inject"))
-	}
-	if err := obsFlags.Validate(shards.Sharded()); err != nil {
-		fatal(err)
+	for i := range points {
+		p := &points[i]
+		if k := p.Kind(); k != campaign.KindRun {
+			fatal(fmt.Errorf("%s: smtsim runs plain specs; submit %s specs to avfd or avfreport", *specPath, k))
+		}
+		if p.Instructions == 0 {
+			p.Instructions = *instrs
+		}
+		if s.inj.On && p.Inject == nil {
+			p.Inject = &campaign.InjectSpec{}
+		}
+		if in := p.Inject; in != nil {
+			in.Every = cmp.Or(in.Every, s.inj.Every)
+			in.Seed = cmp.Or(in.Seed, s.inj.Seed)
+			in.Stop.HalfWidth = cmp.Or(in.Stop.HalfWidth, s.inj.CI)
+			in.Stop.MaxStrikes = cmp.Or(in.Stop.MaxStrikes, s.inj.Strikes)
+		}
+		if s.prop.Enabled() && p.Inject == nil {
+			fatal(fmt.Errorf("-propagation needs the strike campaign: pass -inject"))
+		}
+		if err := s.obsFlags.Validate(p.Shards > 1); err != nil {
+			fatal(err)
+		}
+		if p.Shards > 1 && (s.tel.Path != "" || s.tel.Dir != "") {
+			fatal(fmt.Errorf("-telemetry and -telemetry-dir require a monolithic run: a sharded run has no contiguous cycle timeline (drop -shards or the series flag)"))
+		}
 	}
 
 	if *dumpSpec {
-		data, err := spec.MarshalIndent()
-		if err != nil {
-			fatal(err)
+		for _, p := range points {
+			data, err := p.MarshalIndent()
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(string(data))
 		}
-		fmt.Println(string(data))
 		return
 	}
-
-	cfg, err := smtavf.SpecConfig(spec)
-	if err != nil {
-		fatal(err)
+	resolved := make([]*campaign.Resolved, len(points))
+	for i, p := range points {
+		if resolved[i], err = p.Resolve(campaign.Defaults{}); err != nil {
+			if p.Name != "" {
+				err = fmt.Errorf("point %s: %w", p.Name, err)
+			}
+			fatal(err)
+		}
 	}
 	if *dumpCfg {
-		data, err := json.MarshalIndent(cfg, "", "  ")
-		if err != nil {
-			fatal(err)
+		for _, rv := range resolved {
+			data, err := json.MarshalIndent(rv.Config, "", "  ")
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(string(data))
 		}
-		fmt.Println(string(data))
 		return
-	}
-	opts, err := smtavf.SpecOptions(spec)
-	if err != nil {
-		fatal(err)
 	}
 
 	// Campaign observability: the metrics registry behind /debug/metrics,
 	// the progress tracker behind the heartbeats and /debug/progress, and
-	// the run ledger. The manifest is authored here — not by the facade —
-	// so it can index every artifact this command writes; the Final hook
-	// appends it once, whatever way the process exits.
-	reg := smtavf.NewMetricsRegistry()
-	prog := smtavf.NewProgress(smtavf.ProgressOptions{
-		Logger:    logger,
-		Heartbeat: obsFlags.HeartbeatInterval(),
-		Registry:  reg,
+	// the run ledger, shared by every point.
+	s.reg = obs.NewRegistry()
+	s.prog = obs.NewProgress(obs.ProgressOptions{
+		Logger:    s.logger,
+		Heartbeat: s.obsFlags.HeartbeatInterval(),
+		Registry:  s.reg,
 	})
-	ledger, err := obsFlags.OpenLedger()
-	if err != nil {
+	if s.ledger, err = s.obsFlags.OpenLedger(); err != nil {
 		fatal(err)
 	}
-	opts = append(opts, smtavf.WithObservability(&smtavf.Observability{
-		Registry: reg,
-		Progress: prog,
-		Program:  "smtsim",
-	}))
-	workloads := spec.WorkloadIDs()
+	if s.tel.Dir != "" {
+		if err := os.MkdirAll(s.tel.Dir, 0o755); err != nil {
+			fatal(err)
+		}
+	}
+	shut.Install(s.logger)
+	for i, rv := range resolved {
+		s.run(i, points[i], rv)
+	}
+	shut.Finish(obs.StatusOK, s.logger)
+	if s.dbg != nil {
+		s.dbg.Close()
+	}
+}
+
+// session is what every point of one invocation shares: the observer
+// flags, the logger, the metrics registry and progress tracker, the debug
+// server, the run ledger, and the cross-validation reports written so far.
+type session struct {
+	asJSON   bool
+	multi    bool // several points: headers, per-point series
+	tel      cliopts.Telemetry
+	inj      cliopts.Inject
+	prop     cliopts.Propagation
+	pt       cliopts.PipeTrace
+	cpi      cliopts.CPIStack
+	obsFlags cliopts.Obs
+
+	logger  *slog.Logger
+	reg     *obs.Registry
+	prog    *obs.Progress
+	ledger  *obs.Ledger
+	dbg     *telemetry.DebugServer
+	reports []*crossval.Report
+}
+
+// run executes point i: it attaches the requested observers, builds and
+// runs the simulation and its strike campaign, writes the point's
+// artifacts and ledger manifest, and prints its report.
+func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
+	cfg := rv.Config
+	name := p.Name
+	if name == "" {
+		name = rv.Title
+	}
+	sharded := p.Shards > 1
+
+	// The manifest is authored here so it can index every artifact this
+	// point writes; the Final hook appends it once, whatever way the point
+	// ends.
 	man := obs.NewManifest("run", "smtsim")
 	man.ConfigDigest = obs.ConfigDigest(cfg)
 	man.Seed = cfg.Seed
-	man.Policy = spec.PolicyName()
-	man.Workloads = workloads
-	man.Shards = shards.N
-	if spec.Mix != "" {
-		man.Extra = map[string]string{"mix": spec.Mix}
+	man.Policy = p.PolicyName()
+	man.Workloads = p.WorkloadIDs()
+	man.Shards = max(p.Shards, 1)
+	man.Extra = map[string]string{}
+	if p.Mix != "" {
+		man.Extra["mix"] = p.Mix
+	}
+	if p.Name != "" {
+		man.Extra["point"] = p.Name
 	}
 	var (
-		runRes   *smtavf.Results
-		runStats *smtavf.InjectStats
+		res   *core.Results
+		stats *inject.Stats
 	)
 	shut.Final(func(status string) {
-		if runRes != nil {
-			man.Cycles, man.Instructions = runRes.Cycles, runRes.Total
+		if res != nil {
+			man.Cycles, man.Instructions = res.Cycles, res.Total
 		}
-		if runStats != nil {
-			man.Strikes = runStats.TotalStrikes
+		if stats != nil {
+			man.Strikes = stats.TotalStrikes
 		}
 		man.Finish(status, nil)
-		if err := ledger.Append(man); err != nil {
-			logger.Error("run ledger append", "path", ledger.Path(), "err", err)
+		if err := s.ledger.Append(man); err != nil {
+			s.logger.Error("run ledger append", "path", s.ledger.Path(), "err", err)
 		}
 	})
-	shut.Install(logger)
+	opts := shard.Options{Obs: &obs.Observability{Registry: s.reg, Progress: s.prog, Program: "smtsim"}}
 
 	// Telemetry: a collector when a series file or the debug server is
 	// requested; the built-in ring buffer backs the /telemetry endpoint.
@@ -330,208 +394,190 @@ func main() {
 	// not attached there — it still carries the registry and progress
 	// tracker for the debug server, which is how a sharded -debug-addr
 	// serves live pool metrics and shard completion.
-	var col *smtavf.Telemetry
-	if tel.Enabled() {
-		if shards.Sharded() && tel.Path != "" {
-			fatal(fmt.Errorf("-telemetry requires a monolithic run: a sharded run has no contiguous cycle timeline (drop -shards or -telemetry)"))
+	var col *telemetry.Collector
+	if s.tel.Enabled() {
+		col = telemetry.New(telemetry.Options{WindowCycles: s.tel.Window, Logger: s.logger, Registry: s.reg})
+		col.SetProgress(s.prog)
+		paths := []string{s.tel.Path}
+		if s.tel.Dir != "" {
+			paths = append(paths, filepath.Join(s.tel.Dir, strings.ReplaceAll(name, "/", "_")+".jsonl"))
 		}
-		col = smtavf.NewTelemetry(smtavf.TelemetryOptions{
-			WindowCycles: tel.Window,
-			Logger:       logger,
-			Registry:     reg,
-		})
-		col.SetProgress(prog)
-		if tel.Path != "" {
-			exp, err := telemetry.Create(tel.Path)
+		for _, path := range paths {
+			if path == "" {
+				continue
+			}
+			exp, err := telemetry.Create(path)
 			if err != nil {
 				fatal(err)
 			}
 			col.AddExporter(exp)
-			man.AddArtifact("telemetry", tel.Path)
+			man.AddArtifact("telemetry", path)
 		}
 		shut.Defer("telemetry", col.Close)
-		if !shards.Sharded() {
-			opts = append(opts, smtavf.WithTelemetry(col))
+		if !sharded {
+			opts.Telemetry = col
 		}
 	}
 	// Fault-injection campaign: samples the run on a cycle grid, then the
 	// strike phase after the run cross-validates the tracker's AVF. Strike
 	// outcomes honour the spec's protection map, as they do under avfd.
-	var camp *smtavf.FaultCampaign
-	campSeed := inj.CampaignSeed(cfg.Seed)
-	if inj.On {
-		camp, err = smtavf.NewFaultCampaign(cfg, inj.Every, campSeed)
-		if err != nil {
+	var camp *inject.Campaign
+	if p.Inject != nil {
+		var err error
+		if camp, err = rv.StrikeCampaign(); err != nil {
 			fatal(err)
 		}
-		prot, err := smtavf.SpecProtection(spec)
-		if err != nil {
-			fatal(err)
-		}
-		camp.SetProtection(prot.Detections())
 		camp.PublishTelemetry(col)
-		opts = append(opts, smtavf.WithFaultInjection(camp))
-		man.CampaignSeed = campSeed
+		opts.Inject = camp
+		man.CampaignSeed = rv.CampaignSeed
 	}
 	// Fault-propagation tracer: records per-uop dataflow nodes during the
 	// run so sampled strikes can be taint-tracked afterwards.
-	var tracer *smtavf.PropagationTracer
-	if prop.Enabled() {
-		tracer = smtavf.NewPropagation(smtavf.PropagationOptions{})
+	var tracer *propagation.Tracer
+	if s.prop.Enabled() {
+		tracer = propagation.New(propagation.Options{})
 		tracer.PublishTelemetry(col)
-		opts = append(opts, smtavf.WithPropagation(tracer))
+		opts.Propagation = tracer
 	}
 	// Explainability observer: per-thread CPI stacks plus occupancy-by-fate,
 	// printed after the run and optionally exported as a windowed series.
-	var stack *smtavf.CPIStack
-	if cpi.Enabled() {
-		stack = smtavf.NewCPIStack(cpi.Options())
+	var stack *cpistack.Observer
+	if s.cpi.Enabled() {
+		stack = cpistack.New(s.cpi.Options())
 		stack.PublishTelemetry(col)
-		opts = append(opts, smtavf.WithCPIStack(stack))
+		opts.CPIStack = stack
 	}
 	// Pipeline flight recorder, when a trace file or provenance report is
 	// requested.
-	var rec *smtavf.PipeTrace
-	if pt.Enabled() {
-		opt, err := pt.Options()
+	var rec *pipetrace.Recorder
+	if s.pt.Enabled() {
+		opt, err := s.pt.Options()
 		if err != nil {
 			fatal(err)
 		}
-		rec = smtavf.NewPipeTrace(opt)
-		opts = append(opts, smtavf.WithPipeTrace(rec))
+		rec = pipetrace.New(opt)
+		opts.PipeTrace = rec
 	}
-	format, err := pt.ExportFormat()
+	format, err := s.pt.ExportFormat()
 	if err != nil {
 		fatal(err)
 	}
 	// On ^C, flush whatever the flight recorder holds so the partial trace
 	// is still openable; the normal path writes it once, below.
 	var ptWritten bool
-	if rec != nil && pt.Path != "" {
+	if rec != nil && s.pt.Path != "" {
 		shut.Defer("pipetrace", func() error {
 			if ptWritten {
 				return nil
 			}
-			return rec.WriteFile(pt.Path, format)
+			return rec.WriteFile(s.pt.Path, format)
 		})
 	}
 
-	sim, err := smtavf.New(cfg, opts...)
+	sim, err := rv.Build(opts)
 	if err != nil {
 		fatal(err)
 	}
-
-	var dbg *telemetry.DebugServer
-	if tel.DebugAddr != "" {
-		dbg, err = telemetry.ServeDebug(tel.DebugAddr, col, logger)
-		if err != nil {
-			fatal(err)
+	if s.tel.DebugAddr != "" {
+		if s.dbg == nil {
+			if s.dbg, err = telemetry.ServeDebug(s.tel.DebugAddr, col, s.logger); err != nil {
+				fatal(err)
+			}
+		} else {
+			s.dbg.SetCollector(col)
 		}
-		defer dbg.Close()
 	}
 
-	telemetry.RunManifest(logger, "smtsim", cfg, cfg.Seed, workloads,
-		"policy", spec.PolicyName(),
-		"instructions", spec.Instructions,
+	telemetry.RunManifest(s.logger, "smtsim", cfg, cfg.Seed, man.Workloads,
+		"policy", p.PolicyName(),
+		"instructions", p.Instructions,
 		"warmup", cfg.Warmup,
-		"telemetry_window", tel.Window,
-		"shards", shards.N,
+		"telemetry_window", s.tel.Window,
+		"shards", man.Shards,
 	)
 
 	start := time.Now()
-	res, err := sim.Run(spec.Instructions)
-	if err != nil {
+	if res, err = sim.Run(rv.Quota); err != nil {
 		fatal(err)
 	}
-	runRes = res
-	if obsFlags.Timeline != "" {
-		if err := writeTimeline(obsFlags.Timeline, sim.Timeline()); err != nil {
+	if s.obsFlags.Timeline != "" {
+		if err := writeTimeline(s.obsFlags.Timeline, sim.Timeline()); err != nil {
 			fatal(fmt.Errorf("obs-timeline: %w", err))
 		}
-		man.AddArtifact("timeline", obsFlags.Timeline)
-		logger.Info("worker timeline written", "path", obsFlags.Timeline, "spans", len(sim.Timeline()))
+		man.AddArtifact("timeline", s.obsFlags.Timeline)
+		s.logger.Info("worker timeline written", "path", s.obsFlags.Timeline, "spans", len(sim.Timeline()))
 	}
-	if rec != nil && pt.Path != "" {
-		if err := rec.WriteFile(pt.Path, format); err != nil {
+	if rec != nil && s.pt.Path != "" {
+		if err := rec.WriteFile(s.pt.Path, format); err != nil {
 			fatal(fmt.Errorf("pipetrace: %w", err))
 		}
 		ptWritten = true
-		man.AddArtifact("pipetrace", pt.Path)
-		logger.Info("pipetrace written", "path", pt.Path, "records", rec.Len(), "dropped", rec.Dropped())
+		man.AddArtifact("pipetrace", s.pt.Path)
+		s.logger.Info("pipetrace written", "path", s.pt.Path, "records", rec.Len(), "dropped", rec.Dropped())
 	}
-	if stack != nil && cpi.Out != "" {
-		if err := stack.WriteFile(cpi.Out); err != nil {
+	if stack != nil && s.cpi.Out != "" {
+		if err := stack.WriteFile(s.cpi.Out); err != nil {
 			fatal(fmt.Errorf("cpistack-out: %w", err))
 		}
-		man.AddArtifact("cpistack", cpi.Out)
-		logger.Info("cpistack series written", "path", cpi.Out, "windows", len(stack.Windows()))
+		man.AddArtifact("cpistack", s.cpi.Out)
+		s.logger.Info("cpistack series written", "path", s.cpi.Out, "windows", len(stack.Windows()))
 	}
 	var (
-		injStats *smtavf.InjectStats
-		injXval  *smtavf.CrossValReport
-		atlas    *smtavf.PropagationAtlas
+		xval  *crossval.Report
+		atlas *propagation.Atlas
 	)
 	if camp != nil {
-		injStats = camp.RunStrikes(res.Cycles, smtavf.StopWhen(inj.CI, inj.Strikes))
-		runStats = injStats
-		injXval = smtavf.CrossValidate(smtavf.CrossValMeta{
-			Workload: spec.WorkloadName(),
-			Policy:   spec.PolicyName(),
-			Seed:     campSeed,
-			Every:    inj.Every,
-			Cycles:   res.Cycles,
-		}, res, injStats)
-		logger.Info("inject campaign done",
-			"strikes", injStats.TotalStrikes,
-			"rounds", injStats.Rounds,
-			"stopped_early", injStats.StoppedEarly,
-			"max_halfwidth", fmt.Sprintf("%.5f", injStats.MaxHalfWidth()),
-			"pass", injXval.Pass(),
+		stats = camp.RunStrikes(res.Cycles, rv.Stop)
+		xval = rv.CrossVal(rv.CampaignSeed, res, stats)
+		s.logger.Info("inject campaign done",
+			"strikes", stats.TotalStrikes,
+			"rounds", stats.Rounds,
+			"stopped_early", stats.StoppedEarly,
+			"max_halfwidth", fmt.Sprintf("%.5f", stats.MaxHalfWidth()),
+			"pass", xval.Pass(),
 		)
-		if inj.Report != "" {
-			if err := injXval.WriteFile(inj.Report); err != nil {
+		if s.inj.Report != "" {
+			s.reports = append(s.reports, xval)
+			if err := writeReports(s.inj.Report, s.reports); err != nil {
 				fatal(fmt.Errorf("inject-report: %w", err))
 			}
-			man.AddArtifact("crossval", inj.Report)
-			logger.Info("crossval report written", "path", inj.Report, "entries", len(injXval.Entries))
+			man.AddArtifact("crossval", s.inj.Report)
+			s.logger.Info("crossval report written", "path", s.inj.Report, "entries", len(xval.Entries))
 		}
 		// Taint-track freshly sampled strikes through the recorded dataflow.
 		if tracer != nil {
-			var strikes []smtavf.InjectStrike
-			for _, s := range smtavf.Structs() {
-				strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, prop.Strikes)...)
-			}
-			atlas = tracer.Analyze(strikes)
-			logger.Info("propagation atlas built",
+			atlas = tracer.Analyze(rv.SampleStrikes(camp, res.Cycles, s.prop.Strikes))
+			s.logger.Info("propagation atlas built",
 				"strikes", atlas.Strikes,
 				"resolved", atlas.Resolved,
 				"sdc", atlas.Terminals[propagation.TerminalSDC],
 				"cross_thread", atlas.CrossEdges(),
 				"max_depth", atlas.MaxDepth,
 			)
-			if prop.Out != "" {
-				if err := propagation.WriteFile(prop.Out, atlas.Traces); err != nil {
+			if s.prop.Out != "" {
+				if err := propagation.WriteFile(s.prop.Out, atlas.Traces); err != nil {
 					fatal(fmt.Errorf("propagation-out: %w", err))
 				}
-				man.AddArtifact("propagation", prop.Out)
-				logger.Info("propagation traces written", "path", prop.Out, "traces", len(atlas.Traces))
+				man.AddArtifact("propagation", s.prop.Out)
+				s.logger.Info("propagation traces written", "path", s.prop.Out, "traces", len(atlas.Traces))
 			}
 		}
 	}
 	elapsed := time.Since(start)
-	logger.Info("run complete",
+	s.logger.Info("run complete",
+		"point", name,
 		"cycles", res.Cycles,
 		"instructions", res.Total,
 		"ipc", fmt.Sprintf("%.4f", res.IPC()),
 		"processor_avf", fmt.Sprintf("%.4f", res.ProcessorAVF()),
 		"windows", col.Windows(),
-		"shards", shards.N,
+		"shards", man.Shards,
 		"elapsed", elapsed.Round(time.Millisecond).String(),
 		"cycles_per_sec", fmt.Sprintf("%.0f", float64(res.Cycles)/elapsed.Seconds()),
 	)
-	shut.Finish(obs.StatusOK, logger)
+	shut.Flush(obs.StatusOK, s.logger)
 
-	if *asJSON {
+	if s.asJSON {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -539,16 +585,22 @@ func main() {
 		fmt.Println(string(data))
 		return
 	}
-	fmt.Print(res)
-	if injStats != nil {
-		fmt.Println()
-		fmt.Print(injStats.Table())
-		fmt.Println()
-		fmt.Print(injXval.Table())
+	if s.multi {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("== %s ==\n", name)
 	}
-	if atlas != nil && prop.On {
+	fmt.Print(res)
+	if stats != nil {
 		fmt.Println()
-		fmt.Print(atlas.Tables(prop.Top))
+		fmt.Print(stats.Table())
+		fmt.Println()
+		fmt.Print(xval.Table())
+	}
+	if atlas != nil && s.prop.On {
+		fmt.Println()
+		fmt.Print(atlas.Tables(s.prop.Top))
 	}
 	if stack != nil {
 		fmt.Println()
@@ -556,11 +608,11 @@ func main() {
 		fmt.Println()
 		fmt.Print(stack.FormatOccupancy())
 	}
-	if rec != nil && pt.Top > 0 {
+	if rec != nil && s.pt.Top > 0 {
 		prov := rec.Provenance()
 		fmt.Println()
-		for _, s := range pipetrace.RecordStructs {
-			fmt.Print(prov.FormatHotspots(s, pt.Top))
+		for _, st := range pipetrace.RecordStructs {
+			fmt.Print(prov.FormatHotspots(st, s.pt.Top))
 		}
 		fmt.Print(prov.FormatFates())
 	}
@@ -573,14 +625,31 @@ func main() {
 	}
 }
 
+// writeReports rewrites path with every point's cross-validation report
+// so far, one JSONL record per structure per point, so an interrupted
+// matrix leaves the completed points' reports behind.
+func writeReports(path string, reports []*crossval.Report) error {
+	w, err := jsonlio.OpenWriter(path)
+	if err != nil {
+		return err
+	}
+	for _, r := range reports {
+		if err := r.WriteJSONL(w); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	return w.Close()
+}
+
 // writeTimeline exports the sharded run's worker-phase spans as Chrome
 // trace_event JSON for chrome://tracing / Perfetto.
-func writeTimeline(path string, spans []smtavf.Span) error {
+func writeTimeline(path string, spans []obs.Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := smtavf.WriteTimeline(f, spans); err != nil {
+	if err := obs.WriteChromeSpans(f, spans); err != nil {
 		f.Close()
 		return err
 	}

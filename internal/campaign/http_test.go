@@ -96,7 +96,8 @@ func TestHTTPSubmitStatusCancel(t *testing.T) {
 	}
 
 	// Bad submissions.
-	for _, bad := range []string{`{"base":{}}`, `{"unknown_field":1,"base":{"mix":"2ctx-CPU-A"}}`, `not json`} {
+	for _, bad := range []string{`{"base":{}}`, `{"unknown_field":1,"base":{"mix":"2ctx-CPU-A"}}`, `not json`,
+		`{"base":{"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}}`, `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSzie":8}]}`} {
 		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)

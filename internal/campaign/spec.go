@@ -1,16 +1,17 @@
 // Package campaign defines the one versioned, JSON-(de)serializable
-// campaign specification every smtavf driver consumes — smtsim, avfsweep,
-// avfreport, the experiments runner, and the cmd/avfd job service all run
-// the same Spec, so a campaign submitted over HTTP is byte-for-byte the
-// campaign a CLI would run.
+// campaign specification every smtavf program consumes — smtsim, avfreport,
+// the experiments runner, and the cmd/avfd job service all run the same
+// Spec, so a campaign submitted over HTTP is byte-for-byte the campaign a
+// CLI would run.
 //
 // A Spec names a workload source (a Table 2 mix, explicit benchmarks, or
 // recorded trace files), the machine (fetch policy, seed, an optional full
 // core.Config override), the execution shape (instruction budget, warmup,
 // shards), and at most one experiment kind beyond the plain run:
 // fault-injection cross-validation, a fault-propagation atlas, or the
-// CPI-stack explainability study. The experiments runner executes every
-// Spec through one assembly point, shard.Build.
+// CPI-stack explainability study. Every Spec runs through one path:
+// Resolve joins it with the caller's defaults and Resolved.Build assembles
+// the run in shard.Build.
 //
 // The package also carries the campaign job service behind cmd/avfd: a
 // Matrix fans one base Spec out into points, a Service executes points on
@@ -19,6 +20,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -297,22 +299,6 @@ func ParseProtection(m map[string]string) (core.ProtectionModes, error) {
 	return p, nil
 }
 
-// ProtectionMap inverts ParseProtection, omitting unprotected structures;
-// an all-silent assignment maps to nil, so the spec JSON stays minimal.
-func ProtectionMap(p core.ProtectionModes) map[string]string {
-	var m map[string]string
-	for s, mode := range p {
-		if mode == core.ProtectNone {
-			continue
-		}
-		if m == nil {
-			m = make(map[string]string)
-		}
-		m[avf.Struct(s).String()] = mode.String()
-	}
-	return m
-}
-
 // Defaults supplies the caller-level fallbacks a Spec resolves against —
 // the experiments runner passes its Options-derived seed, warmup, budget
 // rule, and Configure hook here, so a spec run through the runner behaves
@@ -436,35 +422,40 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 	return rv, nil
 }
 
-// SourceFactory builds the per-thread instruction sources: fresh
-// deterministic generators for benchmark specs, clones of once-loaded
-// recordings for trace-file specs. The factory is safe to invoke once per
-// shard, concurrently.
-func (rv *Resolved) SourceFactory() (func() ([]core.Source, error), error) {
-	if rv.Profiles != nil {
-		cfg, profiles := rv.Config, rv.Profiles
-		return func() ([]core.Source, error) {
-			return core.Sources(cfg, profiles)
-		}, nil
-	}
-	return core.ReplayFactory(rv.Spec.TraceFiles)
-}
-
-// ReadSpecFile loads and validates a Spec from a JSON file.
-func ReadSpecFile(path string) (Spec, error) {
-	var s Spec
+// ReadFile loads the points of a spec file: one Spec, or a Matrix (a
+// document with a "base"), the body avfd accepts. Decoding is strict, so
+// a misspelt field anywhere, machine configurations included, is an
+// error rather than a silently defaulted setting. A Spec is validated and
+// returned as the only point; a Matrix is expanded.
+func ReadFile(path string) ([]Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := s.Validate(); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var points []Spec
+	if _, ok := keys["base"]; ok {
+		var m Matrix
+		if err = dec.Decode(&m); err == nil {
+			points, err = m.Points()
+		}
+	} else {
+		var s Spec
+		if err = dec.Decode(&s); err == nil {
+			err = s.Validate()
+		}
+		s.V = SpecVersion
+		points = []Spec{s}
 	}
-	s.V = SpecVersion
-	return s, nil
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return points, nil
 }
 
 // MarshalIndent renders the spec as stable, human-diffable JSON (the

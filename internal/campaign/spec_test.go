@@ -141,19 +141,18 @@ func TestSpecResolveMachineOverride(t *testing.T) {
 }
 
 func TestProtectionRoundTrip(t *testing.T) {
-	var p core.ProtectionModes
-	p[avf.IQ] = core.ProtectECC
-	p[avf.DL1Data] = core.ProtectParity
-	m := ProtectionMap(p)
-	back, err := ParseProtection(m)
+	got, err := ParseProtection(map[string]string{"IQ": "ecc", "DL1_data": "parity", "ROB": "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back != p {
-		t.Fatalf("round trip: %v != %v", back, p)
+	var want core.ProtectionModes
+	want[avf.IQ] = core.ProtectECC
+	want[avf.DL1Data] = core.ProtectParity
+	if got != want {
+		t.Fatalf("parsed %v, want %v", got, want)
 	}
-	if ProtectionMap(core.ProtectionModes{}) != nil {
-		t.Fatal("all-silent protection should map to nil")
+	if p, err := ParseProtection(nil); err != nil || p != (core.ProtectionModes{}) {
+		t.Fatalf("nil map parsed to %v, %v; want all silent", p, err)
 	}
 }
 
@@ -173,23 +172,52 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSpecFile(path)
+	back, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.V = SpecVersion
-	if !reflect.DeepEqual(back, spec) {
+	if len(back) != 1 || !reflect.DeepEqual(back[0], spec) {
 		t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", back, spec)
 	}
 }
 
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(`{"v":1}`), 0o644); err != nil {
+	for _, doc := range []string{
+		`{"v":1}`,
+		// A misspelt field used to run at the flag default budget.
+		`{"v":1,"mix":"2ctx-CPU-A","instuctions":5000}`,
+		// Decoding reaches inside the machine override too.
+		`{"v":1,"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}`,
+		`{"base":{"mix":"2ctx-CPU-A"},"polices":["FLUSH"]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Errorf("%s loaded without error", doc)
+		}
+	}
+}
+
+func TestReadFileMatrix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	doc := `{"base":{"benchmarks":["gcc","mcf"],"instructions":2000},"policies":["ICOUNT","FLUSH"],"machines":[{"IQSize":48},{"IQSize":192}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSpecFile(path); err == nil {
-		t.Fatal("sourceless spec loaded without error")
+	points, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range points {
+		names = append(names, p.Name)
+	}
+	want := []string{"ICOUNT/machine0", "ICOUNT/machine1", "FLUSH/machine0", "FLUSH/machine1"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("points %v, want %v", names, want)
 	}
 }
 

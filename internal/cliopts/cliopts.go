@@ -1,5 +1,5 @@
 // Package cliopts centralizes the flag groups shared by the smtavf
-// commands (smtsim, avfsweep, avfreport): structured logging, telemetry,
+// commands (smtsim, avfreport, avfd): structured logging, telemetry,
 // fault injection, pipeline tracing, and sharded execution. Each group is
 // a struct with one Register method binding its flags to a FlagSet and one
 // validation path, so every command spells the same option the same way
@@ -62,8 +62,8 @@ func (t *Telemetry) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.DebugAddr, "debug-addr", "", help("debug-addr"))
 }
 
-// RegisterDir additionally binds -telemetry-dir (one series file per run),
-// for commands that execute many runs.
+// RegisterDir additionally binds -telemetry-dir (one series file per
+// run), for smtsim, which runs every point of a campaign matrix.
 func (t *Telemetry) RegisterDir(fs *flag.FlagSet) {
 	fs.StringVar(&t.Dir, "telemetry-dir", "", help("telemetry-dir"))
 }

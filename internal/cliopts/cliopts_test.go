@@ -226,8 +226,23 @@ func TestShutdown(t *testing.T) {
 		t.Fatal("fresh Shutdown reports Done")
 	}
 
+	// Flush ends one run and re-arms for the next: each run's closers and
+	// final hook fire once, with that run's status.
+	var multi Shutdown
+	order = nil
+	for _, run := range []string{"a", "b"} {
+		multi.Defer(run, func() error { order = append(order, run); return nil })
+		multi.Final(func(st string) { order = append(order, run+":"+st) })
+		multi.Flush("ok", nil)
+	}
+	multi.Finish("ok", nil)
+	if got := strings.Join(order, ","); got != "a,a:ok,b,b:ok" || !multi.Done() {
+		t.Fatalf("per-run flushes = %s (done %v), want a,a:ok,b,b:ok then done", got, multi.Done())
+	}
+
 	// Nil receivers and nil closers are safe.
 	var nilS *Shutdown
+	nilS.Flush("ok", nil)
 	nilS.Defer("x", func() error { return nil })
 	nilS.Final(func(string) {})
 	nilS.Finish("ok", nil)

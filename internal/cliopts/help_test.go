@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // FlagSet — the superset a command could expose. The golden test renders
 // it, so a help-string edit, rename, or new flag shows up as a reviewed
 // diff in testdata/flags.golden instead of silently drifting between
-// smtsim, avfsweep, avfreport, and avfd.
+// smtsim, avfreport, and avfd.
 func registerAll(fs *flag.FlagSet) {
 	var (
 		l   Log

@@ -51,17 +51,17 @@ func (s *Shutdown) Final(fn func(status string)) {
 	s.mu.Unlock()
 }
 
-// run drains the closers (LIFO) and the final hook, exactly once.
-func (s *Shutdown) run(status string, logger *slog.Logger) {
+// run drains the closers (LIFO) and the final hook registered so far.
+// With last set it also disarms s, so later calls are no-ops.
+func (s *Shutdown) run(status string, logger *slog.Logger, last bool) {
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()
 		return
 	}
-	s.done = true
-	closers := s.closers
-	s.closers = nil
-	final := s.final
+	s.done = last
+	closers, final := s.closers, s.final
+	s.closers, s.final = nil, nil
 	s.mu.Unlock()
 
 	for i := len(closers) - 1; i >= 0; i-- {
@@ -102,7 +102,7 @@ func (s *Shutdown) Install(logger *slog.Logger) {
 		if logger != nil {
 			logger.Warn("interrupted, flushing exporters", "signal", sig.String())
 		}
-		s.run("interrupted", logger)
+		s.run("interrupted", logger, true)
 		os.Exit(130)
 	}()
 }
@@ -114,5 +114,16 @@ func (s *Shutdown) Finish(status string, logger *slog.Logger) {
 	if s == nil {
 		return
 	}
-	s.run(status, logger)
+	s.run(status, logger, true)
+}
+
+// Flush ends one run of a command that executes several: it runs the
+// closers and final hook registered so far with the given status, then
+// leaves s armed for the next run's registrations. An interrupt between
+// runs therefore flushes only the run in flight.
+func (s *Shutdown) Flush(status string, logger *slog.Logger) {
+	if s == nil {
+		return
+	}
+	s.run(status, logger, false)
 }

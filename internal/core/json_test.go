@@ -66,3 +66,25 @@ func TestConfigJSONEmptyPolicy(t *testing.T) {
 		t.Fatal("fields lost")
 	}
 }
+
+// TestConfigJSONUnknownField: a misspelt field is an error, even when the
+// config is nested in a document decoded with plain json.Unmarshal, and a
+// partial document patches the config it is decoded onto.
+func TestConfigJSONUnknownField(t *testing.T) {
+	var doc struct{ Machine Config }
+	if err := json.Unmarshal([]byte(`{"Machine":{"IQPartiton":8}}`), &doc); err == nil {
+		t.Fatal(`"IQPartiton" accepted; the run would use IQPartition 0`)
+	}
+	cfg := DefaultConfig(2)
+	if err := cfg.SetPolicy("FLUSH"); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(`{"IQSize":48}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig(2)
+	want.IQSize = 48
+	if cfg.Policy == nil || cfg.Policy.Name() != "FLUSH" || cfg.IQSize != 48 || cfg.ROBSize != want.ROBSize || cfg.DL1 != want.DL1 {
+		t.Fatalf("patch did not apply onto the config: %+v", cfg)
+	}
+}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"smtavf/internal/avf"
 	"smtavf/internal/campaign"
-	"smtavf/internal/core"
 	"smtavf/internal/cpistack"
 	"smtavf/internal/crossval"
 	"smtavf/internal/inject"
@@ -70,11 +68,11 @@ func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
 	}
 	var camp *inject.Campaign
 	if spec.Inject != nil {
-		if camp, err = newCampaign(rv); err != nil {
+		if camp, err = rv.StrikeCampaign(); err != nil {
 			return nil, err
 		}
 	}
-	res, err := simulate(rv, shard.Options{Inject: camp})
+	res, err := rv.Run(shard.Options{Inject: camp})
 	if err != nil {
 		return nil, fmt.Errorf("campaign run %s: %w", rv.Title, err)
 	}
@@ -83,32 +81,9 @@ func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
 	if camp != nil {
 		stats := camp.RunStrikes(res.Cycles, rv.Stop)
 		result.Strikes = stats.TotalStrikes
-		result.CrossVal = crossvalReport(rv, rv.CampaignSeed, res, stats)
+		result.CrossVal = rv.CrossVal(rv.CampaignSeed, res, stats)
 	}
 	return result, nil
-}
-
-// newCampaign builds rv's strike campaign with its protection applied.
-func newCampaign(rv *campaign.Resolved) (*inject.Campaign, error) {
-	camp, err := inject.NewCampaign(core.StructBits(rv.Config), rv.Every, rv.CampaignSeed)
-	if err != nil {
-		return nil, err
-	}
-	camp.SetProtection(rv.Protection.Detections())
-	return camp, nil
-}
-
-// crossvalReport builds the agreement report of one run and its strike
-// experiment; seed labels the report.
-func crossvalReport(rv *campaign.Resolved, seed uint64, res *core.Results, stats *inject.Stats) *crossval.Report {
-	return crossval.Build(crossval.Meta{
-		Workload: rv.Title,
-		Policy:   rv.Spec.PolicyName(),
-		Seed:     seed,
-		Seeds:    1,
-		Every:    rv.Every,
-		Cycles:   res.Cycles,
-	}, trackerAVF(res), stats)
 }
 
 // campaignCrossVal runs the seed fanout concurrently (one simulation +
@@ -129,15 +104,15 @@ func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) 
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		camp, err := newCampaign(rv)
+		camp, err := rv.StrikeCampaign()
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		res, err := simulate(rv, shard.Options{Inject: camp})
+		res, err := rv.Run(shard.Options{Inject: camp})
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		perSeed[i] = crossvalReport(rv, rv.Config.Seed, res, camp.RunStrikes(res.Cycles, rv.Stop))
+		perSeed[i] = rv.CrossVal(rv.Config.Seed, res, camp.RunStrikes(res.Cycles, rv.Stop))
 		return nil
 	})
 	if err != nil {
@@ -173,20 +148,16 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 		strikes = 256
 	}
 	title := rv.Title + " under " + spec.PolicyName()
-	camp, err := newCampaign(rv)
+	camp, err := rv.StrikeCampaign()
 	if err != nil {
 		return nil, err
 	}
 	tracer := propagation.New(spec.Propagation.Options)
-	res, err := simulate(rv, shard.Options{Inject: camp, Propagation: tracer})
+	res, err := rv.Run(shard.Options{Inject: camp, Propagation: tracer})
 	if err != nil {
 		return nil, fmt.Errorf("propagation run %s: %w", title, err)
 	}
-	var sampled []inject.Strike
-	for _, s := range avf.Structs() {
-		sampled = append(sampled, camp.SampleStrikes(s, res.Cycles, strikes)...)
-	}
-	atlas := tracer.Analyze(sampled)
+	atlas := tracer.Analyze(rv.SampleStrikes(camp, res.Cycles, strikes))
 	result := newResult(spec, title, rv.Config.Seed)
 	result.FillRun(res)
 	result.Strikes = uint64(atlas.Strikes)
@@ -221,7 +192,7 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 			return nil, err
 		}
 		obs := cpistack.New(cpistack.Options{WindowCycles: window})
-		res, err := simulate(rv, shard.Options{CPIStack: obs})
+		res, err := rv.Run(shard.Options{CPIStack: obs})
 		if err != nil {
 			return nil, fmt.Errorf("explain run %s under %s: %w", rv0.Title, policy, err)
 		}
@@ -235,16 +206,6 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	result := newResult(spec, rv0.Title, rv0.Config.Seed)
 	result.Tables = TablesToCampaign(tables)
 	return result, nil
-}
-
-// trackerAVF extracts the per-structure tracker estimates a crossval
-// report compares against.
-func trackerAVF(res *core.Results) [avf.NumStructs]float64 {
-	var tracker [avf.NumStructs]float64
-	for s := range tracker {
-		tracker[s] = res.StructAVF(avf.Struct(s))
-	}
-	return tracker
 }
 
 // TablesToCampaign converts renderer tables to their wire form.

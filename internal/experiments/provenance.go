@@ -21,7 +21,7 @@ func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
 		return nil, err
 	}
 	rec := pipetrace.New(pipetrace.Options{})
-	if _, err := simulate(rv, shard.Options{PipeTrace: rec}); err != nil {
+	if _, err := rv.Run(shard.Options{PipeTrace: rec}); err != nil {
 		return nil, fmt.Errorf("provenance run %s under %s: %w", mixName, policy, err)
 	}
 	title := fmt.Sprintf("%s under %s", mixName, policy)

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -63,10 +64,9 @@ func (o Options) withDefaults() Options {
 // concurrent use (Preload), with per-key in-flight deduplication so a run
 // requested twice executes once.
 type Runner struct {
-	opts    Options
-	mu      sync.Mutex
-	mixes   map[string]*runEntry
-	singles map[string]*runEntry // single-thread runs, keyed benchmark/quota
+	opts Options
+	mu   sync.Mutex
+	runs map[string]*runEntry // keyed by the spec's JSON
 }
 
 type runEntry struct {
@@ -75,25 +75,9 @@ type runEntry struct {
 	err  error
 }
 
-// memo returns the entry for key in m, creating it if needed.
-func (r *Runner) memo(m map[string]*runEntry, key string) *runEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := m[key]
-	if !ok {
-		e = &runEntry{}
-		m[key] = e
-	}
-	return e
-}
-
 // NewRunner builds a runner with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		opts:    opts.withDefaults(),
-		mixes:   make(map[string]*runEntry),
-		singles: make(map[string]*runEntry),
-	}
+	return &Runner{opts: opts.withDefaults(), runs: make(map[string]*runEntry)}
 }
 
 // budget returns the instruction budget for a context count.
@@ -110,18 +94,11 @@ func (r *Runner) budget(contexts int) uint64 {
 
 // Mix runs (or recalls) a Table 2 mix under the named fetch policy.
 func (r *Runner) Mix(contexts int, kind workload.Kind, group workload.Group, policy string) (*core.Results, error) {
-	key := fmt.Sprintf("%d/%s/%s/%s", contexts, kind, group, policy)
-	e := r.memo(r.mixes, key)
-	e.once.Do(func() { e.res, e.err = r.runMix(contexts, kind, group, policy) })
-	return e.res, e.err
-}
-
-func (r *Runner) runMix(contexts int, kind workload.Kind, group workload.Group, policy string) (*core.Results, error) {
 	m, err := workload.Lookup(contexts, kind, group)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.runSpec(r.withShards(campaign.Spec{Mix: m.Name(), Policy: policy}))
+	res, err := r.run(r.withShards(campaign.Spec{Mix: m.Name(), Policy: policy}))
 	if err != nil {
 		return nil, fmt.Errorf("mix %s under %s: %w", m.Name(), policy, err)
 	}
@@ -131,18 +108,34 @@ func (r *Runner) runMix(contexts int, kind workload.Kind, group workload.Group, 
 // Single runs (or recalls) benchmark bench alone for quota instructions —
 // the superscalar baseline.
 func (r *Runner) Single(bench string, quota uint64) (*core.Results, error) {
-	key := fmt.Sprintf("%s/%d", bench, quota)
-	e := r.memo(r.singles, key)
-	e.once.Do(func() { e.res, e.err = r.runSingle(bench, quota) })
-	return e.res, e.err
-}
-
-func (r *Runner) runSingle(bench string, quota uint64) (*core.Results, error) {
-	res, err := r.runSpec(r.withShards(campaign.Spec{Benchmarks: []string{bench}, Instructions: quota}))
+	res, err := r.run(r.withShards(campaign.Spec{Benchmarks: []string{bench}, Instructions: quota}))
 	if err != nil {
 		return nil, fmt.Errorf("single %s: %w", bench, err)
 	}
 	return res, nil
+}
+
+// run runs (or recalls) spec with no observer attached, memoized by the
+// spec's JSON.
+func (r *Runner) run(spec campaign.Spec) (*core.Results, error) {
+	key, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	e, ok := r.runs[string(key)]
+	if !ok {
+		e = &runEntry{}
+		r.runs[string(key)] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() {
+		var rv *campaign.Resolved
+		if rv, e.err = spec.Resolve(r.defaults()); e.err == nil {
+			e.res, e.err = rv.Run(shard.Options{})
+		}
+	})
+	return e.res, e.err
 }
 
 // withShards gives a spec that leaves its shard shape unset the runner's
@@ -153,33 +146,6 @@ func (r *Runner) withShards(spec campaign.Spec) campaign.Spec {
 		spec.Shards, spec.ShardWorkers = r.opts.Shards, r.opts.ShardWorkers
 	}
 	return spec
-}
-
-// runSpec resolves spec against the runner's defaults and runs it with no
-// observer attached.
-func (r *Runner) runSpec(spec campaign.Spec) (*core.Results, error) {
-	rv, err := spec.Resolve(r.defaults())
-	if err != nil {
-		return nil, err
-	}
-	return simulate(rv, shard.Options{})
-}
-
-// simulate assembles rv's run through shard.Build, in the spec's shard
-// shape with opts' observers attached, and runs it to the resolved quota.
-// A sharded run splits the quota evenly across threads (the engine's stop
-// rule), so per-thread commits are exact either way.
-func simulate(rv *campaign.Resolved, opts shard.Options) (*core.Results, error) {
-	factory, err := rv.SourceFactory()
-	if err != nil {
-		return nil, err
-	}
-	opts.Shards, opts.Workers, opts.WarmupWindow = rv.Spec.Shards, rv.Spec.ShardWorkers, rv.Spec.ShardWarmupWindow
-	sim, err := shard.Build(rv.Config, factory, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(rv.Quota)
 }
 
 // MixAvg runs a mix over every available group and returns the results

@@ -65,7 +65,7 @@ func (r *Runner) Sensitivity() ([]*Table, error) {
 		for i, n := range sw.sizes {
 			machine := core.DefaultConfig(4)
 			sw.apply(&machine, n)
-			res, err := r.runSpec(campaign.Spec{Mix: m.Name(), Machine: &machine})
+			res, err := r.run(campaign.Spec{Mix: m.Name(), Machine: &machine})
 			if err != nil {
 				return nil, fmt.Errorf("sensitivity %s=%d: %w", sw.title, n, err)
 			}

@@ -33,7 +33,7 @@ func (r *Runner) Stability(seeds int) ([]*Table, error) {
 		}
 		samples := make([][]float64, len(ss))
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			res, err := r.runSpec(campaign.Spec{Mix: m.Name(), Seed: seed})
+			res, err := r.run(campaign.Spec{Mix: m.Name(), Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("stability seed %d: %w", seed, err)
 			}

@@ -152,17 +152,6 @@ func New(cfg Config, next *Cache, memLatency int, trk *avf.Tracker, dataStruct, 
 	return c
 }
 
-// Cfg returns the cache configuration.
-func (c *Cache) Cfg() Config { return c.cfg }
-
-// DataBits returns the total data-array capacity in bits.
-func (c *Cache) DataBits() uint64 { return uint64(c.cfg.Size) * 8 }
-
-// TagArrayBits returns the total tag-array capacity in bits.
-func (c *Cache) TagArrayBits() uint64 {
-	return uint64(len(c.lines)) * c.tagBits
-}
-
 func (c *Cache) setOf(addr uint64) int { return int((addr >> c.offBits) & c.setMask) }
 func (c *Cache) tagOf(addr uint64) uint64 {
 	return addr >> (c.offBits + uint(bits.Len(uint(c.sets)-1)))

@@ -191,3 +191,19 @@ func TestNewManifestFillsProvenance(t *testing.T) {
 		t.Fatalf("finish with error: %+v", m)
 	}
 }
+
+func TestConfigDigestStable(t *testing.T) {
+	type cfg struct{ A, B int }
+	h1 := ConfigDigest(cfg{1, 2})
+	h2 := ConfigDigest(cfg{1, 2})
+	h3 := ConfigDigest(cfg{1, 3})
+	if h1 != h2 {
+		t.Fatalf("digest unstable: %s vs %s", h1, h2)
+	}
+	if h1 == h3 {
+		t.Fatal("digest ignores content")
+	}
+	if len(h1) != 12 {
+		t.Fatalf("digest length = %d", len(h1))
+	}
+}

@@ -105,10 +105,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t — the idiom for phase
-// timing spans.
-func (h *Histogram) ObserveSince(t time.Time) { h.Observe(time.Since(t).Seconds()) }
-
 // Count returns the total number of samples.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

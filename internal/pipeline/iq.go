@@ -183,7 +183,3 @@ func (q *IQ) SquashThread(tid int, after uint64, now uint64, dst []UID) []UID {
 	}
 	return dst
 }
-
-// Occupied returns the entries currently in the queue (unsorted); callers
-// must not mutate queue membership through it.
-func (q *IQ) Occupied() []UID { return q.entries }

@@ -151,9 +151,6 @@ func (p *Pool) Has(id UID, f uint32) bool { return p.Flags[id]&f != 0 }
 // Set sets flag f on slot id.
 func (p *Pool) Set(id UID, f uint32) { p.Flags[id] |= f }
 
-// Clear clears flag f on slot id.
-func (p *Pool) Clear(id UID, f uint32) { p.Flags[id] &^= f }
-
 // ACE reports whether slot id's state was Architecturally required for
 // Correct Execution — the SoA equivalent of Uop.ACE.
 func (p *Pool) ACE(id UID, squashed bool) bool {

@@ -92,11 +92,6 @@ func (rf *RegFile) FreeCount(fp bool) int {
 	return len(rf.freeInt)
 }
 
-// TotalBits returns the register-array capacity in bits.
-func (rf *RegFile) TotalBits() uint64 {
-	return uint64(rf.nInt+rf.nFP) * rf.bits.RegEntry
-}
-
 // CanRename reports whether a destination register of the given bank can be
 // allocated now.
 func (rf *RegFile) CanRename(dest isa.RegID) bool {

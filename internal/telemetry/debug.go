@@ -33,9 +33,9 @@ type DebugServer struct {
 
 func (d *DebugServer) collector() *Collector { return d.col.Load() }
 
-// SetCollector points the server at a new collector — one sweep point
-// ended and the next began. The
-// scraped registry follows the collector's unless SetRegistry overrode it.
+// SetCollector points the server at a new collector — one point of a
+// campaign matrix ended and the next began. The scraped registry and
+// progress tracker follow the collector's.
 func (d *DebugServer) SetCollector(c *Collector) {
 	d.col.Store(c)
 	if r := c.Registry(); r != nil {
@@ -43,15 +43,6 @@ func (d *DebugServer) SetCollector(c *Collector) {
 	}
 	if p := c.Progress(); p != nil {
 		d.prog.Store(p)
-	}
-}
-
-// SetRegistry points /debug/metrics at a specific registry — sharded runs
-// have no collector-owned registry, so the driver attaches the
-// Observability's directly.
-func (d *DebugServer) SetRegistry(r *obs.Registry) {
-	if r != nil {
-		d.reg.Store(r)
 	}
 }
 

@@ -1,13 +1,12 @@
 package telemetry
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"strings"
+
+	"smtavf/internal/obs"
 )
 
 // NewLogger builds the structured run logger the CLIs share: text or JSON
@@ -39,18 +38,6 @@ func ParseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("telemetry: unknown log level %q (want debug, info, warn, error)", s)
 }
 
-// ConfigHash returns a short stable fingerprint of a configuration —
-// sha256 over its JSON encoding — so run manifests and sweep series can
-// be matched to the exact machine that produced them.
-func ConfigHash(cfg any) string {
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		return "unhashable"
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:6])
-}
-
 // RunManifest logs the one-line run manifest every CLI emits before
 // simulating: what is about to run, under which configuration, with
 // which seed — enough to reproduce the run from the log alone.
@@ -60,7 +47,7 @@ func RunManifest(logger *slog.Logger, program string, cfg any, seed uint64, work
 	}
 	args := []any{
 		"program", program,
-		"config_hash", ConfigHash(cfg),
+		"config_hash", obs.ConfigDigest(cfg),
 		"seed", seed,
 		"workloads", strings.Join(workloads, ","),
 	}

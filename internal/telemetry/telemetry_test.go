@@ -265,22 +265,6 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-func TestConfigHashStable(t *testing.T) {
-	type cfg struct{ A, B int }
-	h1 := ConfigHash(cfg{1, 2})
-	h2 := ConfigHash(cfg{1, 2})
-	h3 := ConfigHash(cfg{1, 3})
-	if h1 != h2 {
-		t.Fatalf("hash unstable: %s vs %s", h1, h2)
-	}
-	if h1 == h3 {
-		t.Fatal("hash ignores content")
-	}
-	if len(h1) != 12 {
-		t.Fatalf("hash length = %d", len(h1))
-	}
-}
-
 func TestLoggerLevels(t *testing.T) {
 	warn, err := ParseLevel("warn")
 	if err != nil {

@@ -611,11 +611,7 @@ type CrossValMeta = crossval.Meta
 // tracker AVFs and a completed strike experiment on the campaign that
 // observed the same run.
 func CrossValidate(meta CrossValMeta, res *Results, stats *InjectStats) *CrossValReport {
-	var tracker [avf.NumStructs]float64
-	for s := range tracker {
-		tracker[s] = res.StructAVF(avf.Struct(s))
-	}
-	return crossval.Build(meta, tracker, stats)
+	return crossval.Build(meta, res.AVF.Total, stats)
 }
 
 // Observability bundles the campaign-observability handles a run carries:
