@@ -485,16 +485,18 @@ func BenchmarkInjectOverhead(b *testing.B) {
 // path at the commit/squash hooks, which must stay within 5% of
 // BenchmarkSimulatorCycles. "on" attaches an unbounded recorder, showing
 // what a full -pipetrace run pays (one Record per retired uop plus the
-// provenance aggregation).
+// provenance aggregation). "provenance" attaches a provenance-only
+// recorder, what avfreport -provenance pays: its B/op stays near "off"
+// instead of growing with the uop count.
 func BenchmarkPipetraceOverhead(b *testing.B) {
 	b.ReportAllocs()
-	run := func(b *testing.B, attach bool) {
+	run := func(b *testing.B, opt *smtavf.PipeTraceOptions) {
 		b.ReportAllocs()
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
 			opts := []smtavf.Option{smtavf.WithBenchmarks(ablationMix...)}
-			if attach {
-				opts = append(opts, smtavf.WithPipeTrace(smtavf.NewPipeTrace(smtavf.PipeTraceOptions{})))
+			if opt != nil {
+				opts = append(opts, smtavf.WithPipeTrace(smtavf.NewPipeTrace(*opt)))
 			}
 			sim, err := smtavf.New(smtavf.DefaultConfig(4), opts...)
 			if err != nil {
@@ -508,8 +510,9 @@ func BenchmarkPipetraceOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
+	b.Run("off", func(b *testing.B) { run(b, nil) })
+	b.Run("on", func(b *testing.B) { run(b, &smtavf.PipeTraceOptions{}) })
+	b.Run("provenance", func(b *testing.B) { run(b, &smtavf.PipeTraceOptions{ProvenanceOnly: true}) })
 }
 
 // BenchmarkPropagationOverhead measures the cost of the fault-propagation

@@ -513,7 +513,7 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		}
 		ptWritten = true
 		man.AddArtifact("pipetrace", s.pt.Path)
-		s.logger.Info("pipetrace written", "path", s.pt.Path, "records", rec.Len(), "dropped", rec.Dropped())
+		s.logger.Info("pipetrace written", "path", s.pt.Path, "records", rec.Len())
 	}
 	if stack != nil && s.cpi.Out != "" {
 		if err := stack.WriteFile(s.cpi.Out); err != nil {

@@ -62,15 +62,3 @@ func (f *Fate) UnmarshalText(b []byte) error {
 	}
 	return fmt.Errorf("avf: unknown fate %q", b)
 }
-
-// ProvKey attributes bit-cycles of one structure to the static instruction
-// and fate that produced them — the aggregation key of the AVF provenance
-// report. TID disambiguates workloads whose threads share an address space
-// (replayed trace files); synthetic workloads already separate PCs per
-// thread.
-type ProvKey struct {
-	Struct Struct
-	TID    int
-	PC     uint64
-	Fate   Fate
-}

@@ -97,7 +97,11 @@ func TestHTTPSubmitStatusCancel(t *testing.T) {
 
 	// Bad submissions.
 	for _, bad := range []string{`{"base":{}}`, `{"unknown_field":1,"base":{"mix":"2ctx-CPU-A"}}`, `not json`,
-		`{"base":{"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}}`, `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSzie":8}]}`} {
+		`{"base":{"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}}`, `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSzie":8}]}`,
+		// Unknown fetch policies fail before any point is stored or run.
+		`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
+		`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
+		`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`} {
 		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)

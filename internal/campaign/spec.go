@@ -27,6 +27,7 @@ import (
 
 	"smtavf/internal/avf"
 	"smtavf/internal/core"
+	"smtavf/internal/fetch"
 	"smtavf/internal/inject"
 	"smtavf/internal/propagation"
 	"smtavf/internal/trace"
@@ -217,7 +218,8 @@ func (s Spec) Threads() int {
 
 // Validate checks the structural rules: a supported version, exactly one
 // workload source, at most one experiment kind, experiment kinds
-// monolithic and benchmark-sourced, and a parseable protection map.
+// monolithic and benchmark-sourced, known fetch policies, and a parseable
+// protection map.
 func (s Spec) Validate() error {
 	if s.V != 0 && s.V != SpecVersion {
 		return fmt.Errorf("campaign: spec schema v%d is not supported (want v%d)", s.V, SpecVersion)
@@ -269,6 +271,15 @@ func (s Spec) Validate() error {
 	}
 	if s.Propagation != nil && s.Propagation.Strikes < 0 {
 		return fmt.Errorf("campaign: propagation strikes must be non-negative, got %d", s.Propagation.Strikes)
+	}
+	policies := []string{s.Policy}
+	if s.Explain != nil {
+		policies = append(policies, s.Explain.Policies...)
+	}
+	for _, name := range policies {
+		if name != "" && fetch.ByName(name) == nil {
+			return fmt.Errorf("campaign: unknown fetch policy %q", name)
+		}
 	}
 	if _, err := ParseProtection(s.Protection); err != nil {
 		return err

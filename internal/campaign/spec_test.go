@@ -190,6 +190,12 @@ func TestReadSpecFileRejectsInvalid(t *testing.T) {
 		// Decoding reaches inside the machine override too.
 		`{"v":1,"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}`,
 		`{"base":{"mix":"2ctx-CPU-A"},"polices":["FLUSH"]}`,
+		// Unknown fetch policies, in a spec and in a matrix's policies axis.
+		`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
+		`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
+		`{"v":1,"mix":"2ctx-MIX-A","policy":"BOGUS"}`,
+		`{"v":1,"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}`,
+		`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`,
 	} {
 		path := filepath.Join(t.TempDir(), "spec.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {

@@ -211,9 +211,11 @@ func (p *PipeTrace) Register(fs *flag.FlagSet) {
 // Enabled reports whether recording was requested.
 func (p *PipeTrace) Enabled() bool { return p.Path != "" || p.Top > 0 }
 
-// Options validates the group and builds the recorder options.
+// Options validates the group and builds the recorder options. Without a
+// trace file the recorder keeps no records, only the provenance
+// aggregation -pipetrace-top prints.
 func (p *PipeTrace) Options() (pipetrace.Options, error) {
-	var opt pipetrace.Options
+	opt := pipetrace.Options{ProvenanceOnly: p.Path == ""}
 	if p.Window != "" {
 		var err error
 		opt.WindowStart, opt.WindowEnd, err = ParseWindow(p.Window)

@@ -109,6 +109,13 @@ func TestPipeTrace(t *testing.T) {
 	if opt.WindowStart != 100 || opt.WindowEnd != 200 {
 		t.Fatalf("window %d:%d", opt.WindowStart, opt.WindowEnd)
 	}
+	if opt.ProvenanceOnly {
+		t.Fatal("a trace file was requested but the recorder keeps no records")
+	}
+	// -pipetrace-top alone prints provenance tables only: no records kept.
+	if opt, err := (&PipeTrace{Top: 3}).Options(); err != nil || !opt.ProvenanceOnly {
+		t.Fatalf("-pipetrace-top without a file: %+v (%v), want ProvenanceOnly", opt, err)
+	}
 	if _, err := (&PipeTrace{Format: "bogus"}).Options(); err == nil {
 		t.Fatal("unknown format accepted")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,19 +33,34 @@ var pipeStructs = [...]avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.
 
 func TestPipetraceProvenanceMatchesTracker(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		warmup uint64
+		name     string
+		warmup   uint64
+		provOnly bool
 	}{
-		{"cold", 0},
-		{"with-warmup", 5_000},
+		{"cold", 0, false},
+		{"with-warmup", 5_000, false},
+		{"provenance-only", 5_000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proc, rec := runWithPipeTrace(t, tc.warmup, pipetrace.Options{}, 20_000)
+			opt := pipetrace.Options{ProvenanceOnly: tc.provOnly}
+			proc, rec := runWithPipeTrace(t, tc.warmup, opt, 20_000)
 			trk := proc.Tracker()
-			if rec.Len() == 0 {
+			prov := rec.Provenance()
+			if tc.provOnly {
+				if rec.Len() != 0 {
+					t.Fatalf("provenance-only recorder retained %d records", rec.Len())
+				}
+				// The same run with records retained folds to the same report.
+				_, full := runWithPipeTrace(t, tc.warmup, pipetrace.Options{}, 20_000)
+				if want := full.Provenance(); !reflect.DeepEqual(prov, want) {
+					t.Fatal("provenance-only report differs from the retaining recorder's")
+				}
+			} else if rec.Len() == 0 {
 				t.Fatal("no records")
 			}
-			prov := rec.Provenance()
+			if prov.Records == 0 {
+				t.Fatal("no uops folded")
+			}
 			for _, s := range pipeStructs {
 				// The recorder replays the tracker's interval arithmetic,
 				// including the warmup rebase clip, so totals match exactly.

@@ -169,7 +169,8 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 // campaignExplain runs the workload once per policy with the CPI-stack
 // observer attached and distills the runs into the explainability figure
 // family. Each policy re-resolves the spec so the Configure hook sees the
-// final per-policy configuration.
+// final per-policy configuration; the policies resolve in order, then
+// their simulations run concurrently, each with its own observer.
 func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {
@@ -183,20 +184,26 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	if window == 0 {
 		window = cpistack.DefaultWindowCycles
 	}
-	runs := make([]explainRun, 0, len(policies))
-	for _, policy := range policies {
+	rvs := make([]*campaign.Resolved, len(policies))
+	for i, policy := range policies {
 		sp := spec
 		sp.Policy = policy
-		rv, err := sp.Resolve(r.defaults())
-		if err != nil {
+		if rvs[i], err = sp.Resolve(r.defaults()); err != nil {
 			return nil, err
 		}
+	}
+	runs := make([]explainRun, len(policies))
+	err = forEach(len(policies), func(i int) error {
 		obs := cpistack.New(cpistack.Options{WindowCycles: window})
-		res, err := rv.Run(shard.Options{CPIStack: obs})
+		res, err := rvs[i].Run(shard.Options{CPIStack: obs})
 		if err != nil {
-			return nil, fmt.Errorf("explain run %s under %s: %w", rv0.Title, policy, err)
+			return fmt.Errorf("explain run %s under %s: %w", rv0.Title, policies[i], err)
 		}
-		runs = append(runs, explainRun{policy: policy, obs: obs, res: res})
+		runs[i] = explainRun{policy: policies[i], obs: obs, res: res}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	tables := []*Table{explainStackTable(rv0.Title, runs)}
 	for _, run := range runs {

@@ -13,14 +13,15 @@ import (
 // the pipeline flight recorder attached and folds the recording into AVF
 // provenance tables: which static instructions the ACE bit-cycles of each
 // uop-tracked structure came from, and what fate the resident state met.
-// Provenance runs are not memoized — the recorder holds per-uop state, so
-// they use their own (single) simulation.
+// Provenance runs are not memoized — they need their own (single)
+// simulation with the recorder attached. The recorder keeps no per-uop
+// records, only the per-PC aggregation the tables read.
 func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
 	rv, err := campaign.Spec{Mix: mixName, Policy: policy}.Resolve(r.defaults())
 	if err != nil {
 		return nil, err
 	}
-	rec := pipetrace.New(pipetrace.Options{})
+	rec := pipetrace.New(pipetrace.Options{ProvenanceOnly: true})
 	if _, err := rv.Run(shard.Options{PipeTrace: rec}); err != nil {
 		return nil, fmt.Errorf("provenance run %s under %s: %w", mixName, policy, err)
 	}

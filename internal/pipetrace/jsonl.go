@@ -67,8 +67,12 @@ func Write(w io.Writer, f Format, recs []Record) error {
 // WriteFile exports the retained records to path. An empty format picks
 // one from the extension (FormatForPath); a ".gz" suffix gzip-compresses
 // the output (jsonlio.OpenWriter, shared with the telemetry exporters —
-// flight recordings are large).
+// flight recordings are large). A provenance-only recorder has nothing to
+// export: WriteFile returns an error and creates no file.
 func (r *Recorder) WriteFile(path string, f Format) error {
+	if r != nil && r.opt.ProvenanceOnly {
+		return fmt.Errorf("pipetrace: %s: a provenance-only recorder keeps no records", path)
+	}
 	if f == "" {
 		f = FormatForPath(path)
 	}

@@ -9,18 +9,22 @@
 //
 // Records feed three exporters — Kanata (the Konata pipeline-viewer
 // format, kanata.go), Chrome trace_event JSON (chrome.go), and compact
-// JSONL (jsonl.go) — plus an aggregation pass (provenance.go) that folds
-// them into an AVF provenance report: per-PC hotspot tables of ACE
-// bit-cycles per structure, and a per-fate residency breakdown. The
-// aggregation reproduces the avf.Tracker arithmetic exactly (same
-// intervals, same rebase clipping), so per-PC ACE bit-cycles sum to the
-// tracker's per-structure totals bit for bit.
+// JSONL (jsonl.go). Independently of the records, every uop is folded
+// into a per-static-instruction aggregation (provenance.go) behind the
+// AVF provenance report: per-PC hotspot tables of ACE bit-cycles per
+// structure, and a per-fate residency breakdown. The aggregation
+// reproduces the avf.Tracker arithmetic exactly (same intervals, same
+// rebase clipping), so per-PC ACE bit-cycles sum to the tracker's
+// per-structure totals bit for bit. A recorder built with
+// Options.ProvenanceOnly keeps the aggregation and no records.
 //
 // Like the telemetry collector, a detached recorder is free: the hot-path
 // hooks are nil-receiver no-ops, enforced by BenchmarkPipetraceOverhead.
 package pipetrace
 
 import (
+	"slices"
+
 	"smtavf/internal/avf"
 	"smtavf/internal/pipeline"
 )
@@ -106,10 +110,11 @@ type Options struct {
 	// are recorded, so a long sweep can sample a region instead of
 	// recording everything. WindowEnd 0 means unbounded.
 	WindowStart, WindowEnd uint64
-	// Cap bounds the in-memory record buffer. Once reached, further uops
-	// still feed the provenance aggregation (which stays exact) but their
-	// Records are dropped and counted. 0 means unlimited.
-	Cap int
+	// ProvenanceOnly folds each uop into the provenance aggregation and
+	// keeps no Record, so the recorder's memory grows with the static
+	// instructions seen rather than with the uops retired. Len is then 0,
+	// Records nil, and WriteFile an error; Provenance is unchanged.
+	ProvenanceOnly bool
 }
 
 // Recorder receives one lifecycle record per retired uop from the
@@ -125,10 +130,8 @@ type Recorder struct {
 	rebase uint64
 
 	records []Record
-	dropped uint64
 
-	// Provenance aggregation, exact regardless of Cap.
-	agg       map[avf.ProvKey]uint64 // bit-cycles per (struct, tid, pc, fate)
+	// Provenance aggregation, exact whether or not records are kept.
 	pcs       map[pcID]*pcMeta
 	fateCount [avf.NumFates]uint64
 }
@@ -138,9 +141,13 @@ type pcID struct {
 	pc  uint64
 }
 
+// pcMeta aggregates one static instruction: its class, its dynamic
+// count, and its bit-cycles per Uop.Residencies slot (RecordStructs
+// order) and fate.
 type pcMeta struct {
 	op    string
 	count uint64
+	bc    [len(RecordStructs)][avf.NumFates]uint64
 }
 
 // New builds a recorder.
@@ -148,7 +155,6 @@ func New(opt Options) *Recorder {
 	return &Recorder{
 		opt:  opt,
 		bits: pipeline.DefaultBits(),
-		agg:  make(map[avf.ProvKey]uint64),
 		pcs:  make(map[pcID]*pcMeta),
 	}
 }
@@ -162,10 +168,12 @@ func (r *Recorder) SetBits(bits pipeline.Bits) {
 	}
 }
 
-// Record captures the lifecycle of u, retiring at cycle retire with the
-// given squash outcome. It must be called exactly once per uop, alongside
-// Uop.Classify — from commit, squash, and end-of-run accounting — so the
-// recorder sees exactly the population the tracker accounted.
+// Record folds u, retiring at cycle retire with the given squash outcome,
+// into the provenance aggregation and, unless the recorder is
+// provenance-only, captures its lifecycle as a Record. It must be called
+// exactly once per uop, alongside Uop.Classify — from commit, squash, and
+// end-of-run accounting — so the recorder sees exactly the population the
+// tracker accounted.
 //
 // Ownership contract (docs/performance.md): the core recycles u through a
 // per-thread pool the moment Record returns, so everything the recorder
@@ -182,20 +190,6 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 	}
 	fate := u.Fate(squashed)
 	r.fateCount[fate]++
-
-	// Provenance: identical interval arithmetic to avf.Tracker.AddInterval,
-	// including the warmup rebase clip, so sums match the tracker exactly.
-	for _, res := range u.Residencies(r.bits) {
-		start, end := res.Start, res.End
-		if start < r.rebase {
-			start = r.rebase
-		}
-		if end <= start {
-			continue
-		}
-		r.agg[avf.ProvKey{Struct: res.Struct, TID: u.TID, PC: u.PC, Fate: fate}] +=
-			res.Bits * (end - start)
-	}
 	id := pcID{u.TID, u.PC}
 	meta := r.pcs[id]
 	if meta == nil {
@@ -209,11 +203,21 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 	}
 	meta.count++
 
-	if r.opt.Cap > 0 && len(r.records) >= r.opt.Cap {
-		r.dropped++
-		return
+	// Provenance: identical interval arithmetic to avf.Tracker.AddInterval,
+	// including the warmup rebase clip, so sums match the tracker exactly.
+	for i, res := range u.Residencies(r.bits) {
+		start, end := res.Start, res.End
+		if start < r.rebase {
+			start = r.rebase
+		}
+		if end > start {
+			meta.bc[i][fate] += res.Bits * (end - start)
+		}
 	}
-	r.records = append(r.records, makeRecord(u, retire, fate))
+
+	if !r.opt.ProvenanceOnly {
+		r.records = append(r.records, makeRecord(u, retire, fate))
+	}
 }
 
 // makeRecord snapshots the uop's lifecycle into an immutable Record.
@@ -264,27 +268,17 @@ func (r *Recorder) Rebase(cycle uint64) {
 	}
 	r.rebase = cycle
 	r.records = r.records[:0]
-	r.dropped = 0
-	clear(r.agg)
 	clear(r.pcs)
 	r.fateCount = [avf.NumFates]uint64{}
 }
 
-// Len returns the number of retained records.
+// Len returns the number of retained records (0 for a provenance-only
+// recorder).
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
 	return len(r.records)
-}
-
-// Dropped returns the number of records discarded by the Cap (their
-// provenance contribution was still aggregated).
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }
 
 // Records returns the retained records in retirement order. The slice is
@@ -300,28 +294,26 @@ func (r *Recorder) Records() []Record {
 // every recorded uop — with no sampling window this equals the tracker's
 // avf.Tracker.ACEBitCycles for the five uop-tracked pipeline structures.
 func (r *Recorder) ACEBitCycles(s avf.Struct) uint64 {
-	if r == nil {
-		return 0
-	}
-	var sum uint64
-	for k, bc := range r.agg {
-		if k.Struct == s && k.Fate.ACE() {
-			sum += bc
-		}
-	}
-	return sum
+	return r.bitCycles(s, true)
 }
 
 // ResidentBitCycles returns the aggregated occupancy (ACE plus un-ACE)
 // bit-cycles of structure s across every recorded uop.
 func (r *Recorder) ResidentBitCycles(s avf.Struct) uint64 {
-	if r == nil {
+	return r.bitCycles(s, false)
+}
+
+func (r *Recorder) bitCycles(s avf.Struct, aceOnly bool) uint64 {
+	i := slices.Index(RecordStructs[:], s)
+	if r == nil || i < 0 {
 		return 0
 	}
 	var sum uint64
-	for k, bc := range r.agg {
-		if k.Struct == s {
-			sum += bc
+	for _, meta := range r.pcs {
+		for f, bc := range meta.bc[i] {
+			if !aceOnly || avf.Fate(f).ACE() {
+				sum += bc
+			}
 		}
 	}
 	return sum

@@ -2,6 +2,10 @@ package pipetrace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +46,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 5), 20, false)
 	r.Rebase(10)
 	r.SetBits(pipeline.DefaultBits())
-	if r.Len() != 0 || r.Dropped() != 0 || r.Records() != nil {
+	if r.Len() != 0 || r.Records() != nil {
 		t.Fatal("nil recorder retained state")
 	}
 	if r.ACEBitCycles(avf.IQ) != 0 || r.ResidentBitCycles(avf.ROB) != 0 {
@@ -152,23 +156,43 @@ func TestWindowBoundaryResidencySplit(t *testing.T) {
 	}
 }
 
-func TestCapKeepsAggregationExact(t *testing.T) {
-	r := New(Options{Cap: 1})
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 30, false)
-	before := r.ACEBitCycles(avf.ROB)
-	r.Record(uop(0, 1, 1, 0x104, isa.IntALU, 11), 31, false)
-	if r.Len() != 1 {
-		t.Fatalf("cap 1 retained %d records", r.Len())
+// TestProvenanceOnlyKeepsAggregationExact: a provenance-only recorder
+// retains no records yet folds every uop exactly as a retaining recorder
+// does, and refuses to export a trace it does not have.
+func TestProvenanceOnlyKeepsAggregationExact(t *testing.T) {
+	only, full := New(Options{ProvenanceOnly: true}), New(Options{})
+	for _, r := range []*Recorder{only, full} {
+		r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 30, false)
+		r.Record(uop(0, 1, 1, 0x104, isa.Load, 11), 31, false)
+		wp := uop(1, 2, 0, 0x200, isa.Store, 12)
+		wp.WrongPath = true
+		r.Record(wp, 32, true)
 	}
-	if r.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", r.Dropped())
+	if only.Len() != 0 || only.Records() != nil {
+		t.Fatalf("provenance-only recorder retained %d records", only.Len())
 	}
-	if after := r.ACEBitCycles(avf.ROB); after <= before {
-		t.Fatalf("dropped record did not aggregate: %d -> %d", before, after)
+	for _, s := range RecordStructs {
+		if got, want := only.ACEBitCycles(s), full.ACEBitCycles(s); got != want {
+			t.Errorf("%s: provenance-only ACE bit-cycles %d, retaining %d", s, got, want)
+		}
+		if got, want := only.ResidentBitCycles(s), full.ResidentBitCycles(s); got != want {
+			t.Errorf("%s: provenance-only resident bit-cycles %d, retaining %d", s, got, want)
+		}
 	}
-	prov := r.Provenance()
-	if prov.Dropped != 1 || len(prov.PCs) != 2 {
-		t.Fatalf("provenance lost the dropped uop: dropped=%d pcs=%d", prov.Dropped, len(prov.PCs))
+	prov := only.Provenance()
+	if prov.Records != 3 || len(prov.PCs) != 3 {
+		t.Fatalf("provenance-only folded %d uops over %d PCs, want 3 over 3", prov.Records, len(prov.PCs))
+	}
+	if want := full.Provenance(); !reflect.DeepEqual(prov, want) {
+		t.Fatalf("provenance-only report differs:\n%+v\nretaining:\n%+v", prov, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := only.WriteFile(path, ""); err == nil {
+		t.Fatal("provenance-only WriteFile succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("provenance-only WriteFile left a file behind: %v", err)
 	}
 }
 
@@ -256,6 +280,37 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
 		t.Fatal("schema v99 accepted")
 	}
+}
+
+// FuzzReadJSONL: ReadJSONL never panics on arbitrary bytes, and whatever
+// it accepts re-encodes and decodes to equal records.
+func FuzzReadJSONL(f *testing.F) {
+	var golden bytes.Buffer
+	if err := WriteJSONL(&golden, goldenRecords()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden.Bytes())
+	for _, line := range bytes.SplitAfter(golden.Bytes(), []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add([]byte(`{"v":99,"tid":0,"fate":"committed"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, recs); err != nil {
+			t.Fatalf("re-encoding accepted records: %v", err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded records rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(back, recs) {
+			t.Fatalf("round trip changed the records:\n%+v\n%+v", recs, back)
+		}
+	})
 }
 
 func TestFormatForPath(t *testing.T) {

@@ -39,8 +39,8 @@ type FateProfile struct {
 // tracker's per-structure numerators exactly when no sampling window
 // truncated the recording.
 type Provenance struct {
+	// Records is the number of uops folded into the report.
 	Records int
-	Dropped uint64
 
 	// PCs, sorted by total ACE bit-cycles (descending; ties by TID then
 	// PC so output is deterministic).
@@ -55,44 +55,30 @@ type Provenance struct {
 
 // Provenance folds the aggregation into a report. Call after Run.
 func (r *Recorder) Provenance() *Provenance {
-	p := &Provenance{Records: r.Len(), Dropped: r.Dropped()}
+	p := &Provenance{}
 	if r == nil {
 		return p
 	}
-	byPC := make(map[pcID]*PCProfile, len(r.pcs))
-	fates := make(map[avf.Fate]*FateProfile, avf.NumFates)
+	p.Fates = make([]FateProfile, avf.NumFates)
 	for _, f := range avf.Fates() {
-		fates[f] = &FateProfile{Fate: f, Count: r.fateCount[f]}
+		p.Fates[f] = FateProfile{Fate: f, Count: r.fateCount[f]}
+		p.Records += int(r.fateCount[f])
 	}
-	for k, bc := range r.agg {
-		id := pcID{k.TID, k.PC}
-		prof := byPC[id]
-		if prof == nil {
-			prof = &PCProfile{TID: k.TID, PC: k.PC}
-			if meta := r.pcs[id]; meta != nil {
-				prof.Op, prof.Count = meta.op, meta.count
-			}
-			byPC[id] = prof
-		}
-		prof.Resident[k.Struct] += bc
-		fates[k.Fate].Resident[k.Struct] += bc
-		p.TotalResident[k.Struct] += bc
-		if k.Fate.ACE() {
-			prof.ACE[k.Struct] += bc
-			p.TotalACE[k.Struct] += bc
-		}
-	}
-	// PCs that only ever occupied zero-width intervals (e.g. dropped in
-	// the front end) have no aggregation entries; surface them anyway so
-	// counts reconcile with the record stream.
+	p.PCs = make([]PCProfile, 0, len(r.pcs))
 	for id, meta := range r.pcs {
-		if _, ok := byPC[id]; !ok {
-			byPC[id] = &PCProfile{TID: id.tid, PC: id.pc, Op: meta.op, Count: meta.count}
+		prof := PCProfile{TID: id.tid, PC: id.pc, Op: meta.op, Count: meta.count}
+		for i, s := range RecordStructs {
+			for f, bc := range meta.bc[i] {
+				prof.Resident[s] += bc
+				p.Fates[f].Resident[s] += bc
+				p.TotalResident[s] += bc
+				if avf.Fate(f).ACE() {
+					prof.ACE[s] += bc
+					p.TotalACE[s] += bc
+				}
+			}
 		}
-	}
-	p.PCs = make([]PCProfile, 0, len(byPC))
-	for _, prof := range byPC {
-		p.PCs = append(p.PCs, *prof)
+		p.PCs = append(p.PCs, prof)
 	}
 	sort.Slice(p.PCs, func(i, j int) bool {
 		a, b := &p.PCs[i], &p.PCs[j]
@@ -105,9 +91,6 @@ func (r *Recorder) Provenance() *Provenance {
 		}
 		return a.PC < b.PC
 	})
-	for _, f := range avf.Fates() {
-		p.Fates = append(p.Fates, *fates[f])
-	}
 	return p
 }
 
@@ -148,11 +131,7 @@ func (p *Provenance) Hotspots(s avf.Struct, n int) []PCProfile {
 func (p *Provenance) FormatHotspots(s avf.Struct, n int) string {
 	hs := p.Hotspots(s, n)
 	var b strings.Builder
-	fmt.Fprintf(&b, "top %d PCs by %s ACE bit-cycles (%d records", len(hs), s, p.Records)
-	if p.Dropped > 0 {
-		fmt.Fprintf(&b, ", %d dropped by cap", p.Dropped)
-	}
-	b.WriteString("):\n")
+	fmt.Fprintf(&b, "top %d PCs by %s ACE bit-cycles (%d records):\n", len(hs), s, p.Records)
 	fmt.Fprintf(&b, "  %-28s %10s %14s %7s\n", "pc", "count", "ace-bitcycles", "share")
 	total := p.TotalACE[s]
 	for i := range hs {

@@ -472,7 +472,7 @@ func NewTelemetry(o TelemetryOptions) *Telemetry { return telemetry.New(o) }
 type PipeTrace = pipetrace.Recorder
 
 // PipeTraceOptions parameterizes a flight recorder (sampling window,
-// record cap).
+// provenance-only mode).
 type PipeTraceOptions = pipetrace.Options
 
 // PipeTraceRecord is one recorded uop lifecycle.
