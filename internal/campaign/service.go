@@ -259,15 +259,19 @@ func (s *Service) execute(j job) {
 		}
 	}
 	finished := c.complete() && !c.finished
+	var manifest *obs.RunManifest
 	if finished {
 		c.finished = true
-		close(c.done)
+		manifest = s.campaignManifest(c, obs.StatusOK)
 	}
 	resumed := c.resumed
 	s.mu.Unlock()
 
 	if finished {
-		s.appendCampaignManifest(c, obs.StatusOK, resumed)
+		// The "ok" manifest goes into the ledger before done closes, so a
+		// subscriber that done wakes finds it there.
+		s.appendCampaignManifest(j.id, manifest)
+		close(c.done)
 		s.log.Info("campaign: complete", "id", j.id, "points", len(c.points), "resumed", resumed)
 	}
 }
@@ -301,10 +305,12 @@ func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
 	}
 }
 
-// appendCampaignManifest records a campaign-level terminal transition.
-func (s *Service) appendCampaignManifest(c *campaignState, status string, resumed bool) {
+// campaignManifest builds the ledger record of a campaign-level terminal
+// transition, or nil with no ledger. Call it under s.mu, which guards the
+// results it counts, and append the record once the lock is released.
+func (s *Service) campaignManifest(c *campaignState, status string) *obs.RunManifest {
 	if s.opts.Ledger == nil {
-		return
+		return nil
 	}
 	m := obs.NewManifest("campaign", s.opts.Program)
 	m.Extra = map[string]string{
@@ -312,12 +318,17 @@ func (s *Service) appendCampaignManifest(c *campaignState, status string, resume
 		"points":   fmt.Sprint(len(c.points)),
 		"done":     fmt.Sprint(len(c.results)),
 	}
-	if resumed {
+	if c.resumed {
 		m.Extra["resumed"] = "true"
 	}
 	m.Finish(status, nil)
+	return m
+}
+
+// appendCampaignManifest appends a record campaignManifest built.
+func (s *Service) appendCampaignManifest(id string, m *obs.RunManifest) {
 	if err := s.opts.Ledger.Append(m); err != nil {
-		s.log.Error("campaign: ledger append", "id", c.id, "err", err)
+		s.log.Error("campaign: ledger append", "id", id, "err", err)
 	}
 }
 
@@ -333,11 +344,13 @@ func (s *Service) Cancel(id string) error {
 	already := c.cancelled
 	c.cancelled = true
 	finished := !c.finished
+	var manifest *obs.RunManifest
 	if finished {
 		c.finished = true
-		close(c.done)
+		manifest = s.campaignManifest(c, "cancelled")
+		// done closes on every return below, after the manifest is in.
+		defer close(c.done)
 	}
-	resumed := c.resumed
 	s.mu.Unlock()
 	if already {
 		return nil
@@ -346,7 +359,7 @@ func (s *Service) Cancel(id string) error {
 		return err
 	}
 	if finished {
-		s.appendCampaignManifest(c, "cancelled", resumed)
+		s.appendCampaignManifest(id, manifest)
 	}
 	s.log.Info("campaign: cancelled", "id", id)
 	return nil
@@ -474,9 +487,13 @@ func (s *Service) Interrupt() {
 		}
 	}
 	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
+	manifests := make([]*obs.RunManifest, len(open))
+	for i, c := range open {
+		manifests[i] = s.campaignManifest(c, obs.StatusInterrupted)
+	}
 	s.mu.Unlock()
-	for _, c := range open {
-		s.appendCampaignManifest(c, obs.StatusInterrupted, c.resumed)
+	for i, m := range manifests {
+		s.appendCampaignManifest(open[i].id, m)
 	}
 	s.log.Info("campaign: draining", "open", len(open))
 }

@@ -1,7 +1,9 @@
 package propagation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"smtavf/internal/avf"
@@ -24,180 +26,323 @@ func (n *node) word() wordKey { return wordKey{n.tid, n.addr >> 3} }
 // a committed store writing it at retire.
 type touch struct {
 	cycle uint64
-	idx   int // node index
+	idx   int32 // node index
 }
 
-// analysis is the dataflow index built once per Analyze call: who writes
+// dl1Access returns the cycle node n accessed the DL1 array, if it did: a
+// committed store writes it at retire, and an issued load that was not
+// forwarded reads it at issue (wrong-path loads access the DL1 too).
+func (n *node) dl1Access() (uint64, bool) {
+	switch n.class {
+	case isa.Store:
+		return n.retire, n.committed()
+	case isa.Load:
+		return n.issueAt, n.issued && !n.forwarded
+	}
+	return 0, false
+}
+
+// csr groups items by a dense integer key in one flat array: the list of
+// key k is items[start[k]:start[k+1]].
+type csr[T any] struct {
+	start []int32
+	items []T
+}
+
+// newCSR builds a csr over keys [0, keys) from the (key, item) pairs each
+// passes to add; a list keeps its items in the order they were added.
+// each runs twice, once to count and once to fill.
+func newCSR[T any](keys int, each func(add func(key int32, item T))) csr[T] {
+	c := csr[T]{start: make([]int32, keys+1)}
+	each(func(k int32, _ T) { c.start[k+1]++ })
+	for k := range keys {
+		c.start[k+1] += c.start[k]
+	}
+	c.items = make([]T, c.start[keys])
+	// Fill with start[k] as list k's cursor. It stops at the list's end,
+	// which is where list k+1 starts, so the cursors shift back into place.
+	each(func(k int32, item T) {
+		c.items[c.start[k]] = item
+		c.start[k]++
+	})
+	copy(c.start[1:], c.start[:keys])
+	c.start[0] = 0
+	return c
+}
+
+func (c *csr[T]) keys() int        { return len(c.start) - 1 }
+func (c *csr[T]) list(k int32) []T { return c.items[c.start[k]:c.start[k+1]] }
+
+// edgeType indexes EdgeTypes.
+type edgeType uint8
+
+const (
+	edgeReg edgeType = iota
+	edgeForward
+	edgeMemory
+	edgeCrossThread
+)
+
+// Victim resolution looks nodes up by cycle window: the five residency
+// spans in spanStructs order, then a register's liveness window, from its
+// writeback to its last consumer's issue.
+const (
+	liveWindow = len(spanStructs)
+	numWindows = liveWindow + 1
+)
+
+// seed is an initial hop-1 contamination edge attached during victim
+// resolution (DL1 set strikes).
+type seed struct {
+	idx   int32
+	typ   edgeType
+	cycle uint64
+}
+
+// analysis is the dataflow index built once per Analyze call — who writes
 // and reads each physical register, which store satisfied each load (by
-// forwarding or through memory), and who touched each DL1 set when.
+// forwarding or through memory), who touched each DL1 set when, and whose
+// windows cover which cycles — plus the scratch one strike's expansion
+// reuses.
 type analysis struct {
-	t   *Tracer
-	opt Options
+	t       *Tracer
+	opt     Options
+	threads int
 
-	regWrites map[int32][]int // executed writers per phys reg, by (writeback, gseq)
-	writePos  []int           // node -> its position in regWrites[physDest]
-	regReads  map[int32][]int // issued readers per phys reg, by issue cycle
-	fwdOut    map[int][]int   // store node -> loads it forwarded to
-	memOut    map[int][]int   // store node -> loads that read it through memory
-	sets      [][]touch       // DL1 set -> touches, by cycle
-	pairKeys  [][]string      // [from tid][to tid] -> "from>to" Pairs key
+	writes csr[int32] // executed writers per phys reg, by (writeback, gseq)
+	reads  csr[int32] // issued readers per phys reg, by (issue, gseq)
+	// cons[i] is writer i's consumers, a range of reads.items: the reads
+	// of its register issuing from its writeback until the next writer's.
+	cons   []struct{ lo, hi int32 }
+	fwdOut csr[int32] // store node -> loads it forwarded to, in node order
+	memOut csr[int32] // store node -> loads that read it through memory
+	sets   csr[touch] // DL1 set -> touches, by (cycle, node)
+	// win lists, per (window kind, thread) key k*threads+tid, the nodes
+	// with a nonempty window of that kind, by (start, node); maxLen[key]
+	// is the longest of those windows.
+	win      csr[int32]
+	maxLen   []uint64
+	pairKeys []string // [from*threads+to] -> "from>to" Pairs key
+
+	hop   []int32 // node -> taint hop; -1 outside the current expansion
+	queue []int32 // the current expansion, breadth-first
+	edges [len(EdgeTypes)]int
+	pairs []int   // [from*threads+to] -> edges of the current expansion
+	cands []int32 // victim candidates
+	seeds []seed
+	seen  []bool // per thread, for DL1 set walks
 }
 
-// build indexes the tracer's nodes. Every list is sorted by explicit keys
-// so the whole analysis is deterministic.
+// build indexes the tracer's nodes in O(n log n). Every list is sorted by
+// explicit keys so the whole analysis is deterministic.
 func (t *Tracer) build() *analysis {
-	a := &analysis{
-		t:         t,
-		opt:       t.opt,
-		regWrites: make(map[int32][]int),
-		regReads:  make(map[int32][]int),
-		fwdOut:    make(map[int][]int),
-		memOut:    make(map[int][]int),
-	}
-	if t.dl1.Size > 0 {
-		a.sets = make([][]touch, t.dl1.Sets())
-	}
-	// Store lists per word for load matching.
-	fwdStores := make(map[wordKey][]int) // executed stores, by gseq
-	memStores := make(map[wordKey][]int) // committed stores, by (retire, gseq)
-	var loads []int
-	threads := t.threads
+	a := &analysis{t: t, opt: t.opt}
+	threads, regs := t.threads, 0
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		threads = max(threads, int(n.tid)+1)
-		if n.executed && n.physDest >= 0 {
-			a.regWrites[n.physDest] = append(a.regWrites[n.physDest], i)
+		regs = max(regs, int(n.physDest)+1, int(n.physSrc1)+1, int(n.physSrc2)+1)
+	}
+	a.threads = threads
+
+	a.writes = newCSR(regs, func(add func(int32, int32)) {
+		for i := range t.nodes {
+			if n := &t.nodes[i]; n.executed && n.physDest >= 0 {
+				add(n.physDest, int32(i))
+			}
 		}
-		if n.issued {
+	})
+	a.reads = newCSR(regs, func(add func(int32, int32)) {
+		for i := range t.nodes {
+			n := &t.nodes[i]
+			if !n.issued {
+				continue
+			}
 			if n.physSrc1 >= 0 {
-				a.regReads[n.physSrc1] = append(a.regReads[n.physSrc1], i)
+				add(n.physSrc1, int32(i))
 			}
 			if n.physSrc2 >= 0 && n.physSrc2 != n.physSrc1 {
-				a.regReads[n.physSrc2] = append(a.regReads[n.physSrc2], i)
+				add(n.physSrc2, int32(i))
 			}
 		}
-		switch n.class {
-		case isa.Store:
-			if n.executed {
-				fwdStores[n.word()] = append(fwdStores[n.word()], i)
+	})
+	var sorter nodeSorter
+	a.cons = make([]struct{ lo, hi int32 }, len(t.nodes))
+	for r := range int32(regs) {
+		writers, reads := a.writes.list(r), a.reads.list(r)
+		sorter.sort(writers, func(i int32) (uint64, uint64) { return t.nodes[i].ready, t.nodes[i].gseq })
+		sorter.sort(reads, func(i int32) (uint64, uint64) { return t.nodes[i].issueAt, t.nodes[i].gseq })
+		// Writers are sorted by writeback and readers by issue, so one
+		// forward walk finds every writer's range.
+		base, p := a.reads.start[r], 0
+		issuedFrom := func(cycle uint64) int32 {
+			for p < len(reads) && t.nodes[reads[p]].issueAt < cycle {
+				p++
 			}
-			if n.committed() {
-				memStores[n.word()] = append(memStores[n.word()], i)
-				a.touchSet(n.addr, touch{n.retire, i})
+			return base + int32(p)
+		}
+		for w, wi := range writers {
+			limit := ^uint64(0)
+			if w+1 < len(writers) {
+				limit = t.nodes[writers[w+1]].ready
 			}
-		case isa.Load:
-			if n.issued {
-				loads = append(loads, i)
-				if !n.forwarded {
-					// Wrong-path loads access the DL1 too.
-					a.touchSet(n.addr, touch{n.issueAt, i})
+			a.cons[wi].lo = issuedFrom(t.nodes[wi].ready)
+			a.cons[wi].hi = issuedFrom(limit)
+		}
+	}
+
+	a.win = newCSR(numWindows*threads, func(add func(int32, int32)) {
+		for i := range t.nodes {
+			for k := range numWindows {
+				if w := a.window(k, int32(i)); w.end > w.start {
+					add(int32(k*threads)+t.nodes[i].tid, int32(i))
 				}
 			}
 		}
-	}
-	a.writePos = make([]int, len(t.nodes))
-	for _, idxs := range a.regWrites {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.ready != ny.ready {
-				return nx.ready < ny.ready
-			}
-			return nx.gseq < ny.gseq
-		})
-		for p, idx := range idxs {
-			a.writePos[idx] = p
+	})
+	a.maxLen = make([]uint64, numWindows*threads)
+	for key := range int32(len(a.maxLen)) {
+		k, list := int(key)/threads, a.win.list(key)
+		sorter.sort(list, func(i int32) (uint64, uint64) { return a.window(k, i).start, uint64(i) })
+		for _, i := range list {
+			w := a.window(k, i)
+			a.maxLen[key] = max(a.maxLen[key], w.end-w.start)
 		}
 	}
-	for _, idxs := range a.regReads {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.issueAt != ny.issueAt {
-				return nx.issueAt < ny.issueAt
+
+	sets := 0
+	if t.dl1.Size > 0 {
+		sets = t.dl1.Sets()
+	}
+	a.sets = newCSR(sets, func(add func(int32, touch)) {
+		for i := range t.nodes {
+			n := &t.nodes[i]
+			if cycle, ok := n.dl1Access(); ok && sets > 0 {
+				add(a.setOf(n.addr), touch{cycle, int32(i)})
 			}
-			return nx.gseq < ny.gseq
+		}
+	})
+	for set := range int32(sets) {
+		slices.SortFunc(a.sets.list(set), func(x, y touch) int {
+			return cmp.Or(cmp.Compare(x.cycle, y.cycle), cmp.Compare(x.idx, y.idx))
 		})
 	}
-	for _, idxs := range fwdStores {
-		sort.Slice(idxs, func(x, y int) bool {
-			return t.nodes[idxs[x]].gseq < t.nodes[idxs[y]].gseq
-		})
+	a.matchLoads(&sorter)
+	a.pairKeys = make([]string, threads*threads)
+	for p := range a.pairKeys {
+		a.pairKeys[p] = fmt.Sprintf("%d>%d", p/threads, p%threads)
 	}
-	for _, idxs := range memStores {
-		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
-			if nx.retire != ny.retire {
-				return nx.retire < ny.retire
-			}
-			return nx.gseq < ny.gseq
-		})
+	a.hop = make([]int32, len(t.nodes))
+	for i := range a.hop {
+		a.hop[i] = -1
 	}
-	for s := range a.sets {
-		sort.Slice(a.sets[s], func(x, y int) bool {
-			tx, ty := a.sets[s][x], a.sets[s][y]
-			if tx.cycle != ty.cycle {
-				return tx.cycle < ty.cycle
-			}
-			return tx.idx < ty.idx
-		})
-	}
-	a.pairKeys = make([][]string, threads)
-	for from := range a.pairKeys {
-		a.pairKeys[from] = make([]string, threads)
-		for to := range a.pairKeys[from] {
-			a.pairKeys[from][to] = fmt.Sprintf("%d>%d", from, to)
-		}
-	}
-	// Match every load to the store it observed, mirroring the LSQ and
-	// cache semantics: forwarded loads take the youngest older executed
-	// same-word store (lsq.ForwardCheck); the rest read the latest store
-	// committed before their DL1 access.
-	for _, li := range loads {
-		ld := &t.nodes[li]
-		if ld.forwarded {
-			best := -1
-			for _, si := range fwdStores[ld.word()] {
-				st := &t.nodes[si]
-				if st.gseq >= ld.gseq {
-					break
-				}
-				if st.ready <= ld.issueAt {
-					best = si
-				}
-			}
-			if best >= 0 {
-				a.fwdOut[best] = append(a.fwdOut[best], li)
-			}
-			continue
-		}
-		best := -1
-		for _, si := range memStores[ld.word()] {
-			if t.nodes[si].retire > ld.issueAt {
-				break
-			}
-			best = si
-		}
-		if best >= 0 {
-			a.memOut[best] = append(a.memOut[best], li)
-		}
-	}
+	a.pairs = make([]int, threads*threads)
+	a.seen = make([]bool, threads)
 	return a
 }
 
-// touchSet logs one DL1 access into the set the address maps to.
-func (a *analysis) touchSet(addr uint64, tc touch) {
-	if len(a.sets) == 0 {
-		return
+// matchLoads matches every load to the store it observed, mirroring the
+// LSQ and cache semantics: forwarded loads take the youngest older executed
+// same-word store (lsq.ForwardCheck); the rest read the latest store
+// committed before their DL1 access.
+func (a *analysis) matchLoads(sorter *nodeSorter) {
+	t := a.t
+	fwdStores := make(map[wordKey][]int32) // executed stores, by gseq
+	memStores := make(map[wordKey][]int32) // committed stores, by (retire, gseq)
+	var loads []int32
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		switch {
+		case n.class == isa.Store:
+			if n.executed {
+				fwdStores[n.word()] = append(fwdStores[n.word()], int32(i))
+			}
+			if n.committed() {
+				memStores[n.word()] = append(memStores[n.word()], int32(i))
+			}
+		case n.class == isa.Load && n.issued:
+			loads = append(loads, int32(i))
+		}
 	}
-	set := int(addr/uint64(a.t.dl1.LineSize)) % len(a.sets)
-	a.sets[set] = append(a.sets[set], tc)
+	for _, idxs := range fwdStores {
+		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.nodes[i].gseq, 0 })
+	}
+	for _, idxs := range memStores {
+		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.nodes[i].retire, t.nodes[i].gseq })
+	}
+	var fwd, mem [][2]int32 // (store, load), in load order
+	for _, li := range loads {
+		ld := &t.nodes[li]
+		if ld.forwarded {
+			// The youngest store older than the load that had executed by
+			// its issue.
+			stores := fwdStores[ld.word()]
+			p := sort.Search(len(stores), func(i int) bool { return t.nodes[stores[i]].gseq >= ld.gseq })
+			for p--; p >= 0; p-- {
+				if t.nodes[stores[p]].ready <= ld.issueAt {
+					fwd = append(fwd, [2]int32{stores[p], li})
+					break
+				}
+			}
+			continue
+		}
+		stores := memStores[ld.word()]
+		if p := sort.Search(len(stores), func(i int) bool { return t.nodes[stores[i]].retire > ld.issueAt }); p > 0 {
+			mem = append(mem, [2]int32{stores[p-1], li})
+		}
+	}
+	out := func(pairs [][2]int32) csr[int32] {
+		return newCSR(len(t.nodes), func(add func(int32, int32)) {
+			for _, e := range pairs {
+				add(e[0], e[1])
+			}
+		})
+	}
+	a.fwdOut, a.memOut = out(fwd), out(mem)
+}
+
+// keyedNode is a node index with its sort keys copied out of the node.
+type keyedNode struct {
+	key, tie uint64
+	idx      int32
+}
+
+// nodeSorter sorts node indices through a reused buffer of keyedNodes, so
+// the comparisons read the buffer instead of chasing the nodes.
+type nodeSorter []keyedNode
+
+// sort orders idxs by (key, tie) as by returns them.
+func (s *nodeSorter) sort(idxs []int32, by func(i int32) (key, tie uint64)) {
+	if cap(*s) < len(idxs) {
+		*s = make(nodeSorter, len(idxs))
+	}
+	buf := (*s)[:len(idxs)]
+	for j, i := range idxs {
+		k, t := by(i)
+		buf[j] = keyedNode{k, t, i}
+	}
+	slices.SortFunc(buf, func(x, y keyedNode) int {
+		if x.key != y.key {
+			return cmp.Compare(x.key, y.key)
+		}
+		return cmp.Compare(x.tie, y.tie)
+	})
+	for j := range buf {
+		idxs[j] = buf[j].idx
+	}
+}
+
+// setOf maps an address to its DL1 set (the DL1 must have sets).
+func (a *analysis) setOf(addr uint64) int32 {
+	return int32(addr / uint64(a.t.dl1.LineSize) % uint64(a.t.dl1.Sets()))
 }
 
 // strikeSet maps a struck DL1 bit to its set. Lines are laid out
 // set-interleaved: line index Bit/lineBits runs over the Sets*Ways lines
 // with consecutive lines in consecutive sets, so set = line mod Sets —
 // the same modeling granularity the campaign's capacity math uses.
-func (a *analysis) strikeSet(st inject.Strike) (int, bool) {
-	if len(a.sets) == 0 {
+func (a *analysis) strikeSet(st inject.Strike) (int32, bool) {
+	if a.sets.keys() == 0 {
 		return 0, false
 	}
 	var lineBits uint64
@@ -212,143 +357,150 @@ func (a *analysis) strikeSet(st inject.Strike) (int, bool) {
 	if lineBits == 0 {
 		return 0, false
 	}
-	return int(st.Bit/lineBits) % len(a.sets), true
+	return int32(st.Bit / lineBits % uint64(a.sets.keys())), true
 }
 
-// consumers returns the readers a write of phys by writer node wi would
-// wake: reads issuing at or after the writeback, before the register's
-// next reallocation (approximated by the next writeback to the same
-// physical register). The readers are sorted by issue cycle, so they form
-// one run of regReads[phys], found by binary search; the returned slice
-// aliases the index and must not be modified.
-func (a *analysis) consumers(phys int32, wi int) []int {
-	writers := a.regWrites[phys]
-	pos := a.writePos[wi]
-	if pos >= len(writers) || writers[pos] != wi {
-		return nil
+// consumers returns the readers writer node wi's writeback would wake:
+// reads of its physical register issuing at or after the writeback, before
+// the register's next reallocation (approximated by the next writeback to
+// the same register), by issue cycle. Empty for a node that wrote no
+// register; the slice aliases the index and must not be modified.
+func (a *analysis) consumers(wi int32) []int32 {
+	c := a.cons[wi]
+	return a.reads.items[c.lo:c.hi]
+}
+
+// window returns node i's window of kind k, or an empty span when it has
+// none: a residency span, or for liveWindow the cycles from its register
+// writeback through its last consumer's issue.
+func (a *analysis) window(k int, i int32) span {
+	n := &a.t.nodes[i]
+	if k < liveWindow {
+		return n.spans[k]
 	}
-	limit := ^uint64(0)
-	if pos+1 < len(writers) {
-		limit = a.t.nodes[writers[pos+1]].ready
+	c := a.cons[i]
+	if c.lo == c.hi {
+		return span{}
 	}
-	reads := a.regReads[phys]
-	issuedFrom := func(cycle uint64) int {
-		return sort.Search(len(reads), func(i int) bool {
-			return a.t.nodes[reads[i]].issueAt >= cycle
-		})
+	return span{n.ready, a.t.nodes[a.reads.items[c.hi-1]].issueAt + 1}
+}
+
+// cover appends to dst the nodes of thread tid whose window of kind k
+// covers cycle c (start <= c < end). No window is longer than the key's
+// maxLen, so a covering one starts after c-maxLen: one binary search and
+// a walk to c find them all.
+func (a *analysis) cover(k, tid int, c uint64, dst []int32) []int32 {
+	if tid < 0 || tid >= a.threads {
+		return dst
 	}
-	return reads[issuedFrom(a.t.nodes[wi].ready):issuedFrom(limit)]
+	key := int32(k*a.threads + tid)
+	list, maxLen := a.win.list(key), a.maxLen[key]
+	var from uint64
+	if c >= maxLen {
+		from = c - maxLen + 1
+	}
+	i := sort.Search(len(list), func(j int) bool { return a.window(k, list[j]).start >= from })
+	for ; i < len(list); i++ {
+		w := a.window(k, list[i])
+		if w.start > c {
+			break
+		}
+		if c < w.end {
+			dst = append(dst, list[i])
+		}
+	}
+	return dst
+}
+
+// firstTouches walks touches (sorted by cycle) forward from the first one
+// after cycle and calls visit with the first touch of every thread except
+// thread skip (-1 skips none). It stops once every such thread is seen.
+func (a *analysis) firstTouches(touches []touch, cycle uint64, skip int32, visit func(tc touch, tid int32)) {
+	seen, unseen := a.seen, a.threads
+	clear(seen)
+	if skip >= 0 {
+		seen[skip] = true
+		unseen--
+	}
+	i := sort.Search(len(touches), func(i int) bool { return touches[i].cycle > cycle })
+	for ; i < len(touches) && unseen > 0; i++ {
+		tc := touches[i]
+		if tid := a.t.nodes[tc.idx].tid; !seen[tid] {
+			seen[tid] = true
+			unseen--
+			visit(tc, tid)
+		}
+	}
 }
 
 // resolve identifies the victim uop of a corrupting strike, plus the
 // initial contamination hops for array strikes (the accesses that read a
 // struck DL1 set after the strike). The strike's ThreadBit picks
-// deterministically among equally-resident candidates.
-func (a *analysis) resolve(st inject.Strike) (victim int, seeds []seed, ok bool) {
+// deterministically among equally-resident candidates. The seeds alias
+// scratch reused by the next call.
+func (a *analysis) resolve(st inject.Strike) (victim int32, seeds []seed, ok bool) {
 	t := a.t
 	switch st.Struct {
-	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU:
-		si := spanIndex(st.Struct)
-		var cands []int
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if int(n.tid) != st.TID {
-				continue
-			}
-			sp := n.spans[si]
-			if sp.end > sp.start && sp.start <= st.Cycle && st.Cycle < sp.end {
-				cands = append(cands, i)
-			}
+	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU, avf.Reg:
+		// A pipeline structure holds the uops whose residency span covers
+		// the strike; the register file holds the values whose ACE window,
+		// from the write to the last read, does.
+		k := liveWindow
+		if st.Struct != avf.Reg {
+			k = spanIndex(st.Struct)
 		}
-		return pickByGSeq(t, cands, st.ThreadBit)
-	case avf.Reg:
-		// The register file's ACE window runs from the write to the last
-		// read; reconstruct it from the consumer lists.
-		var cands []int
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if int(n.tid) != st.TID || !n.executed || n.physDest < 0 || n.ready > st.Cycle {
-				continue
-			}
-			for _, ri := range a.consumers(n.physDest, i) {
-				if a.t.nodes[ri].issueAt >= st.Cycle {
-					cands = append(cands, i)
-					break
-				}
-			}
-		}
-		return pickByGSeq(t, cands, st.ThreadBit)
+		a.cands = a.cover(k, st.TID, st.Cycle, a.cands[:0])
+		return pickByGSeq(t, a.cands, st.ThreadBit)
 	case avf.DL1Data, avf.DL1Tag:
 		set, mapped := a.strikeSet(st)
 		if !mapped {
 			return -1, nil, false
 		}
-		touches := a.sets[set]
+		touches := a.sets.list(set)
 		// Victim: the struck thread's last access to the set before the
 		// strike (falling back to any thread's — the line may be resident
 		// long after its owner's access).
-		victim = -1
-		anyPrior := -1
-		for _, tc := range touches {
-			if tc.cycle > st.Cycle {
+		prior := touches[:sort.Search(len(touches), func(i int) bool { return touches[i].cycle > st.Cycle })]
+		if len(prior) == 0 {
+			return -1, nil, false
+		}
+		victim = prior[len(prior)-1].idx
+		for i := len(prior) - 1; i >= 0; i-- {
+			if int(t.nodes[prior[i].idx].tid) == st.TID {
+				victim = prior[i].idx
 				break
 			}
-			anyPrior = tc.idx
-			if int(t.nodes[tc.idx].tid) == st.TID {
-				victim = tc.idx
-			}
-		}
-		if victim < 0 {
-			victim = anyPrior
-		}
-		if victim < 0 {
-			return -1, nil, false
 		}
 		// Initial hops: the first access each thread makes to the
 		// corrupted set after the strike — same-thread reads re-consume
 		// the datum (memory), other threads are contaminated through the
-		// shared array (cross_thread).
-		seen := map[int32]bool{}
-		for _, tc := range touches {
-			if tc.cycle <= st.Cycle {
-				continue
-			}
-			tid := t.nodes[tc.idx].tid
-			if seen[tid] || tc.idx == victim {
-				continue
-			}
-			seen[tid] = true
-			typ := EdgeMemory
+		// shared array (cross_thread). A node accesses the DL1 at most
+		// once, so the victim, at or before the strike, is not among them.
+		a.seeds = a.seeds[:0]
+		a.firstTouches(touches, st.Cycle, -1, func(tc touch, tid int32) {
+			typ := edgeMemory
 			if int(tid) != st.TID {
-				typ = EdgeCrossThread
+				typ = edgeCrossThread
 			}
-			seeds = append(seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
-		}
-		return victim, seeds, true
+			a.seeds = append(a.seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
+		})
+		return victim, a.seeds, true
 	default:
 		// ITLB/DTLB strikes corrupt translations, not tracked dataflow.
 		return -1, nil, false
 	}
 }
 
-// seed is an initial hop-1 contamination edge attached during victim
-// resolution (DL1 set strikes).
-type seed struct {
-	idx   int
-	typ   string
-	cycle uint64
-}
-
 // pickByGSeq orders candidates by fetch age and lets the strike's
 // ThreadBit choose — the offset within the thread's ACE share is uniform
 // over resident state, so this keeps victim selection unbiased and
 // deterministic.
-func pickByGSeq(t *Tracer, cands []int, threadBit uint64) (int, []seed, bool) {
+func pickByGSeq(t *Tracer, cands []int32, threadBit uint64) (int32, []seed, bool) {
 	if len(cands) == 0 {
 		return -1, nil, false
 	}
-	sort.Slice(cands, func(x, y int) bool {
-		return t.nodes[cands[x]].gseq < t.nodes[cands[y]].gseq
+	slices.SortFunc(cands, func(x, y int32) int {
+		return cmp.Compare(t.nodes[x].gseq, t.nodes[y].gseq)
 	})
 	return cands[int(threadBit%uint64(len(cands)))], nil, true
 }
@@ -396,84 +548,40 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	}
 
 	// Breadth-first taint expansion from the victim.
-	hops := map[int]int{victim: 0}
-	queue := []int{victim}
-	tr.Tainted = 1
-	edge := func(from, to int, typ string, cycle uint64) {
-		if _, seen := hops[to]; seen {
-			return
-		}
-		if len(hops) >= a.opt.MaxNodes {
-			tr.Truncated = true
-			return
-		}
-		h := hops[from] + 1
-		hops[to] = h
-		queue = append(queue, to)
-		tr.Tainted++
-		if tr.Edges == nil {
-			// Lazy: traces with no edges serialize without the maps, so a
-			// JSONL round trip reproduces them exactly.
-			tr.Edges = map[string]int{}
-			tr.Pairs = map[string]int{}
-		}
-		tr.Edges[typ]++
-		if h > tr.Depth {
-			tr.Depth = h
-		}
-		fn, tn := &t.nodes[from], &t.nodes[to]
-		if fn.tid != tn.tid {
-			tr.CrossThread++
-		}
-		tr.Pairs[a.pairKeys[fn.tid][tn.tid]]++
-		if len(tr.Hops) < a.opt.MaxRecordedHops {
-			tr.Hops = append(tr.Hops, Hop{
-				Hop: h, Type: typ,
-				FromTID: int(fn.tid), FromPC: fn.pc,
-				ToTID: int(tn.tid), ToPC: tn.pc,
-				Cycle: cycle,
-			})
-		}
-	}
+	a.hop[victim] = 0
+	a.queue = append(a.queue[:0], victim)
+	a.edges = [len(EdgeTypes)]int{}
+	clear(a.pairs)
 	for _, s := range seeds {
-		edge(victim, s.idx, s.typ, s.cycle)
+		a.edge(&tr, victim, s.idx, s.typ, s.cycle)
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		ni := queue[qi]
-		if hops[ni] >= a.opt.MaxHops {
+	// Once the node bound truncates the expansion no later edge can change
+	// the trace, so the walk stops there.
+	for qi := 0; qi < len(a.queue) && !tr.Truncated; qi++ {
+		ni := a.queue[qi]
+		if int(a.hop[ni]) >= a.opt.MaxHops {
 			continue
 		}
-		n := &t.nodes[ni]
-		if n.executed && n.physDest >= 0 {
-			for _, ri := range a.consumers(n.physDest, ni) {
-				edge(ni, ri, EdgeReg, t.nodes[ri].issueAt)
-			}
+		for _, ri := range a.consumers(ni) {
+			a.edge(&tr, ni, ri, edgeReg, t.nodes[ri].issueAt)
 		}
-		if n.class == isa.Store {
-			for _, li := range a.fwdOut[ni] {
-				edge(ni, li, EdgeForward, t.nodes[li].issueAt)
-			}
-			for _, li := range a.memOut[ni] {
-				edge(ni, li, EdgeMemory, t.nodes[li].issueAt)
-			}
-			// A tainted committed store also dirties its DL1 set: the
-			// next access each *other* thread makes to that set after the
-			// writeback crosses the shared-array boundary.
-			if n.committed() && len(a.sets) > 0 {
-				set := int(n.addr/uint64(t.dl1.LineSize)) % len(a.sets)
-				seen := map[int32]bool{n.tid: true}
-				for _, tc := range a.sets[set] {
-					if tc.cycle <= n.retire {
-						continue
-					}
-					tid := t.nodes[tc.idx].tid
-					if seen[tid] {
-						continue
-					}
-					seen[tid] = true
-					edge(ni, tc.idx, EdgeCrossThread, tc.cycle)
-				}
-			}
+		n := &t.nodes[ni]
+		if n.class != isa.Store {
+			continue
+		}
+		for _, li := range a.fwdOut.list(ni) {
+			a.edge(&tr, ni, li, edgeForward, t.nodes[li].issueAt)
+		}
+		for _, li := range a.memOut.list(ni) {
+			a.edge(&tr, ni, li, edgeMemory, t.nodes[li].issueAt)
+		}
+		// A tainted committed store also dirties its DL1 set: the next
+		// access each *other* thread makes to that set after the writeback
+		// crosses the shared-array boundary.
+		if n.committed() && a.sets.keys() > 0 {
+			a.firstTouches(a.sets.list(a.setOf(n.addr)), n.retire, n.tid, func(tc touch, _ int32) {
+				a.edge(&tr, ni, tc.idx, edgeCrossThread, tc.cycle)
+			})
 		}
 	}
 
@@ -481,17 +589,65 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	// work committed live (ACE). Taint confined to squashed, dead, or NOP
 	// uops never reaches committed state — microarchitectural masking the
 	// per-strike view refines beyond the campaign's ACE verdict.
-	for idx, h := range hops {
-		if t.nodes[idx].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
+	tr.Tainted = len(a.queue)
+	for _, i := range a.queue {
+		if h := int(a.hop[i]); t.nodes[i].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
 			tr.CommitHop = h
 		}
+		a.hop[i] = -1
 	}
 	if tr.CommitHop >= 0 {
 		tr.Terminal = TerminalSDC
 	} else {
 		tr.Terminal = TerminalMasked
 	}
+	if len(a.queue) > 1 {
+		// Traces with no edges serialize without the maps, so a JSONL
+		// round trip reproduces them exactly.
+		tr.Edges = map[string]int{}
+		for typ, n := range a.edges {
+			if n > 0 {
+				tr.Edges[EdgeTypes[typ]] = n
+			}
+		}
+		tr.Pairs = map[string]int{}
+		for p, n := range a.pairs {
+			if n > 0 {
+				tr.Pairs[a.pairKeys[p]] = n
+			}
+		}
+	}
 	return tr
+}
+
+// edge taints node to through an edge from the tainted node from, unless
+// it is already tainted or the expansion is at its node bound.
+func (a *analysis) edge(tr *Trace, from, to int32, typ edgeType, cycle uint64) {
+	if a.hop[to] >= 0 {
+		return
+	}
+	if len(a.queue) >= a.opt.MaxNodes {
+		tr.Truncated = true
+		return
+	}
+	h := a.hop[from] + 1
+	a.hop[to] = h
+	a.queue = append(a.queue, to)
+	a.edges[typ]++
+	tr.Depth = max(tr.Depth, int(h))
+	fn, tn := &a.t.nodes[from], &a.t.nodes[to]
+	if fn.tid != tn.tid {
+		tr.CrossThread++
+	}
+	a.pairs[int(fn.tid)*a.threads+int(tn.tid)]++
+	if len(tr.Hops) < a.opt.MaxRecordedHops {
+		tr.Hops = append(tr.Hops, Hop{
+			Hop: int(h), Type: EdgeTypes[typ],
+			FromTID: int(fn.tid), FromPC: fn.pc,
+			ToTID: int(tn.tid), ToPC: tn.pc,
+			Cycle: cycle,
+		})
+	}
 }
 
 // Analyze resolves and taint-tracks every strike against the recorded

@@ -2,12 +2,18 @@ package propagation
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
+	"sort"
+
+	"smtavf/internal/avf"
+	"smtavf/internal/inject"
+	"smtavf/internal/isa"
 )
 
-// CheckConsumers compares the indexed consumers lookup with the linear
-// scan it replaced, for every executed writer the tracer recorded. It
-// returns the number of writers checked and the first disagreement.
+// CheckConsumers compares every executed writer's precomputed consumer
+// range with the linear scan it replaced. It returns the number of
+// writers checked and the first disagreement.
 func (t *Tracer) CheckConsumers() (writers int, err error) {
 	a := t.build()
 	for i := range t.nodes {
@@ -16,7 +22,7 @@ func (t *Tracer) CheckConsumers() (writers int, err error) {
 			continue
 		}
 		writers++
-		got, want := a.consumers(n.physDest, i), a.scanConsumers(n.physDest, i)
+		got, want := a.consumers(int32(i)), a.scanConsumers(n.physDest, int32(i))
 		if !slices.Equal(got, want) {
 			return writers, fmt.Errorf("writer %d of p%d: consumers %v, linear scan %v", i, n.physDest, got, want)
 		}
@@ -24,10 +30,97 @@ func (t *Tracer) CheckConsumers() (writers int, err error) {
 	return writers, nil
 }
 
-// scanConsumers is the reference lookup: find the writer's position by
-// scanning regWrites, then walk regReads from the start.
-func (a *analysis) scanConsumers(phys int32, wi int) []int {
-	writers := a.regWrites[phys]
+// CheckAnalyze traces every strike through the indexed analysis and
+// through the reference below, under opt's bounds. It returns the indexed
+// traces and the first strike whose traces differ.
+func (t *Tracer) CheckAnalyze(strikes []inject.Strike, opt Options) ([]Trace, error) {
+	a := t.build()
+	a.opt = opt.withDefaults()
+	ref := a.reference()
+	traces := make([]Trace, len(strikes))
+	for i, st := range strikes {
+		traces[i] = a.trace(st)
+		if want := ref.trace(st); !reflect.DeepEqual(traces[i], want) {
+			return nil, fmt.Errorf("strike %d (%+v):\n indexed   %+v\n reference %+v", i, st, traces[i], want)
+		}
+	}
+	return traces, nil
+}
+
+// CheckCover compares the interval index with a scan of the thread's
+// windows for every window kind and thread: at the first and last cycle of
+// up to 32 longest windows, where the index's search bound is tight, and
+// at 64 cycles spread over the run. It returns the first disagreement.
+func (t *Tracer) CheckCover() error {
+	a := t.build()
+	type window struct {
+		idx int32
+		span
+	}
+	for k := range numWindows {
+		windows := make([][]window, a.threads)
+		var end uint64
+		for i := range t.nodes {
+			if w := a.scanWindow(k, int32(i)); w.end > w.start {
+				windows[t.nodes[i].tid] = append(windows[t.nodes[i].tid], window{int32(i), w})
+				end = max(end, w.end)
+			}
+		}
+		for tid, ws := range windows {
+			var longest uint64
+			for _, w := range ws {
+				longest = max(longest, w.end-w.start)
+			}
+			var cycles []uint64
+			for _, w := range ws {
+				if w.end-w.start == longest && len(cycles) < 64 {
+					cycles = append(cycles, w.start, w.end-1)
+				}
+			}
+			for c := uint64(0); c < end; c += end/64 + 1 {
+				cycles = append(cycles, c)
+			}
+			for _, c := range cycles {
+				got := a.cover(k, tid, c, nil)
+				slices.Sort(got)
+				var want []int32
+				for _, w := range ws {
+					if w.start <= c && c < w.end {
+						want = append(want, w.idx)
+					}
+				}
+				if !slices.Equal(got, want) {
+					return fmt.Errorf("window kind %d, thread %d, cycle %d: cover %v, scan %v", k, tid, c, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// scanWindow is the reference window of node i: its recorded span, or for
+// a register writer the cycles from its writeback through the issue of its
+// last consumer, found by scanConsumers.
+func (a *analysis) scanWindow(k int, i int32) span {
+	n := &a.t.nodes[i]
+	if k < liveWindow {
+		return n.spans[k]
+	}
+	if !n.executed || n.physDest < 0 {
+		return span{}
+	}
+	var w span
+	for _, ri := range a.scanConsumers(n.physDest, i) {
+		w = span{n.ready, a.t.nodes[ri].issueAt + 1}
+	}
+	return w
+}
+
+// scanConsumers is the reference consumers lookup: find the writer's
+// position by scanning its register's writer list, then walk the reader
+// list from the start.
+func (a *analysis) scanConsumers(phys, wi int32) []int32 {
+	writers := a.writes.list(phys)
 	pos := slices.Index(writers, wi)
 	if pos < 0 {
 		return nil
@@ -37,8 +130,8 @@ func (a *analysis) scanConsumers(phys int32, wi int) []int {
 	if pos+1 < len(writers) {
 		limit = a.t.nodes[writers[pos+1]].ready
 	}
-	var out []int
-	for _, ri := range a.regReads[phys] {
+	var out []int32
+	for _, ri := range a.reads.list(phys) {
 		r := &a.t.nodes[ri]
 		if r.issueAt < w.ready {
 			continue
@@ -49,4 +142,289 @@ func (a *analysis) scanConsumers(phys int32, wi int) []int {
 		out = append(out, ri)
 	}
 	return out
+}
+
+// reference is the analysis the indexes replaced: linear scans for load
+// matches, victims and consumers, walks of a DL1 set from its first
+// touch, and a map-based taint set. It shares only the sorted register
+// and DL1 set lists with the indexed analysis.
+type reference struct {
+	a              *analysis
+	fwdOut, memOut map[int32][]int32
+}
+
+type refSeed struct {
+	idx   int32
+	typ   string
+	cycle uint64
+}
+
+func (a *analysis) reference() *reference {
+	t := a.t
+	r := &reference{a: a, fwdOut: map[int32][]int32{}, memOut: map[int32][]int32{}}
+	fwdStores := make(map[wordKey][]int32)
+	memStores := make(map[wordKey][]int32)
+	var loads []int32
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		switch n.class {
+		case isa.Store:
+			if n.executed {
+				fwdStores[n.word()] = append(fwdStores[n.word()], int32(i))
+			}
+			if n.committed() {
+				memStores[n.word()] = append(memStores[n.word()], int32(i))
+			}
+		case isa.Load:
+			if n.issued {
+				loads = append(loads, int32(i))
+			}
+		}
+	}
+	for _, idxs := range fwdStores {
+		sort.Slice(idxs, func(x, y int) bool { return t.nodes[idxs[x]].gseq < t.nodes[idxs[y]].gseq })
+	}
+	for _, idxs := range memStores {
+		sort.Slice(idxs, func(x, y int) bool {
+			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
+			if nx.retire != ny.retire {
+				return nx.retire < ny.retire
+			}
+			return nx.gseq < ny.gseq
+		})
+	}
+	for _, li := range loads {
+		ld := &t.nodes[li]
+		if ld.forwarded {
+			best := int32(-1)
+			for _, si := range fwdStores[ld.word()] {
+				st := &t.nodes[si]
+				if st.gseq >= ld.gseq {
+					break
+				}
+				if st.ready <= ld.issueAt {
+					best = si
+				}
+			}
+			if best >= 0 {
+				r.fwdOut[best] = append(r.fwdOut[best], li)
+			}
+			continue
+		}
+		best := int32(-1)
+		for _, si := range memStores[ld.word()] {
+			if t.nodes[si].retire > ld.issueAt {
+				break
+			}
+			best = si
+		}
+		if best >= 0 {
+			r.memOut[best] = append(r.memOut[best], li)
+		}
+	}
+	return r
+}
+
+func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok bool) {
+	a, t := r.a, r.a.t
+	switch st.Struct {
+	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU:
+		si := spanIndex(st.Struct)
+		var cands []int32
+		for i := range t.nodes {
+			n := &t.nodes[i]
+			if int(n.tid) != st.TID {
+				continue
+			}
+			sp := n.spans[si]
+			if sp.end > sp.start && sp.start <= st.Cycle && st.Cycle < sp.end {
+				cands = append(cands, int32(i))
+			}
+		}
+		victim, _, ok = pickByGSeq(t, cands, st.ThreadBit)
+		return victim, nil, ok
+	case avf.Reg:
+		var cands []int32
+		for i := range t.nodes {
+			n := &t.nodes[i]
+			if int(n.tid) != st.TID || !n.executed || n.physDest < 0 || n.ready > st.Cycle {
+				continue
+			}
+			for _, ri := range a.scanConsumers(n.physDest, int32(i)) {
+				if t.nodes[ri].issueAt >= st.Cycle {
+					cands = append(cands, int32(i))
+					break
+				}
+			}
+		}
+		victim, _, ok = pickByGSeq(t, cands, st.ThreadBit)
+		return victim, nil, ok
+	case avf.DL1Data, avf.DL1Tag:
+		set, mapped := a.strikeSet(st)
+		if !mapped {
+			return -1, nil, false
+		}
+		touches := a.sets.list(set)
+		victim = -1
+		anyPrior := int32(-1)
+		for _, tc := range touches {
+			if tc.cycle > st.Cycle {
+				break
+			}
+			anyPrior = tc.idx
+			if int(t.nodes[tc.idx].tid) == st.TID {
+				victim = tc.idx
+			}
+		}
+		if victim < 0 {
+			victim = anyPrior
+		}
+		if victim < 0 {
+			return -1, nil, false
+		}
+		seen := map[int32]bool{}
+		for _, tc := range touches {
+			if tc.cycle <= st.Cycle {
+				continue
+			}
+			tid := t.nodes[tc.idx].tid
+			if seen[tid] || tc.idx == victim {
+				continue
+			}
+			seen[tid] = true
+			typ := EdgeMemory
+			if int(tid) != st.TID {
+				typ = EdgeCrossThread
+			}
+			seeds = append(seeds, refSeed{idx: tc.idx, typ: typ, cycle: tc.cycle})
+		}
+		return victim, seeds, true
+	default:
+		return -1, nil, false
+	}
+}
+
+func (r *reference) trace(st inject.Strike) Trace {
+	a, t := r.a, r.a.t
+	tr := Trace{
+		V:         SchemaVersion,
+		Struct:    st.Struct.String(),
+		Cycle:     st.Cycle,
+		Bit:       st.Bit,
+		TID:       st.TID,
+		Outcome:   st.Outcome.String(),
+		RootTID:   -1,
+		CommitHop: -1,
+	}
+	if !st.Outcome.Corrupting() {
+		tr.Terminal = TerminalMasked
+		return tr
+	}
+	victim, seeds, ok := r.resolve(st)
+	if ok {
+		v := &t.nodes[victim]
+		tr.Resolved = true
+		tr.RootTID = int(v.tid)
+		tr.RootPC = v.pc
+		tr.RootOp = v.class.String()
+	}
+	switch st.Outcome {
+	case inject.DUE:
+		tr.Terminal = TerminalDUE
+		return tr
+	case inject.Corrected:
+		tr.Terminal = TerminalCorrected
+		return tr
+	}
+	if !ok {
+		tr.Terminal = TerminalSDC
+		return tr
+	}
+
+	hops := map[int32]int{victim: 0}
+	queue := []int32{victim}
+	tr.Tainted = 1
+	edge := func(from, to int32, typ string, cycle uint64) {
+		if _, seen := hops[to]; seen {
+			return
+		}
+		if len(hops) >= a.opt.MaxNodes {
+			tr.Truncated = true
+			return
+		}
+		h := hops[from] + 1
+		hops[to] = h
+		queue = append(queue, to)
+		tr.Tainted++
+		if tr.Edges == nil {
+			tr.Edges = map[string]int{}
+			tr.Pairs = map[string]int{}
+		}
+		tr.Edges[typ]++
+		if h > tr.Depth {
+			tr.Depth = h
+		}
+		fn, tn := &t.nodes[from], &t.nodes[to]
+		if fn.tid != tn.tid {
+			tr.CrossThread++
+		}
+		tr.Pairs[fmt.Sprintf("%d>%d", fn.tid, tn.tid)]++
+		if len(tr.Hops) < a.opt.MaxRecordedHops {
+			tr.Hops = append(tr.Hops, Hop{
+				Hop: h, Type: typ,
+				FromTID: int(fn.tid), FromPC: fn.pc,
+				ToTID: int(tn.tid), ToPC: tn.pc,
+				Cycle: cycle,
+			})
+		}
+	}
+	for _, s := range seeds {
+		edge(victim, s.idx, s.typ, s.cycle)
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		ni := queue[qi]
+		if hops[ni] >= a.opt.MaxHops {
+			continue
+		}
+		n := &t.nodes[ni]
+		if n.executed && n.physDest >= 0 {
+			for _, ri := range a.scanConsumers(n.physDest, ni) {
+				edge(ni, ri, EdgeReg, t.nodes[ri].issueAt)
+			}
+		}
+		if n.class == isa.Store {
+			for _, li := range r.fwdOut[ni] {
+				edge(ni, li, EdgeForward, t.nodes[li].issueAt)
+			}
+			for _, li := range r.memOut[ni] {
+				edge(ni, li, EdgeMemory, t.nodes[li].issueAt)
+			}
+			if n.committed() && a.sets.keys() > 0 {
+				set := int32(n.addr / uint64(t.dl1.LineSize) % uint64(a.sets.keys()))
+				seen := map[int32]bool{n.tid: true}
+				for _, tc := range a.sets.list(set) {
+					if tc.cycle <= n.retire {
+						continue
+					}
+					tid := t.nodes[tc.idx].tid
+					if seen[tid] {
+						continue
+					}
+					seen[tid] = true
+					edge(ni, tc.idx, EdgeCrossThread, tc.cycle)
+				}
+			}
+		}
+	}
+	for idx, h := range hops {
+		if t.nodes[idx].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
+			tr.CommitHop = h
+		}
+	}
+	if tr.CommitHop >= 0 {
+		tr.Terminal = TerminalSDC
+	} else {
+		tr.Terminal = TerminalMasked
+	}
+	return tr
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smtavf/internal/avf"
@@ -70,9 +71,9 @@ func record(t *testing.T, benches []string, total uint64, every, seed uint64,
 	return tracer, camp, res
 }
 
-// TestConsumersMatchLinearScan checks the binary-searched register
-// consumer lookup against the linear scan for every writer of a recorded
-// two-thread run.
+// TestConsumersMatchLinearScan checks the precomputed register consumer
+// ranges against the linear scan for every writer of a recorded two-thread
+// run.
 func TestConsumersMatchLinearScan(t *testing.T) {
 	tracer, _, _ := record(t, []string{"mcf", "gcc"}, 20_000, 2, 7, propagation.Options{})
 	writers, err := tracer.CheckConsumers()
@@ -81,6 +82,48 @@ func TestConsumersMatchLinearScan(t *testing.T) {
 	}
 	if writers == 0 {
 		t.Fatal("no register writers recorded")
+	}
+}
+
+// TestAnalyzeMatchesReference requires the interval index to find the
+// windows a scan finds, and the indexed analysis to trace every strike
+// into every structure exactly as the linear-scan, map-based reference
+// does, on 1-, 2- and 4-thread runs, under the default bounds and under
+// bounds tight enough to truncate expansions.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	tight := propagation.Options{MaxNodes: 64, MaxHops: 3, MaxRecordedHops: 4}
+	for _, benches := range [][]string{
+		{"gcc"},
+		{"mcf", "gcc"},
+		{"gcc", "mcf", "vpr", "perlbmk"},
+	} {
+		tracer, camp, res := record(t, benches, 20_000, 2, 5, propagation.Options{})
+		if err := tracer.CheckCover(); err != nil {
+			t.Fatalf("%d threads: %v", len(benches), err)
+		}
+		var strikes []inject.Strike
+		for _, s := range avf.Structs() {
+			strikes = append(strikes, camp.SampleStrikes(s, res.Cycles, 64)...)
+		}
+		for _, opt := range []propagation.Options{{}, tight} {
+			traces, err := tracer.CheckAnalyze(strikes, opt)
+			if err != nil {
+				t.Fatalf("%d threads, %+v: %v", len(benches), opt, err)
+			}
+			// The comparison must reach every path it guards: register
+			// victims, DL1 seeds, cross-thread edges, and truncation.
+			var reg, dl1, cross, truncated bool
+			for _, tr := range traces {
+				reg = reg || tr.Resolved && tr.Struct == avf.Reg.String()
+				dl1 = dl1 || tr.Resolved && tr.Struct == avf.DL1Data.String() && tr.Tainted > 1
+				cross = cross || tr.CrossThread > 0
+				truncated = truncated || tr.Truncated
+			}
+			if !reg || !dl1 || cross != (len(benches) > 1) || opt == tight && !truncated {
+				t.Fatalf("%d threads, %+v: resolved reg %v, expanded dl1 %v, cross-thread %v, truncated %v",
+					len(benches), opt, reg, dl1, cross, truncated)
+			}
+		}
 	}
 }
 
@@ -247,4 +290,69 @@ func TestMaskedAndProtectedStrikes(t *testing.T) {
 			t.Fatalf("trace %d does not mirror its strike: %+v vs %+v", i, tr, st)
 		}
 	}
+}
+
+// TestReadJSONLRejectsMalformed checks the reader refuses every trace
+// Analyze cannot have written and Atlas.Add could not fold safely, and
+// still accepts a well-formed one.
+func TestReadJSONLRejectsMalformed(t *testing.T) {
+	const ok = `{"v":1,"struct":"IQ","terminal":"sdc","depth":2,"tainted":3,` +
+		`"edges":{"reg":1,"cross_thread":1},"pairs":{"0>0":1,"0>1":1},` +
+		`"hops":[{"hop":1,"type":"reg"},{"hop":2,"type":"cross_thread","to_tid":1}]}`
+	if _, err := propagation.ReadJSONL(strings.NewReader(ok + "\n")); err != nil {
+		t.Fatalf("well-formed trace rejected: %v", err)
+	}
+	for name, line := range map[string]string{
+		"hop below one":         `{"v":1,"struct":"IQ","terminal":"sdc","hops":[{"hop":-1,"type":"reg"}]}`,
+		"pair thread id 20000":  `{"v":1,"struct":"IQ","terminal":"sdc","pairs":{"20000>0":1}}`,
+		"hop above depth":       `{"v":1,"depth":1,"hops":[{"hop":1,"type":"reg"},{"hop":2,"type":"reg"}]}`,
+		"hop skips a level":     `{"v":1,"depth":3,"hops":[{"hop":1,"type":"reg"},{"hop":3,"type":"reg"}]}`,
+		"unknown edge type":     `{"v":1,"edges":{"wire":1}}`,
+		"unknown hop type":      `{"v":1,"depth":1,"hops":[{"hop":1,"type":"wire"}]}`,
+		"pair key without >":    `{"v":1,"pairs":{"0-1":1}}`,
+		"pair key not decimal":  `{"v":1,"pairs":{"01>1":1}}`,
+		"pair thread id 1024":   `{"v":1,"pairs":{"0>1024":1}}`,
+		"negative edge count":   `{"v":1,"edges":{"reg":-1}}`,
+		"negative pair count":   `{"v":1,"pairs":{"0>1":-1}}`,
+		"negative tainted":      `{"v":1,"tainted":-1}`,
+		"hop thread id 1024":    `{"v":1,"depth":1,"hops":[{"hop":1,"type":"reg","from_tid":1024}]}`,
+		"negative hop thread":   `{"v":1,"depth":1,"hops":[{"hop":1,"type":"reg","to_tid":-1}]}`,
+		"newer schema version":  `{"v":2}`,
+		"second line malformed": ok + "\n" + `{"v":1,"edges":{"reg":-1}}`,
+	} {
+		if _, err := propagation.ReadJSONL(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s: accepted %s", name, line)
+		}
+	}
+}
+
+// FuzzReadJSONL: whatever ReadJSONL accepts folds into an atlas and renders
+// without panicking, and re-encodes to traces it accepts again.
+func FuzzReadJSONL(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "atlas.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		traces, err := propagation.ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		atlas := propagation.NewAtlas(2)
+		for _, tr := range traces {
+			atlas.Add(tr)
+		}
+		atlas.Tables(10)
+		var buf bytes.Buffer
+		if err := propagation.WriteJSONL(&buf, traces); err != nil {
+			t.Fatalf("re-encoding accepted traces: %v", err)
+		}
+		if _, err := propagation.ReadJSONL(&buf); err != nil {
+			t.Fatalf("re-encoded traces rejected: %v\n%s", err, buf.Bytes())
+		}
+	})
 }

@@ -3,6 +3,9 @@ package propagation
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 
 	"smtavf/internal/jsonlio"
 )
@@ -106,14 +109,76 @@ type Trace struct {
 	Hops []Hop `json:"hops,omitempty"`
 }
 
+// maxTraceThreads bounds the thread ids a trace read back may name. Atlas.Add
+// grows its contamination matrix to the largest id, so this caps what one
+// line can make it allocate at 8 MB.
+const maxTraceThreads = 1024
+
 // checkTrace rejects traces with a schema version newer than this package
-// understands (older versions still parse).
+// understands (older versions still parse), and traces Analyze cannot have
+// written, which Atlas.Add could not fold safely: hop numbers outside
+// [1, Depth] or out of breadth-first order, edge types outside EdgeTypes,
+// Pairs keys not of the form "from>to", negative counts, and thread ids
+// outside [0, 1024).
 func checkTrace(tr *Trace) error {
 	if tr.V > SchemaVersion {
 		return fmt.Errorf("propagation: trace schema v%d is newer than supported v%d", tr.V, SchemaVersion)
 	}
+	if tr.Tainted < 0 || tr.Depth < 0 || tr.CrossThread < 0 {
+		return fmt.Errorf("propagation: negative count in trace (tainted %d, depth %d, cross_thread %d)",
+			tr.Tainted, tr.Depth, tr.CrossThread)
+	}
+	for typ, n := range tr.Edges {
+		if !slices.Contains(EdgeTypes[:], typ) {
+			return fmt.Errorf("propagation: unknown edge type %q", typ)
+		}
+		if n < 0 {
+			return fmt.Errorf("propagation: negative %s edge count %d", typ, n)
+		}
+	}
+	for key, n := range tr.Pairs {
+		if err := checkPair(key); err != nil {
+			return err
+		}
+		if n < 0 {
+			return fmt.Errorf("propagation: negative pair count %d for %q", n, key)
+		}
+	}
+	deepest := 0
+	for _, h := range tr.Hops {
+		if !slices.Contains(EdgeTypes[:], h.Type) {
+			return fmt.Errorf("propagation: unknown hop type %q", h.Type)
+		}
+		if h.Hop < 1 || h.Hop > tr.Depth {
+			return fmt.Errorf("propagation: hop %d outside [1, depth %d]", h.Hop, tr.Depth)
+		}
+		if h.Hop > deepest+1 {
+			return fmt.Errorf("propagation: hop %d follows hop %d, out of breadth-first order", h.Hop, deepest)
+		}
+		deepest = max(deepest, h.Hop)
+		if !validTID(h.FromTID) || !validTID(h.ToTID) {
+			return fmt.Errorf("propagation: hop thread ids %d>%d outside [0, %d)", h.FromTID, h.ToTID, maxTraceThreads)
+		}
+	}
 	return nil
 }
+
+// checkPair requires a Pairs key to be the canonical "from>to" Analyze
+// writes, naming thread ids in [0, 1024).
+func checkPair(key string) error {
+	f, t, _ := strings.Cut(key, ">")
+	from, ferr := strconv.Atoi(f)
+	to, terr := strconv.Atoi(t)
+	if ferr != nil || terr != nil || key != fmt.Sprintf("%d>%d", from, to) {
+		return fmt.Errorf("propagation: pair key %q is not of the form <from>><to>", key)
+	}
+	if !validTID(from) || !validTID(to) {
+		return fmt.Errorf("propagation: pair key %q names a thread outside [0, %d)", key, maxTraceThreads)
+	}
+	return nil
+}
+
+func validTID(tid int) bool { return tid >= 0 && tid < maxTraceThreads }
 
 // WriteJSONL writes traces as one JSON object per line (schema version in
 // every line's "v" field).
@@ -121,7 +186,8 @@ func WriteJSONL(w io.Writer, traces []Trace) error {
 	return jsonlio.WriteLines(w, traces)
 }
 
-// ReadJSONL parses traces written by WriteJSONL.
+// ReadJSONL parses traces written by WriteJSONL. A malformed trace (see
+// checkTrace) is an error.
 func ReadJSONL(r io.Reader) ([]Trace, error) {
 	return jsonlio.ReadLines(r, checkTrace)
 }
@@ -133,7 +199,8 @@ func WriteFile(path string, traces []Trace) error {
 }
 
 // ReadFile reads traces from a JSONL file, transparently decompressing
-// when the name ends in .gz.
+// when the name ends in .gz; a malformed trace is an error, as in
+// ReadJSONL.
 func ReadFile(path string) ([]Trace, error) {
 	return jsonlio.ReadFile(path, checkTrace)
 }

@@ -541,7 +541,10 @@ func WritePropagationTraces(path string, traces []PropagationTrace) error {
 }
 
 // ReadPropagationTraces reads traces written by WritePropagationTraces;
-// fold them through PropagationAtlas.Add to rebuild the atlas tables.
+// fold them through PropagationAtlas.Add to rebuild the atlas tables. A
+// malformed trace is an error: hop numbers outside [1, depth] or out of
+// breadth-first order, unknown edge types, pair keys not of the form
+// "from>to", negative counts, or thread ids outside [0, 1024).
 func ReadPropagationTraces(path string) ([]PropagationTrace, error) {
 	return propagation.ReadFile(path)
 }
