@@ -413,9 +413,10 @@ func runSim(b *testing.B, cfg smtavf.Config, opts ...smtavf.Option) *smtavf.Resu
 }
 
 // runTypedNil runs ablationMix for the same budget on a processor built
-// directly, with attach installing a typed-nil observer. The With* options treat a nil
-// observer as absent, so only this path exercises the nil-receiver no-op
-// on the hot path.
+// directly, with attach handing it a typed-nil observer. The With* options
+// treat a nil observer as absent, so only this path attaches a typed-nil
+// sink and exercises its nil-receiver no-op on the hot path; the Set*
+// retire-observer setters attach nothing for nil.
 func runTypedNil(b *testing.B, cfg core.Config, attach func(*core.Processor)) *core.Results {
 	profiles := make([]trace.Profile, 0, len(ablationMix))
 	for _, name := range ablationMix {
@@ -516,10 +517,10 @@ func BenchmarkPipetraceOverhead(b *testing.B) {
 }
 
 // BenchmarkPropagationOverhead measures the cost of the fault-propagation
-// tracer. "off" runs with no tracer — the prop==nil fast path at the
-// commit/squash hooks — and "nil" attaches a typed-nil *PropagationTracer
-// to a directly built processor, exercising the nil-receiver no-op; both must stay within noise of
-// BenchmarkSimulatorCycles. "on" attaches a tracer, samples strikes into
+// tracer. "off" runs with no tracer — an empty observer list at the
+// commit/squash hooks — and "nil" hands a typed-nil *PropagationTracer to
+// a directly built processor's SetPropagation, which attaches nothing;
+// both must stay within noise of BenchmarkSimulatorCycles. "on" attaches a tracer, samples strikes into
 // every structure, and runs the Analyze pass, showing what a full
 // -propagation run pays.
 func BenchmarkPropagationOverhead(b *testing.B) {

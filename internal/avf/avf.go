@@ -76,7 +76,7 @@ type Tracker struct {
 	bits    [NumStructs]uint64 // capacity in bits of each structure
 	ace     [NumStructs][]uint64
 	unace   [NumStructs][]uint64
-	sink    Sink
+	sinks   []Sink
 	rebase  uint64 // intervals are clipped to start no earlier than this
 
 	// pend holds batched occupancy deltas not yet folded into ace/unace:
@@ -119,10 +119,10 @@ func (t *Tracker) AddSpan(s Struct, tid int, bits, start, end uint64, ace bool) 
 	t.pend[i] += bits * (end - start)
 }
 
-// HasSink reports whether a positioned-interval sink is attached. Batched
+// HasSink reports whether any positioned-interval sink is attached. Batched
 // call sites check it to fall back to AddInterval, which forwards interval
 // positions the batch cannot carry.
-func (t *Tracker) HasSink() bool { return t.sink != nil }
+func (t *Tracker) HasSink() bool { return len(t.sinks) > 0 }
 
 // drain folds the pending batched bit-cycles into the accumulators.
 // Every reader calls it first, so the batch is never observable.

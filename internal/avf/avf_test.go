@@ -152,7 +152,7 @@ func (r *rebaseRecorder) Rebase(cycle uint64) { r.rebases = append(r.rebases, cy
 func TestRebaseNotifiesObserverSink(t *testing.T) {
 	trk := NewTracker(1, bits(64))
 	rec := &rebaseRecorder{}
-	trk.SetSink(rec)
+	trk.AddSink(rec)
 	trk.AddInterval(IQ, 0, 4, 0, 10, true)
 	trk.Rebase(10)
 	trk.AddInterval(IQ, 0, 4, 10, 20, true)
@@ -176,7 +176,7 @@ func (p *plainSink) Interval(s Struct, tid int, bits, start, end uint64, ace boo
 
 func TestRebaseToleratesPlainSink(t *testing.T) {
 	trk := NewTracker(1, bits(64))
-	trk.SetSink(&plainSink{})
+	trk.AddSink(&plainSink{})
 	trk.AddInterval(IQ, 0, 4, 0, 10, true)
 	trk.Rebase(10) // must not panic on a Sink without Rebase
 	if got := trk.ACEBitCycles(IQ); got != 0 {

@@ -13,47 +13,20 @@ type Sink interface {
 	Interval(s Struct, tid int, bits, start, end uint64, ace bool)
 }
 
-// SetSink attaches a Sink receiving every positioned interval; nil
-// detaches. Intervals recorded through the position-less Add are not
-// forwarded (no call sites mix the two for the same structure).
-func (t *Tracker) SetSink(s Sink) { t.sink = s }
-
-// AddSink attaches an additional Sink alongside any already installed:
-// with none it behaves like SetSink; otherwise the existing sink and the
-// new one both receive every interval (and, for those implementing
-// RebaseObserver, every rebase). Fault injection installs its campaign
-// via SetSink and the CPI-stack observer joins via AddSink, so the two
-// observe the identical interval stream.
+// AddSink attaches a Sink receiving every positioned interval (and, if it
+// implements RebaseObserver, every rebase), after any sinks already
+// attached; nil attaches nothing. Intervals recorded through the
+// position-less Add are not forwarded (no call sites mix the two for the
+// same structure). Fault injection and the CPI-stack observer both attach
+// here, so they observe the identical interval stream.
 func (t *Tracker) AddSink(s Sink) {
-	if t.sink == nil {
-		t.sink = s
-		return
-	}
-	t.sink = &teeSink{a: t.sink, b: s}
-}
-
-// teeSink fans one interval stream out to two sinks, forwarding rebase
-// notifications to whichever children observe them.
-type teeSink struct {
-	a, b Sink
-}
-
-func (t *teeSink) Interval(s Struct, tid int, bits, start, end uint64, ace bool) {
-	t.a.Interval(s, tid, bits, start, end, ace)
-	t.b.Interval(s, tid, bits, start, end, ace)
-}
-
-func (t *teeSink) Rebase(cycle uint64) {
-	if o, ok := t.a.(RebaseObserver); ok {
-		o.Rebase(cycle)
-	}
-	if o, ok := t.b.(RebaseObserver); ok {
-		o.Rebase(cycle)
+	if s != nil {
+		t.sinks = append(t.sinks, s)
 	}
 }
 
 // AddInterval records a residency interval [start, end) and forwards it to
-// the sink, if any. Intervals are clipped against the rebase point (see
+// every attached sink. Intervals are clipped against the rebase point (see
 // Rebase), so warmup-era residency never pollutes measured statistics.
 func (t *Tracker) AddInterval(s Struct, tid int, bits, start, end uint64, ace bool) {
 	if start < t.rebase {
@@ -63,8 +36,8 @@ func (t *Tracker) AddInterval(s Struct, tid int, bits, start, end uint64, ace bo
 		return
 	}
 	t.Add(s, tid, bits, end-start, ace)
-	if t.sink != nil {
-		t.sink.Interval(s, tid, bits, start, end, ace)
+	for _, k := range t.sinks {
+		k.Interval(s, tid, bits, start, end, ace)
 	}
 }
 
@@ -84,8 +57,8 @@ type RebaseObserver interface {
 // Rebase zeroes the accumulators and clips all future intervals at cycle:
 // the simulator calls it at the end of a warmup period, so that AVFs cover
 // only the measurement window. Callers must thereafter compute AVFs over
-// cycles-since-rebase. An attached Sink that implements RebaseObserver is
-// notified after the accumulators reset.
+// cycles-since-rebase. Every attached Sink that implements RebaseObserver
+// is notified after the accumulators reset.
 func (t *Tracker) Rebase(cycle uint64) {
 	t.drain() // pre-rebase spans must be zeroed with everything else
 	t.rebase = cycle
@@ -95,7 +68,9 @@ func (t *Tracker) Rebase(cycle uint64) {
 			t.unace[s][tid] = 0
 		}
 	}
-	if o, ok := t.sink.(RebaseObserver); ok {
-		o.Rebase(cycle)
+	for _, k := range t.sinks {
+		if o, ok := k.(RebaseObserver); ok {
+			o.Rebase(cycle)
+		}
 	}
 }

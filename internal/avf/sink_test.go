@@ -21,33 +21,38 @@ type rebaseBlindSink struct{ intervals int }
 
 func (p *rebaseBlindSink) Interval(Struct, int, uint64, uint64, uint64, bool) { p.intervals++ }
 
-// TestAddSinkTees pins the fan-out contract the CPI-stack observer
-// relies on: AddSink alone behaves like SetSink, AddSink on top of an
-// existing sink delivers every interval and rebase to both, and a child
-// without RebaseObserver is skipped rather than crashed into.
+// TestAddSinkTees pins the fan-out contract fault injection and the
+// CPI-stack observer rely on: a nil sink attaches nothing, a later sink
+// joins the earlier ones and every sink receives every interval and
+// rebase, and a sink without RebaseObserver is skipped rather than
+// crashed into.
 func TestAddSinkTees(t *testing.T) {
 	var bits [NumStructs]uint64
 	bits[IQ] = 100
 	trk := NewTracker(1, bits)
 
+	trk.AddSink(nil)
+	if trk.HasSink() {
+		t.Fatal("AddSink(nil) attached a sink")
+	}
 	first := &recSink{}
-	trk.AddSink(first) // no existing sink: plain attach
+	trk.AddSink(first)
 	trk.AddInterval(IQ, 0, 10, 0, 5, true)
 	if first.intervals != 1 || first.bitCycles != 50 {
 		t.Fatalf("single sink saw %d intervals / %d bit-cycles", first.intervals, first.bitCycles)
 	}
 
 	second := &recSink{}
-	trk.AddSink(second) // tee on top
+	trk.AddSink(second)
 	trk.AddInterval(IQ, 0, 10, 5, 10, false)
 	if first.intervals != 2 || second.intervals != 1 {
-		t.Fatalf("tee delivery: first saw %d, second saw %d", first.intervals, second.intervals)
+		t.Fatalf("fan-out delivery: first saw %d, second saw %d", first.intervals, second.intervals)
 	}
 	if second.bitCycles != 50 {
 		t.Fatalf("second sink bit-cycles %d, want 50", second.bitCycles)
 	}
 
-	// Rebase reaches both children, and the tracker clips later
+	// Rebase reaches both sinks, and the tracker clips later
 	// intervals identically for both.
 	trk.Rebase(20)
 	for _, s := range []*recSink{first, second} {
@@ -66,10 +71,10 @@ func TestAddSinkTees(t *testing.T) {
 	trk.AddSink(blind)
 	trk.Rebase(30)
 	if len(first.rebases) != 2 || len(second.rebases) != 2 {
-		t.Fatalf("nested tee dropped a rebase: %v / %v", first.rebases, second.rebases)
+		t.Fatalf("third sink cost a rebase: %v / %v", first.rebases, second.rebases)
 	}
 	trk.AddInterval(IQ, 0, 1, 30, 31, true)
 	if blind.intervals != 1 || first.intervals != 4 || second.intervals != 3 {
-		t.Fatalf("nested tee delivery: %d / %d / %d", first.intervals, second.intervals, blind.intervals)
+		t.Fatalf("three-sink delivery: %d / %d / %d", first.intervals, second.intervals, blind.intervals)
 	}
 }

@@ -246,7 +246,14 @@ func (s *Service) execute(j job) {
 	}
 
 	if perr := s.store.AppendResult(j.id, res); perr != nil {
+		// A result the store does not hold re-runs after a restart, so
+		// the point must not read as done: it fails visibly instead.
 		s.log.Error("campaign: persisting result", "id", j.id, "point", j.point, "err", perr)
+		msg := "campaign: persisting result: " + perr.Error()
+		if res.Error != "" {
+			msg = res.Error + "; " + msg
+		}
+		res.Status, res.Error = obs.StatusError, msg
 	}
 	s.appendPointManifest(j, res, start)
 

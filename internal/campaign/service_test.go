@@ -3,7 +3,9 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +127,77 @@ func TestServiceExecutorErrorRecorded(t *testing.T) {
 	}
 	if st.State != "ok" {
 		t.Fatalf("state = %s; an error point still completes the campaign", st.State)
+	}
+}
+
+// TestServiceUnpersistedResultIsError: a point whose result the store
+// cannot append (results.jsonl is a directory here; ENOSPC or EROFS fail
+// the same call) is reported as an error on the stream, in Status and in
+// its campaign-point manifest, never as ok: a restart would re-run it.
+func TestServiceUnpersistedResultIsError(t *testing.T) {
+	dir := t.TempDir()
+	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+	ledger, err := obs.OpenLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := &fakeExecutor{gate: make(chan struct{})}
+	blockAppend := func(spec Spec) (*Result, error) {
+		dirs, err := filepath.Glob(filepath.Join(dir, "*", "campaign.json"))
+		if err != nil || len(dirs) != 1 {
+			return nil, fmt.Errorf("campaign dirs %v: %v", dirs, err)
+		}
+		if err := os.Mkdir(filepath.Join(filepath.Dir(dirs[0]), "results.jsonl"), 0o755); err != nil {
+			return nil, err
+		}
+		return fe.exec(spec)
+	}
+	s := newTestService(t, dir, blockAppend, ledger)
+	id, _, err := s.Submit(Matrix{Base: Spec{Mix: "2ctx-CPU-A"}}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, live, _, cancel, err := s.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	fe.gate <- struct{}{} // the point runs once the subscription is live
+	var streamed *Result
+	select {
+	case streamed = <-live:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no result streamed")
+	}
+	waitDone(t, s, id)
+	check := func(where, status, msg string) {
+		t.Helper()
+		if status != obs.StatusError || !strings.Contains(msg, "persisting result") {
+			t.Errorf("%s: status %q, error %q; want an error naming the failed append", where, status, msg)
+		}
+	}
+	check("stream", streamed.Status, streamed.Error)
+	st, err := s.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Results) != 1 {
+		t.Fatalf("status holds %d results, want 1", len(st.Results))
+	}
+	check("status", st.Results[0].Status, st.Results[0].Error)
+	manifests, err := obs.ReadLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for _, m := range manifests {
+		if m.Kind == "campaign-point" {
+			points++
+			check("campaign-point manifest", m.Status, m.Error)
+		}
+	}
+	if points != 1 {
+		t.Fatalf("ledger holds %d campaign-point manifests, want 1", points)
 	}
 }
 

@@ -311,9 +311,9 @@ func ParseProtection(m map[string]string) (core.ProtectionModes, error) {
 }
 
 // Defaults supplies the caller-level fallbacks a Spec resolves against —
-// the experiments runner passes its Options-derived seed, warmup, budget
-// rule, and Configure hook here, so a spec run through the runner behaves
-// exactly like the per-kind methods it replaced.
+// the experiments runner passes its Options-derived seed, warmup and
+// budget rule here, so a spec run through the runner behaves exactly like
+// the per-kind methods it replaced.
 type Defaults struct {
 	// Seed backs Spec.Seed when 0 (then 1).
 	Seed uint64
@@ -321,8 +321,6 @@ type Defaults struct {
 	Warmup uint64
 	// Budget backs Spec.Instructions when 0 (nil leaves the quota 0).
 	Budget func(contexts int) uint64
-	// Configure, if non-nil, may adjust the machine configuration last.
-	Configure func(*core.Config)
 }
 
 // Resolved is a Spec joined with its Defaults: the concrete machine
@@ -398,9 +396,6 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 	cfg.PhaseInterval = s.PhaseInterval
 	if err := cfg.SetPolicy(s.PolicyName()); err != nil {
 		return nil, err
-	}
-	if d.Configure != nil {
-		d.Configure(&cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -22,19 +22,16 @@ type cpiPrev struct {
 // SetCPIStack attaches the CPI-stack/occupancy observer: the per-cycle
 // attribution pass runs while it is set, uop residencies feed it at the
 // same classification sites as the AVF tracker, and register-file
-// intervals reach it through the tracker's sink (AddSink — call after any
-// AttachSink so both observers see the stream). Call before Run; nil
-// detaches.
+// intervals reach it through the tracker's sink list. Call before Run;
+// nil attaches nothing.
 func (p *Processor) SetCPIStack(o *cpistack.Observer) {
-	p.cpi = o
-	p.refreshObservers()
 	if o == nil {
-		p.cpiComps = nil
-		p.cpiPrev = nil
 		return
 	}
 	o.Configure(p.cfg.Bits, StructBits(p.cfg), p.cfg.Threads, p.now)
+	p.cpi = o
 	p.trk.AddSink(o)
+	p.observers = append(p.observers, o)
 	p.cpiComps = make([]cpistack.Component, p.cfg.Threads)
 	p.cpiPrev = make([]cpiPrev, p.cfg.Threads)
 }

@@ -92,18 +92,15 @@ type Processor struct {
 	telFlushes   *telemetry.Counter
 	telSquashed  *telemetry.Counter
 
-	// Pipeline flight recorder (SetPipeTrace). nil when detached; every
-	// Record call below is then a nil-receiver no-op.
-	rec *pipetrace.Recorder
+	// Retire observers (SetPipeTrace, SetPropagation, SetCPIStack) in
+	// attach order. Every classification site reports the retiring pool
+	// slot to each of them; with none attached the loop is empty.
+	observers []retireObserver
 
-	// Fault-propagation tracer (SetPropagation). nil when detached; fed
-	// at the same sites as the flight recorder.
-	prop *propagation.Tracer
-
-	// CPI-stack observer (SetCPIStack). nil when detached: the per-cycle
-	// attribution pass is skipped entirely and the Record hooks are
-	// nil-receiver no-ops. cpiComps is per-cycle scratch, cpiPrev the
-	// per-thread counter snapshots the attribution diffs against.
+	// CPI-stack observer (SetCPIStack), also on the observer list. nil
+	// when detached: the per-cycle attribution pass is skipped entirely.
+	// cpiComps is per-cycle scratch, cpiPrev the per-thread counter
+	// snapshots the attribution diffs against.
 	cpi      *cpistack.Observer
 	cpiComps []cpistack.Component
 	cpiPrev  []cpiPrev
@@ -116,13 +113,15 @@ type Processor struct {
 	fetchOrder  []int
 	issueBuf    []pipeline.UID
 	flushBuf    []pipeline.UID
+}
 
-	// anyObs is set while a pipetrace/propagation/cpistack observer is
-	// attached; only then do the classification sites materialize pool
-	// slots into the observer-facing obsUop scratch (the side-table rule
-	// of docs/performance.md).
-	anyObs bool
-	obsUop pipeline.Uop
+// retireObserver is a pipeline observer fed at every classification site
+// (commit, squash, and end-of-run accounting) with the retiring pool slot,
+// and rebased at the end of warmup together with the AVF tracker. Record
+// must copy out what it keeps: the slot is recycled once it returns.
+type retireObserver interface {
+	Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool)
+	Rebase(cycle uint64)
 }
 
 // New builds a processor running one synthetic benchmark per context.
@@ -376,9 +375,9 @@ func (p *Processor) rebaseMeasurement() {
 		p.telemetryRoll(false)
 	}
 	p.trk.Rebase(p.now) // also rebases the cpistack observer via its sink
-	p.rec.Rebase(p.now)
-	p.prop.Rebase(p.now)
-	p.cpi.Rebase(p.now) // idempotent if the sink notification already ran
+	for _, o := range p.observers {
+		o.Rebase(p.now) // idempotent for the cpistack observer
+	}
 	p.measureStart = p.now
 	p.warmCommitted = p.totalCommitted
 	p.warmPerThread = make([]uint64, len(p.threads))
@@ -465,33 +464,33 @@ func (p *Processor) Now() uint64 { return p.now }
 func (p *Processor) Tracker() *avf.Tracker { return p.trk }
 
 // AttachSink registers a positioned-interval observer (e.g. a fault
-// injection campaign) on the AVF tracker. Call before Run.
-func (p *Processor) AttachSink(s avf.Sink) { p.trk.SetSink(s) }
+// injection campaign) on the AVF tracker, alongside any already attached.
+// Call before Run; nil attaches nothing.
+func (p *Processor) AttachSink(s avf.Sink) { p.trk.AddSink(s) }
 
 // SetPipeTrace attaches a pipeline flight recorder; every uop leaving the
 // machine is reported to it at the same three sites that feed the AVF
 // tracker, so the recorder's provenance totals reconcile with the
-// tracker's bit-cycle counts exactly. Call before Run; nil detaches.
+// tracker's bit-cycle counts exactly. Call before Run; nil attaches
+// nothing.
 func (p *Processor) SetPipeTrace(r *pipetrace.Recorder) {
-	p.rec = r
+	if r == nil {
+		return
+	}
 	r.SetBits(p.cfg.Bits)
-	p.refreshObservers()
-}
-
-// refreshObservers recomputes the any-observer-attached flag after a
-// Set* call; the classification sites skip materialization while clear.
-func (p *Processor) refreshObservers() {
-	p.anyObs = p.rec != nil || p.prop != nil || p.cpi != nil
+	p.observers = append(p.observers, r)
 }
 
 // SetPropagation attaches a fault-propagation tracer; it observes the
 // same commit/squash/end-of-run population the flight recorder and the
 // AVF tracker see, so offline strike traces resolve victims against
-// exactly the accounted state. Call before Run; nil detaches.
+// exactly the accounted state. Call before Run; nil attaches nothing.
 func (p *Processor) SetPropagation(t *propagation.Tracer) {
-	p.prop = t
+	if t == nil {
+		return
+	}
 	t.Configure(p.cfg.Bits, p.cfg.DL1, p.cfg.Threads)
-	p.refreshObservers()
+	p.observers = append(p.observers, t)
 }
 
 // closeAccounting finalizes every open residency interval at the end of a
@@ -538,16 +537,10 @@ func (p *Processor) classifyUop(u pipeline.UID, squashed bool) {
 	}
 }
 
-// recordObservers materializes slot u into the observer-facing scratch
-// view and reports it to every attached observer at a classification site.
-// When nothing is attached the pool slot is never materialized — the
-// side-table rule that keeps the bare hot loop free of struct traffic.
+// recordObservers reports slot u to every retire observer at a
+// classification site.
 func (p *Processor) recordObservers(u pipeline.UID, squashed bool) {
-	if !p.anyObs {
-		return
+	for _, o := range p.observers {
+		o.Record(p.pool, u, p.now, squashed)
 	}
-	p.pool.Materialize(u, &p.obsUop)
-	p.rec.Record(&p.obsUop, p.now, squashed)
-	p.prop.Record(&p.obsUop, p.now, squashed)
-	p.cpi.Record(&p.obsUop, squashed)
 }

@@ -10,8 +10,8 @@ import (
 // TestResidencySquashBeforeIssue drives a run long enough to squash
 // dispatched-but-unissued work (branch recovery rolls the ROB back over
 // entries still waiting in the IQ) and checks the side-table layout keeps
-// those uops' residencies exact: the flight recorder — fed from the
-// materialized observer view — reconciles bit-for-bit with the tracker,
+// those uops' residencies exact: the flight recorder — reading the pool
+// slots it is handed — reconciles bit-for-bit with the tracker,
 // and the squash-before-issue records carry no FU or LSQ-data residency.
 func TestResidencySquashBeforeIssue(t *testing.T) {
 	_, rec := runWithPipeTrace(t, 0, pipetrace.Options{}, 20_000)

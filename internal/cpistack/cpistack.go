@@ -17,9 +17,10 @@
 // the causal chain (fetch policy → occupancy → ACE composition → AVF) the
 // paper argues, observable per interval.
 //
-// Like every observer (docs/observability.md), the hot-path hooks are
-// nil-receiver no-ops: a detached observer costs one predictable branch
-// per cycle, pinned by BenchmarkCPIStackOverhead.
+// Like every observer (docs/observability.md), a detached observer is
+// free: the processor skips the attribution pass behind one nil check per
+// cycle and calls only attached observers, pinned by
+// BenchmarkCPIStackOverhead.
 package cpistack
 
 import (
@@ -117,7 +118,7 @@ type Options struct {
 // all methods are nil-receiver no-ops so a detached observer costs
 // nothing.
 //
-// Ownership: Record copies everything it keeps out of the pooled uop
+// Ownership: Record copies everything it keeps out of the pool slot
 // before returning (docs/performance.md).
 type Observer struct {
 	window  uint64
@@ -212,16 +213,17 @@ func (o *Observer) Tick(now uint64, comps []Component) {
 	}
 }
 
-// Record accounts a classified uop's structure residencies, split across
-// windows by fate. It is fed at the same commit/squash/end-of-run sites as
-// the AVF tracker and uses the tracker's clipped-interval arithmetic, so
-// the per-fate sums reconcile with the tracker bit for bit.
-func (o *Observer) Record(u *pipeline.Uop, squashed bool) {
+// Record accounts classified pool slot id's structure residencies, split
+// across windows by fate. It is fed at the same commit/squash/end-of-run
+// sites as the AVF tracker and uses the tracker's clipped-interval
+// arithmetic, so the per-fate sums reconcile with the tracker bit for bit.
+// The retire cycle is unused: residencies carry their own positions.
+func (o *Observer) Record(pl *pipeline.Pool, id pipeline.UID, _ uint64, squashed bool) {
 	if o == nil {
 		return
 	}
-	fate := u.Fate(squashed)
-	for _, r := range u.Residencies(o.bits) {
+	fate := pl.Fate(id, squashed)
+	for _, r := range pl.Residencies(id, o.bits) {
 		o.addSpan(r.Struct, fate, r.Bits, r.Start, r.End)
 	}
 }

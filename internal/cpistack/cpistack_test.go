@@ -24,11 +24,23 @@ func testObserver(window uint64) *Observer {
 	return o
 }
 
+// aluSlot fills a fresh ALU slot of pl resident in the IQ over
+// [iqStart, iqStart+iqCycles) and in the ROB over
+// [robStart, robStart+robCycles).
+func aluSlot(pl *pipeline.Pool, iqStart, iqCycles, robStart, robCycles uint64) pipeline.UID {
+	u := pl.Alloc()
+	pl.Reset(u, &isa.Instruction{Class: isa.IntALU}, 0, 0, 0, false, 0)
+	r := &pl.Res[u]
+	r.EnterIQ, r.IQCycles = iqStart, iqCycles
+	r.EnterROB, r.ROBCycles = robStart, robCycles
+	return u
+}
+
 func TestNilObserverIsNoOp(t *testing.T) {
 	var o *Observer
 	o.Configure(pipeline.DefaultBits(), [avf.NumStructs]uint64{}, 2, 0)
 	o.Tick(0, []Component{CompBase, CompIdle})
-	o.Record(&pipeline.Uop{}, false)
+	o.Record(nil, 0, 0, false)
 	o.Interval(avf.Reg, 0, 64, 0, 10, true)
 	o.Rebase(5)
 	o.PublishTelemetry(nil)
@@ -96,8 +108,8 @@ func TestSpanSplitsAcrossWindows(t *testing.T) {
 // tracker.
 func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	o := testObserver(10)
-	u := &pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 2, IQCycles: 6}
-	o.Record(u, false) // committed fate
+	pl := pipeline.NewPool(2)
+	o.Record(pl, aluSlot(pl, 2, 6, 0, 0), 8, false) // committed fate
 	if got := o.ACEBitCycles(avf.IQ); got != 80*6 {
 		t.Fatalf("IQ ACE bit-cycles %d, want %d", got, 80*6)
 	}
@@ -107,8 +119,7 @@ func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	}
 	// An interval straddling the rebase point is clipped to the measured
 	// side, exactly like avf.Tracker.AddInterval.
-	u2 := &pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 6, IQCycles: 8} // [6, 14) -> [10, 14)
-	o.Record(u2, true)                                                                            // squashed fate, un-ACE
+	o.Record(pl, aluSlot(pl, 6, 8, 0, 0), 14, true) // [6, 14) -> [10, 14), squashed fate, un-ACE
 	if got := o.FateBitCycles(avf.IQ, avf.FateSquashed); got != 80*4 {
 		t.Fatalf("clipped squashed bit-cycles %d, want %d", got, 80*4)
 	}
@@ -125,7 +136,8 @@ func fillObserver(t *testing.T) *Observer {
 		o.Tick(cyc, comps)
 	}
 	o.Interval(avf.Reg, 0, 64, 0, 25, true)
-	o.Record(&pipeline.Uop{Instruction: isa.Instruction{Class: isa.IntALU}, EnterIQ: 3, IQCycles: 12, EnterROB: 3, ROBCycles: 14}, false)
+	pl := pipeline.NewPool(1)
+	o.Record(pl, aluSlot(pl, 3, 12, 3, 14), 17, false)
 	return o
 }
 

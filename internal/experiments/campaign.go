@@ -15,10 +15,9 @@ import (
 // every run the runner makes resolves a campaign.Spec against them.
 func (r *Runner) defaults() campaign.Defaults {
 	return campaign.Defaults{
-		Seed:      r.opts.Seed,
-		Warmup:    r.opts.Warmup,
-		Budget:    r.budget,
-		Configure: r.opts.Configure,
+		Seed:   r.opts.Seed,
+		Warmup: r.opts.Warmup,
+		Budget: r.budget,
 	}
 }
 
@@ -168,9 +167,8 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 
 // campaignExplain runs the workload once per policy with the CPI-stack
 // observer attached and distills the runs into the explainability figure
-// family. Each policy re-resolves the spec so the Configure hook sees the
-// final per-policy configuration; the policies resolve in order, then
-// their simulations run concurrently, each with its own observer.
+// family. Each policy re-resolves the spec; the policies resolve in order,
+// then their simulations run concurrently, each with its own observer.
 func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	rv0, err := spec.Resolve(r.defaults())
 	if err != nil {

@@ -30,9 +30,6 @@ type Options struct {
 	NoWarmup bool
 	// Seed makes the whole report reproducible.
 	Seed uint64
-	// Configure, if non-nil, may adjust each machine configuration before
-	// a run (used by ablation benchmarks).
-	Configure func(*core.Config)
 	// Shards splits every run into this many deterministic intervals per
 	// thread, simulated in parallel on ShardWorkers goroutines (see
 	// internal/shard). 0 or 1 runs monolithically. Sharded runs keep exact

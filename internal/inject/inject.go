@@ -144,7 +144,7 @@ func (c column) difference() {
 }
 
 // Campaign collects strike samples. Create with NewCampaign, attach via
-// Tracker.SetSink, run the simulation, then call Estimate/Outcomes (or
+// Tracker.AddSink, run the simulation, then call Estimate/Outcomes (or
 // RunStrikes for the confidence-bounded sequential experiment).
 //
 // Campaign implements avf.RebaseObserver: when the tracker rebases at the

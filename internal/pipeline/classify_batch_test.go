@@ -8,13 +8,13 @@ import (
 )
 
 // intervalLog captures the positioned interval stream so tests can assert
-// the attached-sink path's emission order alongside its totals.
+// the attached-sink path's intervals and their order alongside its totals.
 type intervalLog struct {
-	structs []avf.Struct
+	got []Residency
 }
 
 func (l *intervalLog) Interval(s avf.Struct, tid int, bits, start, end uint64, ace bool) {
-	l.structs = append(l.structs, s)
+	l.got = append(l.got, Residency{s, bits, start, end})
 }
 
 func testTrackerPair() (*avf.Tracker, *avf.Tracker) {
@@ -87,7 +87,7 @@ func TestClassifyBatchSquashBeforeIssue(t *testing.T) {
 
 // TestClassifyBatchMatchesIntervalPath covers a committed memory uop with
 // every residency populated: totals agree bit-for-bit, and the interval
-// path still emits the canonical structure order for its sink.
+// path emits exactly the slot's Residencies, in their order.
 func TestClassifyBatchMatchesIntervalPath(t *testing.T) {
 	p := NewPool(4)
 	in := isa.Instruction{Seq: 3, PC: 0x108, Class: isa.Load, Dest: 4, Addr: 0x4000, Size: 8}
@@ -101,15 +101,15 @@ func TestClassifyBatchMatchesIntervalPath(t *testing.T) {
 	r.IssuedAt, r.FUCycles = 36, 3
 	ti, tb := testTrackerPair()
 	log := &intervalLog{}
-	ti.SetSink(log)
+	ti.AddSink(log)
 	classifyBoth(t, p, u, false, ti, tb)
-	want := []avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU}
-	if len(log.structs) != len(want) {
-		t.Fatalf("sink saw %d intervals, want %d", len(log.structs), len(want))
+	want := p.Residencies(u, DefaultBits())
+	if len(log.got) != len(want) {
+		t.Fatalf("sink saw %d intervals, want %d", len(log.got), len(want))
 	}
-	for i, s := range want {
-		if log.structs[i] != s {
-			t.Errorf("interval %d went to %s, want %s", i, log.structs[i], s)
+	for i, w := range want {
+		if log.got[i] != w {
+			t.Errorf("interval %d = %+v, Residencies gives %+v", i, log.got[i], w)
 		}
 	}
 	if got := tb.ThreadACEBitCycles(avf.IQ, 0); got != 4*DefaultBits().IQEntry {

@@ -11,7 +11,7 @@ type FUPool struct {
 	busy   [isa.NumFUKinds][]uint64 // per-unit busy-until cycle
 
 	// BusyACE/BusyAll accumulate unit-occupancy cycles for utilization
-	// statistics (AVF is charged through Uop.FUCycles).
+	// statistics (AVF is charged through the uop's ResLog.FUCycles).
 	BusyAll uint64
 }
 

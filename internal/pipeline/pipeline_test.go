@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"smtavf/internal/avf"
@@ -658,26 +659,42 @@ func TestClassifyMemResidencies(t *testing.T) {
 	}
 }
 
-// --- Materialize / observer view ---
+// --- Fate ---
 
-func TestMaterializeRoundTrip(t *testing.T) {
-	p := NewPool(8)
-	u := newUop(p, 2, 7, isa.Load)
-	p.Ins[u].Addr = 0x1234
-	p.Set(u, FIssued|FExecuted|FCountedL1)
-	p.Res[u].EnterIQ, p.Res[u].IQCycles = 100, 5
-	p.Res[u].EnterROB, p.Res[u].ROBCycles = 100, 9
-	p.Res[u].IssuedAt, p.Res[u].FUCycles = 105, 1
-	var view Uop
-	p.Materialize(u, &view)
-	if view.TID != 2 || view.GSeq != 7 || view.Addr != 0x1234 {
-		t.Fatal("identity fields wrong")
-	}
-	if !view.Issued || !view.Executed || !view.CountedL1 || view.Squashed {
-		t.Fatal("flag fields wrong")
-	}
-	res := view.Residencies(DefaultBits())
-	if res[0].End-res[0].Start != 5 || res[1].End-res[1].Start != 9 || res[4].End-res[4].Start != 1 {
-		t.Fatalf("residencies wrong: %+v", res)
+// TestFateMatchesACE walks every wrong-path × NOP × dead × squashed
+// combination: Fate applies its precedence (wrong-path, then squashed,
+// NOP, dead), and ACE agrees with both Fate.ACE and the ACE rule itself —
+// a uop is ACE only when it commits on the correct path, is not a NOP,
+// and its result is not dynamically dead.
+func TestFateMatchesACE(t *testing.T) {
+	p := NewPool(1)
+	u := p.Alloc()
+	for mask := 0; mask < 16; mask++ {
+		wrongPath, nop, dead, squashed := mask&1 != 0, mask&2 != 0, mask&4 != 0, mask&8 != 0
+		in := isa.Instruction{Class: isa.IntALU, Dead: dead}
+		if nop {
+			in.Class = isa.NOP
+		}
+		p.Reset(u, &in, 0, 1, 0, wrongPath, 0)
+		want := avf.FateCommitted
+		switch {
+		case wrongPath:
+			want = avf.FateWrongPath
+		case squashed:
+			want = avf.FateSquashed
+		case nop:
+			want = avf.FateNOP
+		case dead:
+			want = avf.FateDead
+		}
+		name := fmt.Sprintf("wrongPath=%v nop=%v dead=%v squashed=%v", wrongPath, nop, dead, squashed)
+		fate := p.Fate(u, squashed)
+		if fate != want {
+			t.Errorf("%s: fate = %s, want %s", name, fate, want)
+		}
+		ace := !wrongPath && !squashed && !nop && !dead
+		if got := p.ACE(u, squashed); got != ace || fate.ACE() != ace {
+			t.Errorf("%s: ACE = %v, Fate.ACE() = %v, want %v", name, got, fate.ACE(), ace)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // UID indexes a uop slot in a Pool. The pipeline containers (IQ, ROB,
 // LSQ, register-file waiter lists) and the core's scan state hold UIDs
-// instead of *Uop pointers, so the per-cycle hot loop walks pointer-free
+// instead of pointers, so the per-cycle hot loop walks pointer-free
 // parallel slices: the garbage collector never scans or write-barriers
 // them, and each field sweep touches one densely packed array.
 type UID int32
@@ -15,8 +15,8 @@ type UID int32
 // NoUID marks an absent uop reference.
 const NoUID UID = -1
 
-// Uop flag bits (Pool.Flags). They pack the booleans of the classic Uop
-// struct into one word per slot so a squash or reset touches one store.
+// Uop flag bits (Pool.Flags). They pack a uop's booleans into one word
+// per slot so a squash or reset touches one store.
 const (
 	FWrongPath uint32 = 1 << iota // fetched down a mispredicted path
 	FPredTaken
@@ -70,11 +70,9 @@ type ResLog struct {
 // the core's per-thread free lists; Alloc only grows the arrays when a
 // thread's free list is empty.
 //
-// The classic Uop struct remains as the observer-facing view: Materialize
-// copies a slot into one, and is called only at classification sites and
-// only when a pipetrace/propagation/cpistack observer is attached — the
-// side-table rule that keeps the no-observer path free of per-uop struct
-// traffic.
+// Retire observers read a slot in place at its classification site and
+// copy out what they keep before returning: the slot is recycled at the
+// next fetch.
 type Pool struct {
 	// Instruction identity, written once at fetch. isa.Instruction is
 	// pointer-free, so this slice costs the collector nothing.
@@ -119,7 +117,7 @@ func (p *Pool) Alloc() UID {
 // Reset gives slot id a new identity: instruction in, owning thread tid,
 // global sequence gseq, fetched at cycle now with the given wrong-path
 // mode and front-end-ready cycle. Every other field returns to its zero
-// state, exactly like the classic full-struct assignment at fetch.
+// state.
 func (p *Pool) Reset(id UID, in *isa.Instruction, tid int32, gseq, now uint64, wrongPath bool, frontReady uint64) {
 	p.Ins[id] = *in
 	p.ResetState(id, tid, gseq, now, wrongPath, frontReady)
@@ -152,15 +150,19 @@ func (p *Pool) Has(id UID, f uint32) bool { return p.Flags[id]&f != 0 }
 func (p *Pool) Set(id UID, f uint32) { p.Flags[id] |= f }
 
 // ACE reports whether slot id's state was Architecturally required for
-// Correct Execution — the SoA equivalent of Uop.ACE.
+// Correct Execution: its Fate is the committed one.
 func (p *Pool) ACE(id UID, squashed bool) bool {
-	return !squashed && p.Flags[id]&FWrongPath == 0 &&
-		p.Ins[id].Class != isa.NOP && !p.Ins[id].Dead
+	return p.Fate(id, squashed).ACE()
 }
 
 // Classify adds slot id's accumulated residencies to the tracker with the
-// given fate, in the exact structure order of Uop.Classify. It must be
-// called exactly once per uop, at commit or squash time.
+// given fate, in Residencies order. It must be called exactly once per
+// uop, at commit or squash time.
+//
+// Classify and ClassifyBatch spell out Residencies' five intervals rather
+// than loop over its result: with each structure a constant, a uop's
+// classification costs about half as much (BenchmarkClassifyBatch).
+// TestClassifyBatchMatchesIntervalPath holds the three to one definition.
 func (p *Pool) Classify(trk *avf.Tracker, bits Bits, id UID, squashed bool) {
 	ace := p.ACE(id, squashed)
 	tid := int(p.TID[id])
@@ -187,57 +189,4 @@ func (p *Pool) ClassifyBatch(trk *avf.Tracker, bits Bits, id UID, squashed bool)
 	trk.AddSpan(avf.LSQTag, tid, bits.LSQTagEntry, r.EnterLSQ, r.EnterLSQ+r.LSQTagCycles, ace)
 	trk.AddSpan(avf.LSQData, tid, bits.LSQDataEntry, r.DataAt, r.DataAt+r.LSQDataCycles, ace)
 	trk.AddSpan(avf.FU, tid, bits.FUUnit, r.IssuedAt, r.IssuedAt+r.FUCycles, ace)
-}
-
-// Materialize copies slot id into the observer-facing Uop view. The
-// flight recorder, propagation tracer, and CPI-stack observer all consume
-// the classic struct; the core fills one scratch Uop per Record call, and
-// only while such an observer is attached.
-func (p *Pool) Materialize(id UID, u *Uop) {
-	fl := p.Flags[id]
-	m := &p.Meta[id]
-	r := &p.Res[id]
-	*u = Uop{
-		Instruction:   p.Ins[id],
-		TID:           int(p.TID[id]),
-		GSeq:          p.GSeq[id],
-		WrongPath:     fl&FWrongPath != 0,
-		PredTaken:     fl&FPredTaken != 0,
-		PredTarget:    m.PredTarget,
-		Mispred:       fl&FMispred != 0,
-		FetchedAt:     m.FetchedAt,
-		PhysSrc1:      int(m.PhysSrc1),
-		PhysSrc2:      int(m.PhysSrc2),
-		PhysDest:      int(m.PhysDest),
-		OldPhysDest:   int(m.OldPhysDest),
-		InIQ:          fl&FInIQ != 0,
-		IQIdx:         int(m.IQIdx),
-		InReady:       fl&FInReady != 0,
-		Issued:        fl&FIssued != 0,
-		Executed:      fl&FExecuted != 0,
-		FrontReady:    m.FrontReady,
-		ReadyAt:       m.ReadyAt,
-		LSQIdx:        int(m.LSQIdx),
-		FlushLoad:     fl&FFlushLoad != 0,
-		Squashed:      fl&FSquashed != 0,
-		WaitCount:     int(m.WaitCount),
-		Src1Wait:      fl&FSrc1Wait != 0,
-		Src2Wait:      fl&FSrc2Wait != 0,
-		CountedL1:     fl&FCountedL1 != 0,
-		CountedL2:     fl&FCountedL2 != 0,
-		PredL1:        fl&FPredL1 != 0,
-		PredL2:        fl&FPredL2 != 0,
-		DL1Kind:       int(m.DL1Kind),
-		Forwarded:     fl&FForwarded != 0,
-		EnterIQ:       r.EnterIQ,
-		IQCycles:      r.IQCycles,
-		EnterROB:      r.EnterROB,
-		ROBCycles:     r.ROBCycles,
-		EnterLSQ:      r.EnterLSQ,
-		LSQTagCycles:  r.LSQTagCycles,
-		DataAt:        r.DataAt,
-		LSQDataCycles: r.LSQDataCycles,
-		IssuedAt:      r.IssuedAt,
-		FUCycles:      r.FUCycles,
-	}
 }

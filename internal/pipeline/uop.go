@@ -10,75 +10,6 @@ import (
 	"smtavf/internal/isa"
 )
 
-// Uop is one in-flight dynamic instruction. Residency entry cycles are
-// logged as the uop moves through structures; when its fate is known
-// (commit or squash) the accumulated intervals are classified and added to
-// the AVF tracker.
-type Uop struct {
-	isa.Instruction
-	TID  int
-	GSeq uint64 // global fetch order, for age-based selection
-
-	// Speculation state.
-	WrongPath  bool // fetched down a mispredicted path; will be squashed
-	PredTaken  bool
-	PredTarget uint64
-	Mispred    bool // fetch-time prediction disagreed with the oracle outcome
-
-	// FetchedAt is the cycle the uop entered the machine; the pipeline
-	// flight recorder keys its sampling window on it.
-	FetchedAt uint64
-
-	// Rename state.
-	PhysSrc1, PhysSrc2 int
-	PhysDest           int // -1 when the uop writes no register
-	OldPhysDest        int // previous mapping of the architectural dest
-
-	// Pipeline state.
-	InIQ       bool
-	IQIdx      int  // slot in the IQ entry array; -1 when not resident
-	InReady    bool // member of the IQ's ready set
-	Issued     bool
-	Executed   bool   // finished execution / memory access; result available
-	FrontReady uint64 // cycle the uop clears the front-end pipe (dispatchable)
-	ReadyAt    uint64
-	ROBIdx     int
-	LSQIdx     int  // -1 for non-memory uops
-	FlushLoad  bool // the L2-missing load that triggered a FLUSH squash
-	Squashed   bool // removed by a pipeline squash; never commits
-
-	// Register-wakeup state (RegFile.WatchSources): how many source
-	// operands are still unwritten, and which of the two slots wait. The
-	// uop sits on the register file's waiter lists while WaitCount > 0.
-	WaitCount          int
-	Src1Wait, Src2Wait bool
-
-	// Outstanding-miss bookkeeping for fetch policies: set when this load
-	// incremented the thread's counters, so squash can decrement them.
-	CountedL1, CountedL2 bool
-	PredL1, PredL2       bool // predicted to miss at fetch (PDG / STALLP)
-
-	// Memory state.
-	DL1Kind   int  // 0 hit, 1 L1 miss, 2 L2 miss (valid once executed)
-	Forwarded bool // load satisfied by store-to-load forwarding
-
-	// Residency log: cycle of entry into each structure, and accumulated
-	// cycles once the uop leaves it.
-	EnterIQ, IQCycles      uint64
-	EnterROB, ROBCycles    uint64
-	EnterLSQ, LSQTagCycles uint64
-	DataAt, LSQDataCycles  uint64 // LSQ data array: value arrival → dequeue
-	IssuedAt, FUCycles     uint64 // function-unit occupancy window
-}
-
-// ACE reports whether the uop's state was Architecturally required for
-// Correct Execution: it committed (not squashed), it is not a NOP, and its
-// result is consumed (not dynamically dead). Squash fate is passed by the
-// caller because the uop itself cannot know it.
-func (u *Uop) ACE(squashed bool) bool {
-	return !squashed && !u.WrongPath && u.Class != isa.NOP && !u.Dead
-}
-
 // Bits is the per-entry bit widths used for AVF numerators and
 // denominators. The absolute values scale both numerator and denominator
 // of a structure's AVF identically, so AVF is insensitive to them; they
@@ -105,17 +36,20 @@ func DefaultBits() Bits {
 	}
 }
 
-// Fate returns the classification reason behind ACE for the given squash
-// outcome: Fate(squashed).ACE() == ACE(squashed) always.
-func (u *Uop) Fate(squashed bool) avf.Fate {
+// Fate returns the classification reason of slot id's residency for the
+// given squash outcome (squash fate is passed by the caller because the
+// slot itself cannot know it). Committed is the only ACE fate: the uop
+// committed, is not a NOP, and its result is consumed (not dynamically
+// dead).
+func (p *Pool) Fate(id UID, squashed bool) avf.Fate {
 	switch {
-	case u.WrongPath:
+	case p.Flags[id]&FWrongPath != 0:
 		return avf.FateWrongPath
 	case squashed:
 		return avf.FateSquashed
-	case u.Class == isa.NOP:
+	case p.Ins[id].Class == isa.NOP:
 		return avf.FateNOP
-	case u.Dead:
+	case p.Ins[id].Dead:
 		return avf.FateDead
 	}
 	return avf.FateCommitted
@@ -130,26 +64,17 @@ type Residency struct {
 	End    uint64
 }
 
-// Residencies returns the uop's accumulated per-structure residency
-// intervals. Classify and the pipeline flight recorder both consume this,
-// so their accounting can never diverge. Intervals with End <= Start are
+// Residencies returns slot id's accumulated per-structure residency
+// intervals. Classification and every retire observer consume this, so
+// their accounting can never diverge. Intervals with End <= Start are
 // empty (the structure was never occupied).
-func (u *Uop) Residencies(bits Bits) [5]Residency {
+func (p *Pool) Residencies(id UID, bits Bits) [5]Residency {
+	r := &p.Res[id]
 	return [5]Residency{
-		{avf.IQ, bits.IQEntry, u.EnterIQ, u.EnterIQ + u.IQCycles},
-		{avf.ROB, bits.ROBEntry, u.EnterROB, u.EnterROB + u.ROBCycles},
-		{avf.LSQTag, bits.LSQTagEntry, u.EnterLSQ, u.EnterLSQ + u.LSQTagCycles},
-		{avf.LSQData, bits.LSQDataEntry, u.DataAt, u.DataAt + u.LSQDataCycles},
-		{avf.FU, bits.FUUnit, u.IssuedAt, u.IssuedAt + u.FUCycles},
-	}
-}
-
-// Classify adds the uop's accumulated residencies to the tracker with the
-// given fate. It must be called exactly once per uop, at commit or squash
-// time.
-func (u *Uop) Classify(trk *avf.Tracker, bits Bits, squashed bool) {
-	ace := u.ACE(squashed)
-	for _, r := range u.Residencies(bits) {
-		trk.AddInterval(r.Struct, u.TID, r.Bits, r.Start, r.End, ace)
+		{avf.IQ, bits.IQEntry, r.EnterIQ, r.EnterIQ + r.IQCycles},
+		{avf.ROB, bits.ROBEntry, r.EnterROB, r.EnterROB + r.ROBCycles},
+		{avf.LSQTag, bits.LSQTagEntry, r.EnterLSQ, r.EnterLSQ + r.LSQTagCycles},
+		{avf.LSQData, bits.LSQDataEntry, r.DataAt, r.DataAt + r.LSQDataCycles},
+		{avf.FU, bits.FUUnit, r.IssuedAt, r.IssuedAt + r.FUCycles},
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"smtavf/internal/isa"
+	"smtavf/internal/pipeline"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -21,17 +22,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // squash retirement, multiple threads, lane overlap).
 func goldenRecords() []Record {
 	r := New(Options{})
-	r.Record(uop(0, 0, 0, 0x1000, isa.IntALU, 10), 18, false)
-	r.Record(uop(0, 1, 1, 0x1004, isa.Load, 10), 19, false)
+	pl := pipeline.NewPool(4)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x1000, isa.IntALU, 10), 18, false)
+	r.Record(pl, uop(pl, 0, 1, 1, 0x1004, isa.Load, 10), 19, false)
 
-	flushed := uop(0, 2, 2, 0x1008, isa.IntALU, 11)
-	flushed.WrongPath = true
-	flushed.Issued, flushed.Executed = false, false
-	flushed.IssuedAt, flushed.FUCycles = 0, 0
-	flushed.IQCycles, flushed.ROBCycles = 2, 2
-	r.Record(flushed, 17, true)
+	flushed := uop(pl, 0, 2, 2, 0x1008, isa.IntALU, 11)
+	pl.Flags[flushed] = pipeline.FWrongPath // neither issued nor executed
+	res := &pl.Res[flushed]
+	res.IssuedAt, res.FUCycles = 0, 0
+	res.IQCycles, res.ROBCycles = 2, 2
+	r.Record(pl, flushed, 17, true)
 
-	r.Record(uop(1, 3, 0, 0x2000, isa.Store, 12), 21, false)
+	r.Record(pl, uop(pl, 1, 3, 0, 0x2000, isa.Store, 12), 21, false)
 	return r.Records()
 }
 

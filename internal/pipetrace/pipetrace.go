@@ -18,8 +18,9 @@
 // per-structure totals bit for bit. A recorder built with
 // Options.ProvenanceOnly keeps the aggregation and no records.
 //
-// Like the telemetry collector, a detached recorder is free: the hot-path
-// hooks are nil-receiver no-ops, enforced by BenchmarkPipetraceOverhead.
+// Like the telemetry collector, a detached recorder is free: the processor
+// calls only the observers attached to it, enforced by
+// BenchmarkPipetraceOverhead.
 package pipetrace
 
 import (
@@ -119,8 +120,7 @@ type Options struct {
 
 // Recorder receives one lifecycle record per retired uop from the
 // processor's commit and squash paths. A nil *Recorder is a valid
-// "disabled" recorder: Record and Rebase are no-ops, so the simulator hot
-// path pays one predictable branch when no flight recording is wanted.
+// "disabled" recorder: Record and Rebase are no-ops.
 //
 // A Recorder is driven from the simulator's goroutine and is not safe for
 // concurrent use during a run; read it after Run returns.
@@ -142,7 +142,7 @@ type pcID struct {
 }
 
 // pcMeta aggregates one static instruction: its class, its dynamic
-// count, and its bit-cycles per Uop.Residencies slot (RecordStructs
+// count, and its bit-cycles per Pool.Residencies slot (RecordStructs
 // order) and fate.
 type pcMeta struct {
 	op    string
@@ -168,34 +168,34 @@ func (r *Recorder) SetBits(bits pipeline.Bits) {
 	}
 }
 
-// Record folds u, retiring at cycle retire with the given squash outcome,
-// into the provenance aggregation and, unless the recorder is
-// provenance-only, captures its lifecycle as a Record. It must be called
-// exactly once per uop, alongside Uop.Classify — from commit, squash, and
-// end-of-run accounting — so the recorder sees exactly the population the
-// tracker accounted.
+// Record folds pool slot id, retiring at cycle retire with the given
+// squash outcome, into the provenance aggregation and, unless the recorder
+// is provenance-only, captures its lifecycle as a Record. It must be
+// called exactly once per uop, alongside the slot's classification — from
+// commit, squash, and end-of-run accounting — so the recorder sees exactly
+// the population the tracker accounted.
 //
-// Ownership contract (docs/performance.md): the core recycles u through a
-// per-thread pool the moment Record returns, so everything the recorder
-// keeps must be copied out of u inside this call. Neither u nor anything
-// reachable from it may be retained — a stored pointer would silently
-// mutate into a different instruction on the next fetch.
-func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
+// Ownership contract (docs/performance.md): the core recycles the slot
+// the moment Record returns, so everything the recorder keeps must be
+// copied out of pl inside this call.
+func (r *Recorder) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool) {
 	if r == nil {
 		return
 	}
-	if u.FetchedAt < r.opt.WindowStart ||
-		(r.opt.WindowEnd > 0 && u.FetchedAt >= r.opt.WindowEnd) {
+	fetched := pl.Meta[id].FetchedAt
+	if fetched < r.opt.WindowStart ||
+		(r.opt.WindowEnd > 0 && fetched >= r.opt.WindowEnd) {
 		return
 	}
-	fate := u.Fate(squashed)
+	in := &pl.Ins[id]
+	fate := pl.Fate(id, squashed)
 	r.fateCount[fate]++
-	id := pcID{u.TID, u.PC}
-	meta := r.pcs[id]
+	key := pcID{int(pl.TID[id]), in.PC}
+	meta := r.pcs[key]
 	if meta == nil {
-		meta = &pcMeta{op: u.Class.String()}
-		r.pcs[id] = meta
-	} else if meta.op != u.Class.String() {
+		meta = &pcMeta{op: in.Class.String()}
+		r.pcs[key] = meta
+	} else if meta.op != in.Class.String() {
 		// The synthetic generators may place different instruction classes
 		// at one PC across dynamic visits; don't let the first-seen class
 		// mislabel the aggregate.
@@ -205,7 +205,7 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 
 	// Provenance: identical interval arithmetic to avf.Tracker.AddInterval,
 	// including the warmup rebase clip, so sums match the tracker exactly.
-	for i, res := range u.Residencies(r.bits) {
+	for i, res := range pl.Residencies(id, r.bits) {
 		start, end := res.Start, res.End
 		if start < r.rebase {
 			start = r.rebase
@@ -216,44 +216,45 @@ func (r *Recorder) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 	}
 
 	if !r.opt.ProvenanceOnly {
-		r.records = append(r.records, makeRecord(u, retire, fate))
+		r.records = append(r.records, makeRecord(pl, id, retire, fate))
 	}
 }
 
-// makeRecord snapshots the uop's lifecycle into an immutable Record.
-func makeRecord(u *pipeline.Uop, retire uint64, fate avf.Fate) Record {
+// makeRecord snapshots slot id's lifecycle into an immutable Record.
+func makeRecord(pl *pipeline.Pool, id pipeline.UID, retire uint64, fate avf.Fate) Record {
+	in, m, res := &pl.Ins[id], &pl.Meta[id], &pl.Res[id]
 	rec := Record{
 		V:         SchemaVersion,
-		TID:       u.TID,
-		GSeq:      u.GSeq,
-		Seq:       u.Seq,
-		PC:        u.PC,
-		Op:        u.Class.String(),
-		WrongPath: u.WrongPath,
-		Mispred:   u.Mispred,
+		TID:       int(pl.TID[id]),
+		GSeq:      pl.GSeq[id],
+		Seq:       in.Seq,
+		PC:        in.PC,
+		Op:        in.Class.String(),
+		WrongPath: pl.Has(id, pipeline.FWrongPath),
+		Mispred:   pl.Has(id, pipeline.FMispred),
 		Fate:      fate,
 		ACE:       fate.ACE(),
-		Fetch:     u.FetchedAt,
+		Fetch:     m.FetchedAt,
 		Dispatch:  -1,
 		Issue:     -1,
 		Writeback: -1,
 		Retire:    retire,
-		IQ:        Span{u.EnterIQ, u.IQCycles},
-		ROB:       Span{u.EnterROB, u.ROBCycles},
-		LSQTag:    Span{u.EnterLSQ, u.LSQTagCycles},
-		LSQData:   Span{u.DataAt, u.LSQDataCycles},
-		FU:        Span{u.IssuedAt, u.FUCycles},
+		IQ:        Span{res.EnterIQ, res.IQCycles},
+		ROB:       Span{res.EnterROB, res.ROBCycles},
+		LSQTag:    Span{res.EnterLSQ, res.LSQTagCycles},
+		LSQData:   Span{res.DataAt, res.LSQDataCycles},
+		FU:        Span{res.IssuedAt, res.FUCycles},
 	}
 	// Dispatch happens no earlier than cycle FrontEndDepth >= 1, so an
 	// EnterROB of zero means the uop never left the front end.
-	if u.EnterROB > 0 {
-		rec.Dispatch = int64(u.EnterROB)
+	if res.EnterROB > 0 {
+		rec.Dispatch = int64(res.EnterROB)
 	}
-	if u.Issued {
-		rec.Issue = int64(u.IssuedAt)
+	if pl.Has(id, pipeline.FIssued) {
+		rec.Issue = int64(res.IssuedAt)
 	}
-	if u.Executed {
-		rec.Writeback = int64(u.ReadyAt)
+	if pl.Has(id, pipeline.FExecuted) {
+		rec.Writeback = int64(m.ReadyAt)
 	}
 	return rec
 }

@@ -14,36 +14,31 @@ import (
 	"smtavf/internal/pipeline"
 )
 
-// uop builds an in-flight uop with a full lifecycle: fetched at fetch,
+// uop fills a fresh slot of pl with a full lifecycle: fetched at fetch,
 // dispatched 4 cycles later, issued after one IQ cycle, one-cycle
 // execution, residencies closed as the pipeline would leave them.
-func uop(tid int, gseq, seq, pc uint64, class isa.Class, fetch uint64) *pipeline.Uop {
-	u := &pipeline.Uop{
-		Instruction: isa.Instruction{PC: pc, Class: class},
-		TID:         tid,
-		GSeq:        gseq,
-		FetchedAt:   fetch,
-		PhysDest:    -1,
-		OldPhysDest: -1,
-		LSQIdx:      -1,
-	}
-	u.Seq = seq
+func uop(pl *pipeline.Pool, tid int, gseq, seq, pc uint64, class isa.Class, fetch uint64) pipeline.UID {
+	u := pl.Alloc()
+	pl.Reset(u, &isa.Instruction{Seq: seq, PC: pc, Class: class}, int32(tid), gseq, fetch, false, 0)
 	dispatch := fetch + 4
-	u.EnterIQ, u.IQCycles = dispatch, 1
-	u.EnterROB, u.ROBCycles = dispatch, 4
-	u.Issued, u.IssuedAt, u.FUCycles = true, dispatch+1, 1
-	u.Executed, u.ReadyAt = true, dispatch+2
+	r := &pl.Res[u]
+	r.EnterIQ, r.IQCycles = dispatch, 1
+	r.EnterROB, r.ROBCycles = dispatch, 4
+	r.IssuedAt, r.FUCycles = dispatch+1, 1
+	pl.Set(u, pipeline.FIssued|pipeline.FExecuted)
+	pl.Meta[u].ReadyAt = dispatch + 2
 	if class.IsMem() {
-		u.LSQIdx = 0
-		u.EnterLSQ, u.LSQTagCycles = dispatch, 4
-		u.DataAt, u.LSQDataCycles = dispatch+2, 2
+		pl.Meta[u].LSQIdx = 0
+		r.EnterLSQ, r.LSQTagCycles = dispatch, 4
+		r.DataAt, r.LSQDataCycles = dispatch+2, 2
 	}
 	return u
 }
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 5), 20, false)
+	pl := pipeline.NewPool(1)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.IntALU, 5), 20, false)
 	r.Rebase(10)
 	r.SetBits(pipeline.DefaultBits())
 	if r.Len() != 0 || r.Records() != nil {
@@ -59,9 +54,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 func TestWindowGating(t *testing.T) {
+	pl := pipeline.NewPool(6)
 	r := New(Options{WindowStart: 100, WindowEnd: 200})
 	for i, fetch := range []uint64{50, 100, 199, 200, 1000} {
-		r.Record(uop(0, uint64(i), uint64(i), 0x100, isa.IntALU, fetch), fetch+20, false)
+		r.Record(pl, uop(pl, 0, uint64(i), uint64(i), 0x100, isa.IntALU, fetch), fetch+20, false)
 	}
 	if r.Len() != 2 {
 		t.Fatalf("window [100,200) retained %d records, want 2", r.Len())
@@ -73,7 +69,7 @@ func TestWindowGating(t *testing.T) {
 	}
 	// WindowEnd 0 means unbounded.
 	r = New(Options{WindowStart: 100})
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 1_000_000), 1_000_020, false)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.IntALU, 1_000_000), 1_000_020, false)
 	if r.Len() != 1 {
 		t.Fatal("unbounded window dropped a record")
 	}
@@ -95,13 +91,15 @@ func TestWindowBoundaryResidencySplit(t *testing.T) {
 	// Fetches straddling the boundary; the uop fetched at 99 dispatches at
 	// 103 so all of its residency lies beyond WindowEnd.
 	fetches := []uint64{90, 95, 99, 100, 101, 110}
+	pool := pipeline.NewPool(len(fetches))
 	for i, fetch := range fetches {
+		class := isa.IntALU
+		if i%2 == 1 {
+			class = isa.Load
+		}
+		u := uop(pool, 0, uint64(i), uint64(i), 0x100+16*fetch, class, fetch)
 		for _, r := range []*Recorder{full, lo, hi} {
-			class := isa.IntALU
-			if i%2 == 1 {
-				class = isa.Load
-			}
-			r.Record(uop(0, uint64(i), uint64(i), 0x100+16*fetch, class, fetch), fetch+20, false)
+			r.Record(pool, u, fetch+20, false)
 		}
 	}
 
@@ -161,12 +159,15 @@ func TestWindowBoundaryResidencySplit(t *testing.T) {
 // does, and refuses to export a trace it does not have.
 func TestProvenanceOnlyKeepsAggregationExact(t *testing.T) {
 	only, full := New(Options{ProvenanceOnly: true}), New(Options{})
+	pl := pipeline.NewPool(3)
+	alu := uop(pl, 0, 0, 0, 0x100, isa.IntALU, 10)
+	ld := uop(pl, 0, 1, 1, 0x104, isa.Load, 11)
+	wp := uop(pl, 1, 2, 0, 0x200, isa.Store, 12)
+	pl.Set(wp, pipeline.FWrongPath)
 	for _, r := range []*Recorder{only, full} {
-		r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 30, false)
-		r.Record(uop(0, 1, 1, 0x104, isa.Load, 11), 31, false)
-		wp := uop(1, 2, 0, 0x200, isa.Store, 12)
-		wp.WrongPath = true
-		r.Record(wp, 32, true)
+		r.Record(pl, alu, 30, false)
+		r.Record(pl, ld, 31, false)
+		r.Record(pl, wp, 32, true)
 	}
 	if only.Len() != 0 || only.Records() != nil {
 		t.Fatalf("provenance-only recorder retained %d records", only.Len())
@@ -196,46 +197,10 @@ func TestProvenanceOnlyKeepsAggregationExact(t *testing.T) {
 	}
 }
 
-func TestFateMatchesACE(t *testing.T) {
-	cases := []struct {
-		name     string
-		mutate   func(*pipeline.Uop)
-		squashed bool
-		want     avf.Fate
-	}{
-		{"committed", func(u *pipeline.Uop) {}, false, avf.FateCommitted},
-		{"dead", func(u *pipeline.Uop) { u.Dead = true }, false, avf.FateDead},
-		{"nop", func(u *pipeline.Uop) { u.Class = isa.NOP }, false, avf.FateNOP},
-		{"wrong-path", func(u *pipeline.Uop) { u.WrongPath = true }, true, avf.FateWrongPath},
-		{"squashed", func(u *pipeline.Uop) {}, true, avf.FateSquashed},
-		// Precedence: a wrong-path NOP is wrong-path, not NOP.
-		{"wrong-path-nop", func(u *pipeline.Uop) { u.WrongPath = true; u.Class = isa.NOP }, true, avf.FateWrongPath},
-	}
-	for _, tc := range cases {
-		u := uop(0, 0, 0, 0x100, isa.IntALU, 10)
-		tc.mutate(u)
-		fate := u.Fate(tc.squashed)
-		if fate != tc.want {
-			t.Errorf("%s: fate = %s, want %s", tc.name, fate, tc.want)
-		}
-		if fate.ACE() != u.ACE(tc.squashed) {
-			t.Errorf("%s: Fate.ACE()=%v disagrees with Uop.ACE()=%v",
-				tc.name, fate.ACE(), u.ACE(tc.squashed))
-		}
-		r := New(Options{})
-		r.Record(u, 30, tc.squashed)
-		if got := r.Records()[0].Fate; got != tc.want {
-			t.Errorf("%s: recorded fate = %s, want %s", tc.name, got, tc.want)
-		}
-		if got := r.Records()[0].ACE; got != fate.ACE() {
-			t.Errorf("%s: recorded ACE = %v, want %v", tc.name, got, fate.ACE())
-		}
-	}
-}
-
 func TestRebaseClipsIntervals(t *testing.T) {
+	pl := pipeline.NewPool(2)
 	r := New(Options{})
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 30, false)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.IntALU, 10), 30, false)
 	if r.Len() != 1 {
 		t.Fatal("no record before rebase")
 	}
@@ -244,7 +209,7 @@ func TestRebaseClipsIntervals(t *testing.T) {
 		t.Fatal("rebase did not clear the recorder")
 	}
 	// ROB residency [14, 18) clipped at 16 leaves 2 cycles.
-	r.Record(uop(0, 1, 1, 0x100, isa.IntALU, 10), 30, false)
+	r.Record(pl, uop(pl, 0, 1, 1, 0x100, isa.IntALU, 10), 30, false)
 	bits := pipeline.DefaultBits()
 	if got, want := r.ACEBitCycles(avf.ROB), 2*bits.ROBEntry; got != want {
 		t.Fatalf("clipped ROB bit-cycles = %d, want %d", got, want)
@@ -256,9 +221,10 @@ func TestRebaseClipsIntervals(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
+	pl := pipeline.NewPool(2)
 	r := New(Options{})
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 18, false)
-	r.Record(uop(1, 1, 0, 0x200, isa.Load, 11), 19, false)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.IntALU, 10), 18, false)
+	r.Record(pl, uop(pl, 1, 1, 0, 0x200, isa.Load, 11), 19, false)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, r.Records()); err != nil {
 		t.Fatal(err)
@@ -336,14 +302,15 @@ func TestFormatForPath(t *testing.T) {
 }
 
 func TestProvenanceOrderingAndTotals(t *testing.T) {
+	pl := pipeline.NewPool(4)
 	r := New(Options{})
 	// Two instances of the hot PC, one of a cold one, one wrong-path uop.
-	r.Record(uop(0, 0, 0, 0x100, isa.IntALU, 10), 18, false)
-	r.Record(uop(0, 1, 1, 0x100, isa.IntALU, 20), 28, false)
-	r.Record(uop(0, 2, 2, 0x104, isa.IntALU, 30), 38, false)
-	wp := uop(1, 3, 0, 0x200, isa.Load, 40)
-	wp.WrongPath = true
-	r.Record(wp, 48, true)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.IntALU, 10), 18, false)
+	r.Record(pl, uop(pl, 0, 1, 1, 0x100, isa.IntALU, 20), 28, false)
+	r.Record(pl, uop(pl, 0, 2, 2, 0x104, isa.IntALU, 30), 38, false)
+	wp := uop(pl, 1, 3, 0, 0x200, isa.Load, 40)
+	pl.Set(wp, pipeline.FWrongPath)
+	r.Record(pl, wp, 48, true)
 
 	p := r.Provenance()
 	if p.Records != 4 {
@@ -398,22 +365,26 @@ func TestProvenanceOrderingAndTotals(t *testing.T) {
 }
 
 func TestProvenanceMixedClassPC(t *testing.T) {
+	pl := pipeline.NewPool(2)
 	r := New(Options{})
-	r.Record(uop(0, 0, 0, 0x100, isa.Branch, 10), 18, false)
-	r.Record(uop(0, 1, 1, 0x100, isa.Load, 20), 28, false)
+	r.Record(pl, uop(pl, 0, 0, 0, 0x100, isa.Branch, 10), 18, false)
+	r.Record(pl, uop(pl, 0, 1, 1, 0x100, isa.Load, 20), 28, false)
 	p := r.Provenance()
 	if len(p.PCs) != 1 || p.PCs[0].Op != "mixed" || p.PCs[0].Count != 2 {
 		t.Fatalf("PC hosting two classes = %+v, want op \"mixed\", count 2", p.PCs[0])
 	}
 }
 
+// TestRecordSpanConsistency: a Record carries the slot's Residencies
+// spans, stage cycles and Fate.
 func TestRecordSpanConsistency(t *testing.T) {
-	u := uop(0, 0, 0, 0x100, isa.Store, 10)
+	pl := pipeline.NewPool(2)
+	u := uop(pl, 0, 0, 0, 0x100, isa.Store, 10)
 	r := New(Options{})
-	r.Record(u, 30, false)
+	r.Record(pl, u, 30, false)
 	rec := r.Records()[0]
 	bits := pipeline.DefaultBits()
-	for i, res := range u.Residencies(bits) {
+	for i, res := range pl.Residencies(u, bits) {
 		sp := rec.Span(RecordStructs[i])
 		if res.Struct != RecordStructs[i] {
 			t.Fatalf("RecordStructs[%d]=%s but Residencies yields %s", i, RecordStructs[i], res.Struct)
@@ -423,18 +394,21 @@ func TestRecordSpanConsistency(t *testing.T) {
 				res.Struct, sp.Start, sp.End(), res.Start, res.End)
 		}
 	}
-	if rec.Dispatch != int64(u.EnterROB) || rec.Issue != int64(u.IssuedAt) || rec.Writeback != int64(u.ReadyAt) {
+	if rec.Dispatch != int64(pl.Res[u].EnterROB) || rec.Issue != int64(pl.Res[u].IssuedAt) || rec.Writeback != int64(pl.Meta[u].ReadyAt) {
 		t.Fatalf("stage cycles %d/%d/%d do not match uop", rec.Dispatch, rec.Issue, rec.Writeback)
 	}
-	// A uop dropped in the front end never reached any stage.
-	fe := &pipeline.Uop{
-		Instruction: isa.Instruction{PC: 0x300, Class: isa.IntALU},
-		TID:         0, GSeq: 9, FetchedAt: 50,
-		WrongPath: true, PhysDest: -1, OldPhysDest: -1, LSQIdx: -1,
+	if rec.Fate != avf.FateCommitted || !rec.ACE {
+		t.Fatalf("committed store recorded fate %s, ACE %v", rec.Fate, rec.ACE)
 	}
-	r.Record(fe, 55, true)
+	// A uop dropped in the front end never reached any stage.
+	fe := pl.Alloc()
+	pl.Reset(fe, &isa.Instruction{PC: 0x300, Class: isa.IntALU}, 0, 9, 50, true, 0)
+	r.Record(pl, fe, 55, true)
 	rec = r.Records()[1]
 	if rec.Dispatch != -1 || rec.Issue != -1 || rec.Writeback != -1 {
 		t.Fatalf("front-end drop has stage cycles %d/%d/%d, want -1", rec.Dispatch, rec.Issue, rec.Writeback)
+	}
+	if rec.Fate != avf.FateWrongPath || rec.ACE || !rec.WrongPath {
+		t.Fatalf("wrong-path drop recorded fate %s, ACE %v, wrong path %v", rec.Fate, rec.ACE, rec.WrongPath)
 	}
 }

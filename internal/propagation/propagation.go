@@ -37,7 +37,8 @@
 // victim-thread contamination matrix, and per-structure escape routes.
 //
 // Like the pipetrace recorder and the injection campaign, a nil *Tracer
-// is a valid detached tracer: the hot-path hooks are nil-receiver no-ops.
+// is a valid detached tracer: its methods are nil-receiver no-ops, and
+// the processor attaches nothing for it.
 package propagation
 
 import (
@@ -108,7 +109,7 @@ func spanIndex(s avf.Struct) int {
 }
 
 // node is the compact per-uop capture the offline analysis runs over —
-// everything copied out of the pooled *pipeline.Uop inside Record, per the
+// everything copied out of the pool slot inside Record, per the
 // flight-recorder ownership contract.
 type node struct {
 	tid       int32
@@ -182,13 +183,13 @@ func (t *Tracer) Configure(bits pipeline.Bits, dl1 mem.Config, threads int) {
 	t.threads = threads
 }
 
-// Record captures the lifecycle of u, retiring at cycle retire with the
-// given squash outcome. The processor calls it beside every
+// Record captures the lifecycle of pool slot id, retiring at cycle retire
+// with the given squash outcome. The processor calls it beside every
 // pipetrace.Recorder.Record site — commit, squash, and end-of-run
 // accounting — so the tracer sees exactly the population the tracker
-// classified. Everything is copied out of u before returning (the core
-// recycles u through a pool the moment Record returns).
-func (t *Tracer) Record(u *pipeline.Uop, retire uint64, squashed bool) {
+// classified. Everything is copied out of pl before returning (the core
+// recycles the slot the moment Record returns).
+func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool) {
 	if t == nil {
 		return
 	}
@@ -196,25 +197,26 @@ func (t *Tracer) Record(u *pipeline.Uop, retire uint64, squashed bool) {
 		t.dropped++
 		return
 	}
+	in, m := &pl.Ins[id], &pl.Meta[id]
 	n := node{
-		tid:       int32(u.TID),
-		physSrc1:  int32(u.PhysSrc1),
-		physSrc2:  int32(u.PhysSrc2),
-		physDest:  int32(u.PhysDest),
-		class:     u.Class,
-		fate:      u.Fate(squashed),
-		wrongPath: u.WrongPath,
-		forwarded: u.Forwarded,
-		issued:    u.Issued,
-		executed:  u.Executed,
-		gseq:      u.GSeq,
-		pc:        u.PC,
-		addr:      u.Addr,
-		issueAt:   u.IssuedAt,
-		ready:     u.ReadyAt,
+		tid:       pl.TID[id],
+		physSrc1:  m.PhysSrc1,
+		physSrc2:  m.PhysSrc2,
+		physDest:  m.PhysDest,
+		class:     in.Class,
+		fate:      pl.Fate(id, squashed),
+		wrongPath: pl.Has(id, pipeline.FWrongPath),
+		forwarded: pl.Has(id, pipeline.FForwarded),
+		issued:    pl.Has(id, pipeline.FIssued),
+		executed:  pl.Has(id, pipeline.FExecuted),
+		gseq:      pl.GSeq[id],
+		pc:        in.PC,
+		addr:      in.Addr,
+		issueAt:   pl.Res[id].IssuedAt,
+		ready:     m.ReadyAt,
 		retire:    retire,
 	}
-	for i, res := range u.Residencies(t.bits) {
+	for i, res := range pl.Residencies(id, t.bits) {
 		start, end := res.Start, res.End
 		if start < t.rebase {
 			start = t.rebase

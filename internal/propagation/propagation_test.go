@@ -259,7 +259,7 @@ func TestGoldenJSONL(t *testing.T) {
 // relies on.
 func TestDetachedTracerNoOps(t *testing.T) {
 	var tr *propagation.Tracer
-	tr.Record(nil, 0, false)
+	tr.Record(nil, 0, 0, false)
 	tr.Rebase(5)
 	tr.Configure(core.DefaultConfig(1).Bits, core.DefaultConfig(1).DL1, 1)
 	tr.PublishTelemetry(nil)

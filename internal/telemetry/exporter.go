@@ -27,7 +27,7 @@ type Exporter interface {
 // gzip-compresses the stream — long sweeps and flight recordings are
 // large.
 func Create(path string) (Exporter, error) {
-	w, err := OpenWriter(path)
+	w, err := jsonlio.OpenWriter(path)
 	if err != nil {
 		return nil, err
 	}
@@ -35,14 +35,6 @@ func Create(path string) (Exporter, error) {
 		return NewCSV(w), nil
 	}
 	return NewJSONL(w), nil
-}
-
-// OpenWriter creates path for writing, transparently wrapping the stream
-// in gzip compression when the name ends in ".gz" — a thin delegate to the
-// shared internal/jsonlio plumbing, kept here so telemetry call sites read
-// naturally.
-func OpenWriter(path string) (io.WriteCloser, error) {
-	return jsonlio.OpenWriter(path)
 }
 
 // JSONL writes one JSON object per window per line — the schema of

@@ -118,14 +118,36 @@ func ReadTrace(r io.Reader) (name string, ins []isa.Instruction, err error) {
 	if count > sanity {
 		return "", nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	ins = make([]isa.Instruction, 0, count)
+	// The header's count is a claim, not an allocation size: the slice
+	// grows as records arrive, so a count the file cannot back fails at
+	// the first missing record instead of reserving memory for it.
+	ins = make([]isa.Instruction, 0, min(int(count), 1<<12))
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return "", nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		ins = append(ins, decode(&buf))
+		in := decode(&buf)
+		if err := checkRecord(&in); err != nil {
+			return "", nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		ins = append(ins, in)
 	}
 	return string(nameBuf), ins, nil
+}
+
+// checkRecord rejects a decoded instruction the simulator cannot
+// represent: an unknown class, or a register operand that is neither
+// absent nor an architectural register.
+func checkRecord(in *isa.Instruction) error {
+	if int(in.Class) >= isa.NumClasses {
+		return fmt.Errorf("instruction class %d out of range", in.Class)
+	}
+	for _, r := range [...]isa.RegID{in.Src1, in.Src2, in.Dest} {
+		if r != isa.RegNone && !r.Valid() {
+			return fmt.Errorf("register %d out of range", r)
+		}
+	}
+	return nil
 }
 
 // Record captures the next n instructions of a generator.

@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"smtavf/internal/isa"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -49,6 +53,70 @@ func TestTraceRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
+}
+
+// TestReadTraceRejectsMalformed: a header count the file cannot back, a
+// record the simulator cannot represent and a truncated record are each
+// an error — not an allocation sized by the header, and not a run over
+// an instruction no pipeline structure can hold.
+func TestReadTraceRejectsMalformed(t *testing.T) {
+	valid := isa.Instruction{PC: 0x100, Class: isa.IntALU, Src1: 1, Src2: isa.RegNone, Dest: 2}
+	encode := func(mutate func(*isa.Instruction)) []byte {
+		in := valid
+		mutate(&in)
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, "gcc", []isa.Instruction{in}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	whole := encode(func(*isa.Instruction) {})
+	if _, ins, err := ReadTrace(bytes.NewReader(whole)); err != nil || len(ins) != 1 {
+		t.Fatalf("valid one-record trace: %d records, %v", len(ins), err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		// Magic, name "gcc", count 2^32, no records: 20 bytes.
+		{"count-without-records", binary.LittleEndian.AppendUint64([]byte(traceMagic+"\x03gcc"), 1<<32)},
+		{"class-200", encode(func(in *isa.Instruction) { in.Class = 200 })},
+		{"src1-500", encode(func(in *isa.Instruction) { in.Src1 = 500 })},
+		{"dest-minus-7", encode(func(in *isa.Instruction) { in.Dest = -7 })},
+		{"truncated-record", whole[:len(whole)-1]},
+	}
+	for _, tc := range cases {
+		if _, ins, err := ReadTrace(bytes.NewReader(tc.data)); err == nil {
+			t.Errorf("%s: accepted with %d records", tc.name, len(ins))
+		}
+	}
+}
+
+// FuzzReadTrace: ReadTrace never panics on arbitrary bytes, and whatever
+// it accepts writes back and reads again to the same name and records.
+func FuzzReadTrace(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteTrace(&seed, "gcc", Record(NewSynthetic(testProfile(), 5), 8)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, ins, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, name, ins); err != nil {
+			t.Fatalf("re-encoding an accepted trace: %v", err)
+		}
+		name2, ins2, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if name2 != name || !slices.Equal(ins2, ins) {
+			t.Fatalf("round trip changed the trace: %q %+v -> %q %+v", name, ins, name2, ins2)
+		}
+	})
 }
 
 func TestTraceNameLength(t *testing.T) {
