@@ -59,11 +59,18 @@ type Service struct {
 	wg   sync.WaitGroup
 }
 
+// job is one queued point. It names its campaign and point index rather
+// than copying the spec, so a queue sized to a large resume backlog stays
+// small.
 type job struct {
-	id    string
+	c     *campaignState
 	point int
-	spec  Spec
 }
+
+// queueSlots is the job queue's minimum capacity, room for four maximal
+// submissions before Submit waits; NewService raises it to the resume
+// backlog.
+const queueSlots = 4 * MaxPoints
 
 // campaignState is the in-memory view of one campaign.
 type campaignState struct {
@@ -108,11 +115,18 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		store:     store,
 		log:       log,
 		campaigns: make(map[string]*campaignState),
-		jobs:      make(chan job, 16384),
 		quit:      make(chan struct{}),
 	}
-	if err := s.resume(); err != nil {
+	pending, err := s.resume()
+	if err != nil {
 		return nil, err
+	}
+	// The queue holds the whole resume backlog, so these sends complete
+	// before any worker starts. Past the backlog a full queue blocks
+	// Submit, which is the service's back-pressure.
+	s.jobs = make(chan job, max(queueSlots, len(pending)))
+	for _, j := range pending {
+		s.jobs <- j
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -121,15 +135,16 @@ func NewService(opts ServiceOptions) (*Service, error) {
 	return s, nil
 }
 
-// resume reloads every stored campaign and re-enqueues the points with no
-// durable result. Completed points are never re-executed, so each point
-// lands in the results stream and the run ledger exactly once across any
-// number of restarts.
-func (s *Service) resume() error {
+// resume reloads every stored campaign and returns the points with no
+// durable result, in store order, for NewService to enqueue. Completed
+// points are never re-executed, so each point lands in the results stream
+// and the run ledger exactly once across any number of restarts.
+func (s *Service) resume() ([]job, error) {
 	ids, err := s.store.List()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var pending []job
 	for _, id := range ids {
 		lc, err := s.store.Load(id)
 		if err != nil {
@@ -153,17 +168,15 @@ func (s *Service) resume() error {
 			continue
 		}
 		c.resumed = true
-		pending := 0
-		for i, p := range c.points {
-			if _, done := c.results[i]; done {
-				continue
+		n := len(pending)
+		for i := range c.points {
+			if _, done := c.results[i]; !done {
+				pending = append(pending, job{c: c, point: i})
 			}
-			s.jobs <- job{id: id, point: i, spec: p}
-			pending++
 		}
-		s.log.Info("campaign: resuming", "id", id, "pending", pending, "done", len(c.results))
+		s.log.Info("campaign: resuming", "id", id, "pending", len(pending)-n, "done", len(c.results))
 	}
-	return nil
+	return pending, nil
 }
 
 // Submit expands a matrix, persists it, and enqueues its points.
@@ -196,8 +209,8 @@ func (s *Service) Submit(m Matrix, now time.Time) (string, []Spec, error) {
 		s.mu.Unlock()
 		return "", nil, err
 	}
-	for i, p := range points {
-		s.jobs <- job{id: id, point: i, spec: p}
+	for i := range points {
+		s.jobs <- job{c: c, point: i}
 	}
 	s.log.Info("campaign: submitted", "id", id, "points", len(points))
 	return id, points, nil
@@ -219,9 +232,9 @@ func (s *Service) worker() {
 // execute runs one point unless its campaign is cancelled, already has a
 // durable result for the point, or the service is draining.
 func (s *Service) execute(j job) {
+	c := j.c
 	s.mu.Lock()
-	c := s.campaigns[j.id]
-	skip := c == nil || c.cancelled || s.draining
+	skip := c.cancelled || s.draining
 	if !skip {
 		_, skip = c.results[j.point]
 	}
@@ -230,25 +243,26 @@ func (s *Service) execute(j job) {
 		return
 	}
 
+	spec := c.points[j.point]
 	start := time.Now()
-	res, err := s.opts.Executor(j.spec)
+	res, err := s.opts.Executor(spec)
 	if err != nil || res == nil {
 		if err == nil {
 			err = errors.New("campaign: executor returned no result")
 		}
-		res = Err(j.spec, err)
+		res = Err(spec, err)
 	}
 	res.V = ResultVersion
 	res.Point = j.point
-	res.Campaign = j.id
+	res.Campaign = c.id
 	if res.Status == "" {
 		res.Status = obs.StatusOK
 	}
 
-	if perr := s.store.AppendResult(j.id, res); perr != nil {
+	if perr := s.store.AppendResult(c.id, res); perr != nil {
 		// A result the store does not hold re-runs after a restart, so
 		// the point must not read as done: it fails visibly instead.
-		s.log.Error("campaign: persisting result", "id", j.id, "point", j.point, "err", perr)
+		s.log.Error("campaign: persisting result", "id", c.id, "point", j.point, "err", perr)
 		msg := "campaign: persisting result: " + perr.Error()
 		if res.Error != "" {
 			msg = res.Error + "; " + msg
@@ -277,9 +291,9 @@ func (s *Service) execute(j job) {
 	if finished {
 		// The "ok" manifest goes into the ledger before done closes, so a
 		// subscriber that done wakes finds it there.
-		s.appendCampaignManifest(j.id, manifest)
+		s.appendCampaignManifest(c.id, manifest)
 		close(c.done)
-		s.log.Info("campaign: complete", "id", j.id, "points", len(c.points), "resumed", resumed)
+		s.log.Info("campaign: complete", "id", c.id, "points", len(c.points), "resumed", resumed)
 	}
 }
 
@@ -288,17 +302,18 @@ func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
 	if s.opts.Ledger == nil {
 		return
 	}
+	spec := j.c.points[j.point]
 	m := obs.NewManifest("campaign-point", s.opts.Program)
 	m.Start = start.UTC().Format(time.RFC3339Nano)
 	m.Policy = res.Policy
-	m.Seed = j.spec.Seed
-	m.Workloads = j.spec.WorkloadIDs()
+	m.Seed = spec.Seed
+	m.Workloads = spec.WorkloadIDs()
 	m.Cycles = res.Cycles
 	m.Instructions = res.Instructions
-	m.Shards = j.spec.Shards
+	m.Shards = spec.Shards
 	m.Strikes = res.Strikes
 	m.Extra = map[string]string{
-		"campaign": j.id,
+		"campaign": j.c.id,
 		"point":    fmt.Sprint(j.point),
 		"kind":     string(res.Kind),
 	}
@@ -308,7 +323,7 @@ func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
 	}
 	m.Finish(obs.StatusOK, err)
 	if aerr := s.opts.Ledger.Append(m); aerr != nil {
-		s.log.Error("campaign: ledger append", "id", j.id, "point", j.point, "err", aerr)
+		s.log.Error("campaign: ledger append", "id", j.c.id, "point", j.point, "err", aerr)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"smtavf/internal/avf"
 	"smtavf/internal/obs"
 )
 
@@ -387,4 +389,145 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// TestServiceResumeBeyondQueue: a store holding more pending points than
+// the queue's minimum capacity (five campaigns of MaxPoints, killed before
+// any point ran) must still open, then run every point exactly once.
+func TestServiceResumeBeyondQueue(t *testing.T) {
+	const campaigns = 5
+	total := campaigns * MaxPoints
+	if total <= queueSlots {
+		t.Fatalf("%d pending points fit the %d-slot queue; the test needs more", total, queueSlots)
+	}
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for k := 0; k < campaigns; k++ {
+		points := make([]Spec, MaxPoints)
+		for i := range points {
+			points[i] = Spec{V: SpecVersion, Mix: "2ctx-CPU-A", Seed: uint64(k*MaxPoints + i + 1)}
+		}
+		id := fmt.Sprintf("20200101T000000-%08x", k)
+		if err := st.Create(id, "", time.Now(), points); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+
+	fe := &fakeExecutor{}
+	opened := make(chan *Service, 1)
+	go func() {
+		s, err := NewService(ServiceOptions{Dir: dir, Workers: 2, Executor: fe.exec})
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- s
+	}()
+	var s *Service
+	select {
+	case s = <-opened:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("NewService still blocked after 10 s resuming %d pending points", total)
+	}
+	if s == nil {
+		t.FailNow()
+	}
+	t.Cleanup(s.Close)
+	for _, id := range ids {
+		waitDone(t, s, id)
+	}
+
+	fe.mu.Lock()
+	defer fe.mu.Unlock()
+	if len(fe.runs) != total {
+		t.Fatalf("executor ran %d points, want %d", len(fe.runs), total)
+	}
+	ran := make(map[uint64]int, total)
+	for _, spec := range fe.runs {
+		ran[spec.Seed]++
+	}
+	for seed := uint64(1); seed <= uint64(total); seed++ {
+		if ran[seed] != 1 {
+			t.Fatalf("point with seed %d ran %d times, want once", seed, ran[seed])
+		}
+	}
+}
+
+// seedCompleted stores n completed one-point campaigns through Store, in
+// the shape the service benchmark (bench/service.go) seeds avfd with.
+func seedCompleted(tb testing.TB, dir string, n int) {
+	tb.Helper()
+	st, err := NewStore(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := Spec{V: SpecVersion, Mix: "2ctx-CPU-A", Policy: "ICOUNT", Seed: 1, Instructions: 10_000, Warmup: 5_000}
+	res := Result{
+		V: ResultVersion, Kind: KindRun, Title: spec.Mix, Workload: spec.Mix,
+		Policy: spec.Policy, Seed: spec.Seed, Status: obs.StatusOK,
+		Cycles: spec.Instructions / 2, Instructions: spec.Instructions, IPC: 2, ProcessorAVF: 0.125,
+		AVF: map[string]float64{},
+	}
+	for i, s := range avf.Structs() {
+		res.AVF[s.String()] = 1 / float64(i+3)
+	}
+	issued := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("20200101T000000-%08x", i)
+		if err := st.Create(id, "seeded", issued, []Spec{spec}); err != nil {
+			tb.Fatal(err)
+		}
+		res.Campaign = id
+		if err := st.AppendResult(id, &res); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestResumeAllocsPerCampaign bounds the bytes a restart allocates per
+// stored campaign. Allocated bytes do not depend on the host, so the bound
+// holds on any machine; a read buffer sized for the longest possible line
+// per campaign (1 MiB each) breaks it.
+func TestResumeAllocsPerCampaign(t *testing.T) {
+	const campaigns, maxPerCampaign = 200, 32 << 10
+	dir := t.TempDir()
+	seedCompleted(t, dir, campaigns)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewService(ServiceOptions{Dir: dir, Executor: (&fakeExecutor{}).exec})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := len(s.List()); n != campaigns {
+		t.Fatalf("resumed %d campaigns, want %d", n, campaigns)
+	}
+	perCampaign := (after.TotalAlloc - before.TotalAlloc) / campaigns
+	t.Logf("resume allocated %d B per campaign", perCampaign)
+	if perCampaign > maxPerCampaign {
+		t.Fatalf("resume allocated %d B per campaign, want at most %d", perCampaign, maxPerCampaign)
+	}
+}
+
+// BenchmarkServiceResume times a restart over 1,000 completed one-point
+// campaigns: NewService's load pass, the job queue and the workers, then
+// Close.
+func BenchmarkServiceResume(b *testing.B) {
+	dir := b.TempDir()
+	seedCompleted(b, dir, 1000)
+	exec := (&fakeExecutor{}).exec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewService(ServiceOptions{Dir: dir, Executor: exec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }

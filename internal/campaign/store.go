@@ -143,14 +143,17 @@ func (st *Store) Load(id string) (*LoadedCampaign, error) {
 	}
 	defer f.Close()
 	sc2 := bufio.NewScanner(f)
-	sc2.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	// No initial buffer: the scanner starts at 4 KiB and doubles toward
+	// the 64 MiB line cap only for a line that needs it, so a resume
+	// allocates in proportion to the bytes the store holds.
+	sc2.Buffer(nil, 1<<26)
 	for sc2.Scan() {
 		line := sc2.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var res Result
-		if err := json.Unmarshal(line, &res); err != nil {
+		res := new(Result)
+		if err := json.Unmarshal(line, res); err != nil {
 			continue // truncated or corrupt line: the point re-runs
 		}
 		if res.Point < 0 || res.Point >= len(lc.Points) {
@@ -159,8 +162,7 @@ func (st *Store) Load(id string) (*LoadedCampaign, error) {
 		if _, dup := lc.Results[res.Point]; dup {
 			continue // keep-first: the first durable result wins
 		}
-		r := res
-		lc.Results[res.Point] = &r
+		lc.Results[res.Point] = res
 	}
 	if err := sc2.Err(); err != nil {
 		return nil, err
