@@ -1,14 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md §6 for the experiment index), plus the ablations of
-// DESIGN.md §8. Each benchmark reports its headline quantities via
-// b.ReportMetric, so `go test -bench=. -benchmem` doubles as a compact
-// reproduction of the paper's results:
-//
-//	go test -bench=Figure -benchtime=1x
-//
-// Budgets are scaled down (the synthetic workloads are stationary, so the
-// figures' shapes stabilize quickly); raise benchBase or run cmd/avfreport
-// for publication-scale numbers.
+// Micro-benchmarks of the simulator with no twin in the repository
+// benchmark (bench/): the ablations of DESIGN.md §9, the paper's §5
+// sensitivity and extension studies, raw simulation speed, the sharded
+// engine's speedup and what each observer costs when attached or
+// detached. Each reports its headline quantities via b.ReportMetric.
+// TestSimulatorAllocs bounds the raw-speed benchmark's allocations in
+// tier 1. The paper's tables and figures are timed by bench/'s figures
+// workload and checked by the TestFigure* and TestReportGolden tests of
+// internal/experiments.
 package smtavf_test
 
 import (
@@ -26,180 +24,29 @@ import (
 // dgPolicy builds a DG fetch policy with an explicit gating threshold.
 func dgPolicy(threshold int) smtavf.Policy { return fetch.DG{Threshold: threshold} }
 
-// benchBase is the 2-context instruction budget used by the figure
-// benchmarks (4- and 8-context runs use 2× and 4×).
+// benchBase is the 2-context instruction budget of these benchmarks (4-
+// and 8-context runs use 2× and 4×).
 const benchBase = 4_000
 
 func newRunner() *experiments.Runner {
 	return experiments.NewRunner(experiments.Options{Base: benchBase, Seed: 1})
 }
 
-// BenchmarkTable2 exercises building every Table 2 workload mix.
-func BenchmarkTable2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, m := range smtavf.Mixes() {
-			sim, err := smtavf.New(smtavf.DefaultConfig(m.Contexts), smtavf.WithBenchmarks(m.Benchmarks...))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(500); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
+// --- Ablations (DESIGN.md §9) ---
 
-// BenchmarkFigure1 regenerates the 4-context AVF profile and reports the
-// IQ AVF of the CPU- and memory-bound columns.
-func BenchmarkFigure1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		t, err := r.Figure1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*t.Get(t.Row("IQ"), t.Col("CPU")), "IQ-AVF-CPU-%")
-		b.ReportMetric(100*t.Get(t.Row("IQ"), t.Col("MEM")), "IQ-AVF-MEM-%")
-	}
-}
-
-// BenchmarkFigure2 regenerates the reliability-efficiency profile.
-func BenchmarkFigure2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		t, err := r.Figure2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get(t.Row("IQ"), t.Col("CPU")), "IQ-IPC/AVF-CPU")
-	}
-}
-
-// BenchmarkFigure3 regenerates the SMT-vs-single-thread per-thread AVF
-// comparison and reports the mean per-thread IQ AVF reduction under SMT.
-func BenchmarkFigure3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		t, err := r.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, smt := t.Col("IQ_ST"), t.Col("IQ_SMT")
-		var ratio float64
-		n := 0
-		for row := range t.Rows {
-			if v := t.Get(row, st); v > 0 {
-				ratio += t.Get(row, smt) / v
-				n++
-			}
-		}
-		b.ReportMetric(ratio/float64(n), "IQ-SMT/ST-ratio")
-	}
-}
-
-// BenchmarkFigure4 regenerates the SMT-vs-single-thread efficiency
-// comparison.
-func BenchmarkFigure4(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		if _, err := r.Figure4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5 regenerates the context-count sweep and reports the IQ
-// AVF growth from 2 to 8 contexts on memory-bound workloads.
-func BenchmarkFigure5(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		panels, err := r.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := panels[0]
-		iq := p.Row("IQ")
-		b.ReportMetric(100*p.Get(iq, p.Col("MEM/2")), "IQ-AVF-MEM2-%")
-		b.ReportMetric(100*p.Get(iq, p.Col("MEM/8")), "IQ-AVF-MEM8-%")
-	}
-}
-
-// BenchmarkFigure6 regenerates the fetch-policy AVF panels and reports the
-// FLUSH-vs-ICOUNT IQ AVF ratio on the 4-context MEM workload.
-func BenchmarkFigure6(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		tables, err := r.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, t := range tables {
-			if t.Title == "Figure 6: AVF under fetch policies (4 contexts, MEM)" {
-				iq := t.Row("IQ")
-				base := t.Get(iq, t.Col("ICOUNT"))
-				if base > 0 {
-					b.ReportMetric(t.Get(iq, t.Col("FLUSH"))/base, "FLUSH/ICOUNT-IQ-AVF")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates the normalized IPC/AVF comparison and
-// reports FLUSH's and STALL's IQ advantage over ICOUNT.
-func BenchmarkFigure7(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		t, err := r.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		iq := t.Row("IQ")
-		b.ReportMetric(t.Get(iq, t.Col("FLUSH")), "FLUSH-IQ-eff-x")
-		b.ReportMetric(t.Get(iq, t.Col("STALL")), "STALL-IQ-eff-x")
-	}
-}
-
-// BenchmarkFigure8 regenerates the fairness-aware efficiency comparison
-// and reports how FLUSH's advantage shrinks under harmonic IPC.
-func BenchmarkFigure8(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := newRunner()
-		tables, err := r.Figure8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws, harm := tables[0], tables[1]
-		iq := ws.Row("IQ")
-		b.ReportMetric(ws.Get(iq, ws.Col("FLUSH")), "FLUSH-IQ-wspeedup-x")
-		b.ReportMetric(harm.Get(iq, harm.Col("FLUSH")), "FLUSH-IQ-harmonic-x")
-	}
-}
-
-// --- Ablations (DESIGN.md §8) ---
-
-func runAblation(b *testing.B, threads int, benches []string, mutate func(*core.Config)) *smtavf.Results {
-	b.Helper()
+func runAblation(tb testing.TB, threads int, benches []string, mutate func(*core.Config)) *smtavf.Results {
+	tb.Helper()
 	cfg := smtavf.DefaultConfig(threads)
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks(benches...))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := sim.Run(uint64(benchBase) * uint64(threads) / 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res
 }
@@ -332,6 +179,27 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 		cycles += res.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+}
+
+// simulatorAllocs is the allocation count of one BenchmarkSimulatorCycles
+// op on the structure-of-arrays engine (docs/performance.md), and
+// maxSimulatorAllocs allows 25% over it: 2,685.
+const (
+	simulatorAllocs    = 2_148
+	maxSimulatorAllocs = simulatorAllocs * 5 / 4
+)
+
+// TestSimulatorAllocs runs BenchmarkSimulatorCycles' simulation and fails
+// when it allocates more than 25% over the recorded count. The steady
+// state allocates nothing per cycle, so creep here means the hot loop
+// started allocating; unlike time, the count does not depend on the host.
+func TestSimulatorAllocs(t *testing.T) {
+	got := testing.AllocsPerRun(1, func() { runAblation(t, 4, ablationMix, nil) })
+	t.Logf("allocs/op: %.0f (recorded %d, bound %d)", got, simulatorAllocs, maxSimulatorAllocs)
+	if got > maxSimulatorAllocs {
+		t.Errorf("BenchmarkSimulatorCycles' simulation allocates %.0f times, more than %d (%d recorded + 25%%)",
+			got, maxSimulatorAllocs, simulatorAllocs)
+	}
 }
 
 // BenchmarkShardSpeedup measures the parallel speedup of the sharded

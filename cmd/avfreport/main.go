@@ -99,6 +99,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// 0 would fall back to a campaign kind's default fan-out or strike
+	// count, so refuse it before anything is simulated.
+	if *xvalN < 1 {
+		fatal(fmt.Errorf("-crossval-seeds must be positive, got %d", *xvalN))
+	}
+	if *propN < 1 {
+		fatal(fmt.Errorf("-propagation-strikes must be positive, got %d", *propN))
+	}
 	if err := obsFlags.Validate(shards.Sharded()); err != nil {
 		fatal(err)
 	}

@@ -95,13 +95,8 @@ func TestHTTPSubmitStatusCancel(t *testing.T) {
 		t.Fatalf("cancel unknown = %d", resp.StatusCode)
 	}
 
-	// Bad submissions.
-	for _, bad := range []string{`{"base":{}}`, `{"unknown_field":1,"base":{"mix":"2ctx-CPU-A"}}`, `not json`,
-		`{"base":{"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}}`, `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSzie":8}]}`,
-		// Unknown fetch policies fail before any point is stored or run.
-		`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
-		`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
-		`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`} {
+	// Bad submissions fail before any point is stored or run.
+	for _, bad := range badSubmissions {
 		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
@@ -111,6 +106,34 @@ func TestHTTPSubmitStatusCancel(t *testing.T) {
 			t.Fatalf("bad submit %q = %d", bad, resp.StatusCode)
 		}
 	}
+	if n := len(s.List()); n != 1 {
+		t.Fatalf("service holds %d campaigns after the bad submissions, want 1", n)
+	}
+	if ids, err := s.store.List(); err != nil || len(ids) != 1 {
+		t.Fatalf("store holds %v (%v) after the bad submissions, want 1 campaign", ids, err)
+	}
+}
+
+// badSubmissions are POST /v1/campaigns bodies the service must answer
+// with 400.
+var badSubmissions = []string{
+	`{"base":{}}`, `{"unknown_field":1,"base":{"mix":"2ctx-CPU-A"}}`, `not json`,
+	`{"base":{"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}}`, `{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSzie":8}]}`,
+	// Unknown fetch policies.
+	`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
+	`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
+	`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`,
+	// Unknown mixes and benchmarks, and machines core.Config refuses.
+	`{"base":{"mix":"nope"}}`,
+	`{"base":{"benchmarks":["gcc","nope"]}}`,
+	`{"base":{"mix":"2ctx-CPU-A"},"mixes":["2ctx-CPU-A","4ctx-NOPE-Z"]}`,
+	`{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSize":0}]}`,
+	`{"base":{"mix":"2ctx-CPU-A","machine":{"IQSize":0}}}`,
+	// Stopping rules out of range.
+	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"confidence":1.5}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"half_width":-0.02}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"max_strikes":-1}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"batch":-1}}}}`,
 }
 
 func TestHTTPStream(t *testing.T) {

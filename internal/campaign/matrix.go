@@ -32,8 +32,10 @@ type Matrix struct {
 
 // Points expands the matrix into its campaign points, deterministically:
 // mixes outermost, then policies, then machines, then seeds — the
-// iteration order a sweep table reads naturally. Every point is
-// validated, and a machine patch naming an unknown field is an error.
+// iteration order a sweep table reads naturally. A machine patch naming
+// an unknown field is an error, and every patched point must resolve
+// (Resolve with zero Defaults), so a point that cannot run is refused
+// before anything is stored.
 func (m Matrix) Points() ([]Spec, error) {
 	if m.V != 0 && m.V != SpecVersion {
 		return nil, fmt.Errorf("campaign: matrix schema v%d is not supported (want v%d)", m.V, SpecVersion)
@@ -77,9 +79,12 @@ func (m Matrix) Points() ([]Spec, error) {
 						p.Seed = seed
 					}
 					p.Name = pointName(m.Base.Name, p, len(mixes) > 1, len(policies) > 1, len(machines) > 1, mi, len(seeds) > 1)
-					err := p.Validate()
-					if err == nil && patch != nil {
+					var err error
+					if patch != nil {
 						p.Machine, err = applyPatch(p, patch)
+					}
+					if err == nil {
+						_, err = p.Resolve(Defaults{})
 					}
 					if err != nil {
 						return nil, fmt.Errorf("point %d (%s): %w", len(points), p.Name, err)

@@ -218,8 +218,9 @@ func (s Spec) Threads() int {
 
 // Validate checks the structural rules: a supported version, exactly one
 // workload source, at most one experiment kind, experiment kinds
-// monolithic and benchmark-sourced, known fetch policies, and a parseable
-// protection map.
+// monolithic and benchmark-sourced, known fetch policies, an inject
+// stopping rule in range, and a parseable protection map. Workload names
+// and the machine are checked by Resolve.
 func (s Spec) Validate() error {
 	if s.V != 0 && s.V != SpecVersion {
 		return fmt.Errorf("campaign: spec schema v%d is not supported (want v%d)", s.V, SpecVersion)
@@ -271,6 +272,21 @@ func (s Spec) Validate() error {
 	}
 	if s.Propagation != nil && s.Propagation.Strikes < 0 {
 		return fmt.Errorf("campaign: propagation strikes must be non-negative, got %d", s.Propagation.Strikes)
+	}
+	if s.Inject != nil {
+		// 0 selects a default (confidence, max_strikes, batch) or, for
+		// half_width, no CI target; the negated ranges also reject NaN.
+		stop := s.Inject.Stop
+		switch {
+		case !(stop.Confidence >= 0 && stop.Confidence < 1):
+			return fmt.Errorf("campaign: inject stop confidence must be in [0, 1), got %v", stop.Confidence)
+		case !(stop.HalfWidth >= 0 && stop.HalfWidth < 1):
+			return fmt.Errorf("campaign: inject stop half_width must be in [0, 1), got %v", stop.HalfWidth)
+		case stop.MaxStrikes < 0:
+			return fmt.Errorf("campaign: inject stop max_strikes must be non-negative, got %d", stop.MaxStrikes)
+		case stop.Batch < 0:
+			return fmt.Errorf("campaign: inject stop batch must be non-negative, got %d", stop.Batch)
+		}
 	}
 	policies := []string{s.Policy}
 	if s.Explain != nil {
@@ -431,8 +447,9 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 // ReadFile loads the points of a spec file: one Spec, or a Matrix (a
 // document with a "base"), the body avfd accepts. Decoding is strict, so
 // a misspelt field anywhere, machine configurations included, is an
-// error rather than a silently defaulted setting. A Spec is validated and
-// returned as the only point; a Matrix is expanded.
+// error rather than a silently defaulted setting. A Spec is returned as
+// the only point, a Matrix is expanded, and every point must resolve
+// (Resolve with zero Defaults, which reads no trace file).
 func ReadFile(path string) ([]Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -453,7 +470,7 @@ func ReadFile(path string) ([]Spec, error) {
 	} else {
 		var s Spec
 		if err = dec.Decode(&s); err == nil {
-			err = s.Validate()
+			_, err = s.Resolve(Defaults{})
 		}
 		s.V = SpecVersion
 		points = []Spec{s}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -182,21 +183,41 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// invalidSpecDocs are spec files ReadFile must refuse.
+var invalidSpecDocs = []string{
+	`{"v":1}`,
+	// A misspelt field used to run at the flag default budget.
+	`{"v":1,"mix":"2ctx-CPU-A","instuctions":5000}`,
+	// Decoding reaches inside the machine override too.
+	`{"v":1,"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}`,
+	`{"base":{"mix":"2ctx-CPU-A"},"polices":["FLUSH"]}`,
+	// Unknown fetch policies, in a spec and in a matrix's policies axis.
+	`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
+	`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
+	`{"v":1,"mix":"2ctx-MIX-A","policy":"BOGUS"}`,
+	`{"v":1,"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}`,
+	`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`,
+	// Unknown mixes and benchmarks, in a spec, a base and a mixes axis.
+	`{"v":1,"mix":"nope"}`,
+	`{"v":1,"benchmarks":["gcc","nope"]}`,
+	`{"base":{"mix":"nope"}}`,
+	`{"base":{"benchmarks":["gcc","nope"]}}`,
+	`{"base":{"mix":"2ctx-CPU-A"},"mixes":["2ctx-CPU-A","4ctx-NOPE-Z"]}`,
+	// Machines core.Config.Validate refuses: an override and a patch.
+	`{"v":1,"mix":"2ctx-CPU-A","machine":{"IQSize":0}}`,
+	`{"base":{"mix":"2ctx-CPU-A"},"machines":[{"IQSize":0}]}`,
+	// Stopping rules out of range; each once ran as something else.
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"confidence":1.5}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"confidence":-0.5}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"half_width":-0.02}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"half_width":1}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"max_strikes":-1}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"batch":-1}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","crossval":{},"inject":{"stop":{"confidence":1.5}}}}`,
+}
+
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
-	for _, doc := range []string{
-		`{"v":1}`,
-		// A misspelt field used to run at the flag default budget.
-		`{"v":1,"mix":"2ctx-CPU-A","instuctions":5000}`,
-		// Decoding reaches inside the machine override too.
-		`{"v":1,"mix":"2ctx-CPU-A","machine":{"IQPartiton":8}}`,
-		`{"base":{"mix":"2ctx-CPU-A"},"polices":["FLUSH"]}`,
-		// Unknown fetch policies, in a spec and in a matrix's policies axis.
-		`{"base":{"mix":"2ctx-MIX-A","policy":"BOGUS"}}`,
-		`{"base":{"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}}`,
-		`{"v":1,"mix":"2ctx-MIX-A","policy":"BOGUS"}`,
-		`{"v":1,"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","BOGUS"]}}`,
-		`{"base":{"mix":"2ctx-MIX-A"},"policies":["ICOUNT","BOGUS"]}`,
-	} {
+	for _, doc := range invalidSpecDocs {
 		path := filepath.Join(t.TempDir(), "spec.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
@@ -236,4 +257,66 @@ func TestSpecOmitsZeroFields(t *testing.T) {
 	if string(data) != want {
 		t.Fatalf("minimal spec marshals to %s, want %s", data, want)
 	}
+}
+
+// FuzzReadFile feeds arbitrary bytes to ReadFile as a spec file. It must
+// not panic; every point it accepts must resolve; and each point must
+// survive MarshalIndent -> ReadFile -> MarshalIndent byte for byte (bytes,
+// not reflect.DeepEqual: an empty protection map reads back as nil).
+func FuzzReadFile(f *testing.F) {
+	for _, doc := range []string{
+		// The CI sweep matrix.
+		`{"base": {"benchmarks": ["gcc", "mcf"], "instructions": 20000, "warmup": 10000},
+		  "policies": ["ICOUNT", "FLUSH"], "machines": [{"IQSize": 48}, {"IQSize": 192}]}`,
+		// One spec of each kind, and a trace replay.
+		`{"v":1,"mix":"2ctx-CPU-A","policy":"STALL","seed":3,"instructions":5000,"warmup":1000}`,
+		`{"v":1,"mix":"4ctx-MIX-A","instructions":8000,"shards":4,"shard_workers":2,"shard_warmup_window":4096}`,
+		`{"v":1,"benchmarks":["gcc","twolf"],"protection":{"IQ":"ecc","ROB":"parity"},
+		  "inject":{"every":4,"seed":9,"stop":{"half_width":0.02,"max_strikes":500,"confidence":0.95,"batch":64}}}`,
+		`{"v":1,"mix":"2ctx-MIX-A","crossval":{"seeds":[1,2,3]},"inject":{"stop":{"half_width":0.05}}}`,
+		`{"v":1,"mix":"2ctx-MEM-A","propagation":{"strikes":8,"options":{"max_hops":4}}}`,
+		`{"v":1,"benchmarks":["mcf","gcc"],"explain":{"policies":["ICOUNT","FLUSH"],"window":5000}}`,
+		`{"v":1,"trace_files":["a.trc","b.trc"],"no_warmup":true,"phase_interval":256}`,
+	} {
+		f.Add(doc)
+	}
+	for _, doc := range badSubmissions {
+		f.Add(doc)
+	}
+	for _, doc := range invalidSpecDocs {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		points, err := ReadFile(path)
+		if err != nil {
+			return
+		}
+		for i, p := range points {
+			if _, err := p.Resolve(Defaults{}); err != nil {
+				t.Fatalf("point %d was accepted but does not resolve: %v", i, err)
+			}
+			first, err := p.MarshalIndent()
+			if err != nil {
+				t.Fatalf("point %d: %v", i, err)
+			}
+			if err := os.WriteFile(path, first, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadFile(path)
+			if err != nil || len(back) != 1 {
+				t.Fatalf("point %d does not read back as one spec (%d points): %v\n%s", i, len(back), err, first)
+			}
+			second, err := back[0].MarshalIndent()
+			if err != nil {
+				t.Fatalf("point %d read back: %v", i, err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("point %d changed in a round trip:\n%s\nread back as\n%s", i, first, second)
+			}
+		}
+	})
 }

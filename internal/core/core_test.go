@@ -361,9 +361,6 @@ func TestResultsRendering(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if got := res.SortedWorkloads(); len(got) != 2 || got[0] != "bzip2" {
-		t.Errorf("SortedWorkloads = %v", got)
-	}
 }
 
 func TestIQPartitionAblation(t *testing.T) {

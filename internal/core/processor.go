@@ -81,8 +81,8 @@ type Processor struct {
 	warmThread    []ThreadStats
 	warmCounters  MachineCounters
 
-	// Telemetry (SetTelemetry). tel is nil when disabled; the live
-	// registry handles below are nil-receiver no-ops then.
+	// Telemetry (SetTelemetry). tel is nil when disabled. The live
+	// registry handles below advance once per window, in telemetryRoll.
 	tel          *telemetry.Collector
 	telBase      telemetrySnap
 	telNext      uint64
@@ -454,7 +454,6 @@ func (p *Processor) step() {
 		p.cpiAccount()
 	}
 	p.now++
-	p.telCycle.SetUint(p.now) // nil-receiver no-op when telemetry is off
 }
 
 // Now returns the current cycle.

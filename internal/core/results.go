@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"smtavf/internal/avf"
@@ -368,18 +367,4 @@ func (p *Processor) results() *Results {
 	r.Counters = d
 	r.Machine = d.Stats(meas)
 	return r
-}
-
-// SortedWorkloads returns the distinct workload names in the run.
-func (r *Results) SortedWorkloads() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, t := range r.Thread {
-		if !seen[t.Workload] {
-			seen[t.Workload] = true
-			out = append(out, t.Workload)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

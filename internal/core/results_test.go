@@ -195,14 +195,3 @@ func TestResultsString(t *testing.T) {
 		t.Errorf("String() shows %d structures at 25%% AVF, want %d", n, avf.NumStructs)
 	}
 }
-
-func TestSortedWorkloads(t *testing.T) {
-	r := &Results{Thread: []ThreadStats{
-		{Workload: "vpr"}, {Workload: "gcc"}, {Workload: "vpr"}, {Workload: "mcf"},
-	}}
-	got := r.SortedWorkloads()
-	want := []string{"gcc", "mcf", "vpr"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedWorkloads = %v, want %v", got, want)
-	}
-}

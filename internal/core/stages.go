@@ -53,7 +53,6 @@ func (p *Processor) commit() {
 			p.recordObservers(u, false)
 			t.committed++
 			p.totalCommitted++
-			p.telCommitted.Inc()
 			p.lastCommitCycle = p.now
 			t.stream.Release(in.Seq + 1)
 			t.releaseUop(u) // committed: out of every structure; recycle
@@ -269,7 +268,6 @@ func (p *Processor) issue() {
 		}
 		pl.Flags[u] |= pipeline.FFlushLoad
 		t.flushes++
-		p.telFlushes.Inc()
 		p.squashThread(t, pl.GSeq[u])
 	}
 }
@@ -634,7 +632,6 @@ func (p *Processor) squashThread(t *thread, afterGSeq uint64) {
 		p.classifyUop(u, true)
 		p.recordObservers(u, true)
 		t.squashedUops++
-		p.telSquashed.Inc()
 		if u == t.wpBranch {
 			t.wrongPath = false
 			t.wpBranch = pipeline.NoUID

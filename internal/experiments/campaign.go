@@ -14,11 +14,11 @@ import (
 // defaults exposes the runner's options as the spec-resolution fallbacks:
 // every run the runner makes resolves a campaign.Spec against them.
 func (r *Runner) defaults() campaign.Defaults {
-	return campaign.Defaults{
-		Seed:   r.opts.Seed,
-		Warmup: r.opts.Warmup,
-		Budget: r.budget,
+	d := campaign.Defaults{Seed: r.opts.Seed, Budget: r.budget}
+	if !r.opts.NoWarmup {
+		d.Warmup = r.opts.Base / 2
 	}
+	return d
 }
 
 // Campaign executes one campaign point — the single entry point the CLIs

@@ -2,8 +2,7 @@
 // evaluation (§3–§4): the workload table, the 4-context AVF profile
 // (Fig. 1–2), the SMT vs single-thread comparison (Fig. 3–4), the
 // thread-count sweep (Fig. 5), and the fetch-policy study (Fig. 6–8).
-// Each driver returns plain Tables that cmd/avfreport renders and
-// bench_test.go regenerates.
+// Each driver returns plain Tables that cmd/avfreport renders.
 package experiments
 
 import (
@@ -23,10 +22,9 @@ type Options struct {
 	// runs use 2× and 4× (the paper's 50M/100M/200M ratio, scaled down —
 	// synthetic workloads are stationary, so AVFs converge quickly).
 	Base uint64
-	// Warmup instructions committed before measurement (stands in for the
-	// paper's SimPoint fast-forward). Defaults to Base/2.
-	Warmup uint64
-	// NoWarmup disables warmup entirely (cold-start measurement).
+	// NoWarmup disables warmup (cold-start measurement). Otherwise every
+	// run commits Base/2 instructions before measurement, standing in for
+	// the paper's SimPoint fast-forward.
 	NoWarmup bool
 	// Seed makes the whole report reproducible.
 	Seed uint64
@@ -43,12 +41,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Base == 0 {
 		o.Base = 50_000
-	}
-	if o.Warmup == 0 && !o.NoWarmup {
-		o.Warmup = o.Base / 2
-	}
-	if o.NoWarmup {
-		o.Warmup = 0
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -332,11 +332,3 @@ func (c *Cache) CloseAccounting(now uint64) {
 		}
 	}
 }
-
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}

@@ -209,13 +209,6 @@ func TestMissRateAccounting(t *testing.T) {
 	if c.Accesses != 4 || c.Misses != 2 {
 		t.Fatalf("accesses=%d misses=%d", c.Accesses, c.Misses)
 	}
-	if got := c.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate %v", got)
-	}
-	empty := smallCache(nil, 1, nil)
-	if empty.MissRate() != 0 {
-		t.Fatal("empty cache miss rate")
-	}
 }
 
 func TestConfigDerived(t *testing.T) {

@@ -83,11 +83,6 @@ func NewTLB(cfg TLBConfig, trk *avf.Tracker, st avf.Struct) *TLB {
 	return t
 }
 
-// ArrayBits returns the total entry-array capacity in bits.
-func (t *TLB) ArrayBits() uint64 {
-	return uint64(t.cfg.Entries) * uint64(t.cfg.EntryBits())
-}
-
 // Access translates addr for thread tid at cycle now, returning the extra
 // latency (0 on a hit, MissPenalty on a miss) and whether it missed.
 // Threads have disjoint address spaces, so tid participates in the tag.
@@ -153,12 +148,4 @@ func (t *TLB) CloseAccounting(now uint64) {
 	for i := range t.entries {
 		t.close(&t.entries[i], now)
 	}
-}
-
-// MissRate returns misses/accesses.
-func (t *TLB) MissRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Accesses)
 }

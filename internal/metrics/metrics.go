@@ -60,21 +60,6 @@ func Efficiency(perf, avf float64) float64 {
 	return perf / avf
 }
 
-// Normalize divides each value by base, returning zeros when base is 0
-// or non-finite — a broken baseline must not turn a whole figure into
-// NaN bars. Figures 7 and 8 plot efficiencies normalized to the ICOUNT
-// baseline.
-func Normalize(values []float64, base float64) []float64 {
-	out := make([]float64, len(values))
-	if base == 0 || math.IsNaN(base) || math.IsInf(base, 0) {
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / base
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -71,21 +71,6 @@ func TestEfficiency(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Normalize = %v", out)
-		}
-	}
-	for _, v := range Normalize([]float64{1, 2}, 0) {
-		if v != 0 {
-			t.Fatal("zero base must normalize to zeros")
-		}
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("empty mean")
@@ -147,8 +132,7 @@ func TestEmptyThreadSets(t *testing.T) {
 
 // TestEfficiencyNonFinite pins the NaN/Inf guards on the IPC/AVF
 // ratios: a negative or NaN AVF must not produce a plottable-looking
-// garbage bar, and Normalize must zero out rather than propagate a
-// non-finite baseline.
+// garbage bar.
 func TestEfficiencyNonFinite(t *testing.T) {
 	if got := Efficiency(2, -0.1); got != 0 {
 		t.Errorf("negative AVF: efficiency = %v, want 0", got)
@@ -158,11 +142,5 @@ func TestEfficiencyNonFinite(t *testing.T) {
 	}
 	if got := Efficiency(math.Inf(1), 0); got != 0 {
 		t.Errorf("Inf perf at zero AVF: efficiency = %v, want 0", got)
-	}
-	for _, v := range Normalize([]float64{1, 2}, math.NaN()) {
-		if !math.IsNaN(v) {
-			continue
-		}
-		t.Fatalf("NaN baseline propagated into normalized values")
 	}
 }

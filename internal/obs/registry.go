@@ -296,16 +296,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return m.hist
 }
 
-// Names returns every registered metric key in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // Has reports whether a metric with the given name (any label set) is
 // registered — the name-parity tests use it.
 func (r *Registry) Has(name string) bool {

@@ -10,8 +10,9 @@ type FUPool struct {
 	counts [isa.NumFUKinds]int
 	busy   [isa.NumFUKinds][]uint64 // per-unit busy-until cycle
 
-	// BusyACE/BusyAll accumulate unit-occupancy cycles for utilization
-	// statistics (AVF is charged through the uop's ResLog.FUCycles).
+	// BusyAll accumulates unit-occupancy cycles, the numerator of the
+	// FU utilization in MachineStats (AVF is charged through the uop's
+	// ResLog.FUCycles).
 	BusyAll uint64
 }
 
@@ -66,13 +67,4 @@ func (p *FUPool) TryIssue(c isa.Class, now uint64) bool {
 		}
 	}
 	return false
-}
-
-// Utilization returns mean unit occupancy over cycles.
-func (p *FUPool) Utilization(cycles uint64) float64 {
-	tot := uint64(p.TotalUnits()) * cycles
-	if tot == 0 {
-		return 0
-	}
-	return float64(p.BusyAll) / float64(tot)
 }

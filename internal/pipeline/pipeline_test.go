@@ -590,11 +590,8 @@ func TestFUPoolSharedMulDiv(t *testing.T) {
 func TestFUUtilization(t *testing.T) {
 	p := NewFUPool(DefaultFUCounts())
 	p.TryIssue(isa.IntALU, 0)
-	if got := p.Utilization(28); got <= 0 || got > 1 {
-		t.Fatalf("utilization %v out of range", got)
-	}
-	if p.Utilization(0) != 0 {
-		t.Fatal("zero-cycle utilization")
+	if want := uint64(isa.IntALU.Latency()); p.BusyAll != want {
+		t.Fatalf("busy unit-cycles after one issue = %d, want %d", p.BusyAll, want)
 	}
 }
 

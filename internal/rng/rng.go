@@ -42,11 +42,6 @@ func (s *Source) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (s *Source) Uint32() uint32 {
-	return uint32(s.Uint64() >> 32)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

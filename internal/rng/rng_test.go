@@ -156,18 +156,3 @@ func TestGeometricMinimum(t *testing.T) {
 		}
 	}
 }
-
-func TestUint32NotConstant(t *testing.T) {
-	s := New(19)
-	a := s.Uint32()
-	diff := false
-	for i := 0; i < 10; i++ {
-		if s.Uint32() != a {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("Uint32 appears constant")
-	}
-}

@@ -23,7 +23,6 @@ package telemetry
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 
 	"smtavf/internal/avf"
@@ -411,21 +410,6 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (c *Collector) CounterNames() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.counters))
-	for n := range c.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Counter is a monotonically increasing live metric; it is the obs

@@ -106,8 +106,8 @@ func TestCounterRegistryReturnsSameInstance(t *testing.T) {
 	if b.Value() != 3 {
 		t.Fatalf("shared counter value = %d", b.Value())
 	}
-	if names := c.CounterNames(); len(names) != 1 || names[0] != "x" {
-		t.Fatalf("counter names = %v", names)
+	if counters := c.Snapshot().Counters; len(counters) != 1 || counters["x"] != 3 {
+		t.Fatalf("snapshot counters = %v, want only x=3", counters)
 	}
 }
 
