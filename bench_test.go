@@ -182,10 +182,10 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 }
 
 // simulatorAllocs is the allocation count of one BenchmarkSimulatorCycles
-// op on the structure-of-arrays engine (docs/performance.md), and
-// maxSimulatorAllocs allows 25% over it: 2,685.
+// op with compact cache lines (docs/performance.md, "Lean machine state"),
+// and maxSimulatorAllocs allows 25% over it: 1,398.
 const (
-	simulatorAllocs    = 2_148
+	simulatorAllocs    = 1_119
 	maxSimulatorAllocs = simulatorAllocs * 5 / 4
 )
 

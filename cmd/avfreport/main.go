@@ -336,9 +336,6 @@ func main() {
 		if err := r.Preload(experiments.AllSpecs()); err != nil {
 			fatal(fmt.Errorf("preload: %w", err))
 		}
-		if err := r.PreloadSingles(); err != nil {
-			fatal(fmt.Errorf("preload singles: %w", err))
-		}
 		logger.Info("preload complete", "elapsed", time.Since(preStart).Round(time.Millisecond).String())
 	}
 	if all || want["table1"] {

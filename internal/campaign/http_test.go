@@ -134,6 +134,11 @@ var badSubmissions = []string{
 	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"half_width":-0.02}}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"max_strikes":-1}}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","inject":{"stop":{"batch":-1}}}}`,
+	// Negative propagation bounds.
+	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"cap":-7}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_hops":-5}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_nodes":-1}}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_recorded_hops":-2}}}}`,
 }
 
 func TestHTTPStream(t *testing.T) {

@@ -270,8 +270,21 @@ func (s Spec) Validate() error {
 	if s.Kind() != KindRun && len(s.TraceFiles) > 0 {
 		return fmt.Errorf("campaign: the %s kind needs benchmark profiles; trace_files only run the plain run kind", s.Kind())
 	}
-	if s.Propagation != nil && s.Propagation.Strikes < 0 {
-		return fmt.Errorf("campaign: propagation strikes must be non-negative, got %d", s.Propagation.Strikes)
+	if pr := s.Propagation; pr != nil {
+		// 0 selects a default; withDefaults would turn a negative bound
+		// into its default too, so a spec asking for one is refused.
+		o := pr.Options
+		for _, f := range []struct {
+			name string
+			v    int
+		}{
+			{"strikes", pr.Strikes}, {"options cap", o.Cap}, {"options max_hops", o.MaxHops},
+			{"options max_nodes", o.MaxNodes}, {"options max_recorded_hops", o.MaxRecordedHops},
+		} {
+			if f.v < 0 {
+				return fmt.Errorf("campaign: propagation %s must be non-negative, got %d", f.name, f.v)
+			}
+		}
 	}
 	if s.Inject != nil {
 		// 0 selects a default (confidence, max_strikes, batch) or, for

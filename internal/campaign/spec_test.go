@@ -214,6 +214,12 @@ var invalidSpecDocs = []string{
 	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"max_strikes":-1}}}`,
 	`{"v":1,"mix":"2ctx-CPU-A","inject":{"stop":{"batch":-1}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","crossval":{},"inject":{"stop":{"confidence":1.5}}}}`,
+	// Negative propagation bounds once ran with the default in their place.
+	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"cap":-7}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"max_hops":-5}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"max_nodes":-1}}}`,
+	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"max_recorded_hops":-2}}}`,
+	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_hops":-5}}}}`,
 }
 
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
@@ -275,6 +281,7 @@ func FuzzReadFile(f *testing.F) {
 		  "inject":{"every":4,"seed":9,"stop":{"half_width":0.02,"max_strikes":500,"confidence":0.95,"batch":64}}}`,
 		`{"v":1,"mix":"2ctx-MIX-A","crossval":{"seeds":[1,2,3]},"inject":{"stop":{"half_width":0.05}}}`,
 		`{"v":1,"mix":"2ctx-MEM-A","propagation":{"strikes":8,"options":{"max_hops":4}}}`,
+		`{"v":1,"mix":"2ctx-MEM-A","propagation":{"strikes":8,"options":{"cap":4096,"max_hops":4,"max_nodes":64,"max_recorded_hops":8}}}`,
 		`{"v":1,"benchmarks":["mcf","gcc"],"explain":{"policies":["ICOUNT","FLUSH"],"window":5000}}`,
 		`{"v":1,"trace_files":["a.trc","b.trc"],"no_warmup":true,"phase_interval":256}`,
 	} {
@@ -298,6 +305,11 @@ func FuzzReadFile(f *testing.F) {
 		for i, p := range points {
 			if _, err := p.Resolve(Defaults{}); err != nil {
 				t.Fatalf("point %d was accepted but does not resolve: %v", i, err)
+			}
+			if pr := p.Propagation; pr != nil {
+				if o := pr.Options; o.Cap < 0 || o.MaxHops < 0 || o.MaxNodes < 0 || o.MaxRecordedHops < 0 {
+					t.Fatalf("point %d was accepted with negative propagation options %+v", i, o)
+				}
 			}
 			first, err := p.MarshalIndent()
 			if err != nil {

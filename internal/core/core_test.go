@@ -46,7 +46,7 @@ func scriptedProc(t *testing.T, cfg Config, patterns ...[]isa.Instruction) *Proc
 	return proc
 }
 
-func profilesFor(t *testing.T, names []string) []trace.Profile {
+func profilesFor(t testing.TB, names []string) []trace.Profile {
 	t.Helper()
 	var out []trace.Profile
 	for _, n := range names {

@@ -117,7 +117,7 @@ func (p *Processor) cpiStall(t *thread, prev *cpiPrev, stalled bool) cpistack.Co
 		return cpistack.CompBase
 	case stalled && t.stallICache:
 		return cpistack.CompICacheMiss
-	case t.fetchQ.len() > 0 || t.fetched != prev.fetched:
+	case t.fetchQ.Len() > 0 || t.fetched != prev.fetched:
 		return cpistack.CompBase
 	}
 	return cpistack.CompFetchGated

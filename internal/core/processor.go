@@ -222,7 +222,7 @@ func NewFromSources(cfg Config, srcs []Source) (*Processor, error) {
 			stream:   trace.NewStream(src.Gen),
 			wrong:    wrong,
 			offset:   threadOffset(i),
-			fetchQ:   newUopQueue(cfg.FetchQueue),
+			fetchQ:   pipeline.NewRing(cfg.FetchQueue),
 			rob:      pipeline.NewROB(pool, cfg.ROBSize),
 			lsq:      pipeline.NewLSQ(pool, cfg.LSQSize),
 			ras:      branch.NewRAS(cfg.RASEntries),

@@ -20,9 +20,9 @@ func (p *Processor) commit() {
 	budget := p.cfg.CommitWidth
 	n := len(p.threads)
 	start := p.commitRR
-	p.commitRR = (p.commitRR + 1) % n
+	p.commitRR = rr(start+1, n)
 	for i := 0; i < n && budget > 0; i++ {
-		t := p.threads[(start+i)%n]
+		t := p.threads[rr(start+i, n)]
 		for budget > 0 && !t.finished {
 			u := t.rob.Head()
 			if u == pipeline.NoUID || pl.Flags[u]&pipeline.FExecuted == 0 {
@@ -279,11 +279,11 @@ func (p *Processor) dispatch() {
 	budget := p.cfg.DispatchWidth
 	n := len(p.threads)
 	start := p.dispatchRR
-	p.dispatchRR = (p.dispatchRR + 1) % n
+	p.dispatchRR = rr(start+1, n)
 	for i := 0; i < n && budget > 0; i++ {
-		t := p.threads[(start+i)%n]
-		for budget > 0 && t.fetchQ.len() > 0 {
-			u := t.fetchQ.front()
+		t := p.threads[rr(start+i, n)]
+		for budget > 0 && t.fetchQ.Len() > 0 {
+			u := t.fetchQ.Front()
 			if pl.Meta[u].FrontReady > p.now {
 				break
 			}
@@ -317,7 +317,7 @@ func (p *Processor) dispatch() {
 			if p.rf.WatchSources(u) == 0 {
 				p.iq.MarkReady(u)
 			}
-			t.fetchQ.popFront()
+			t.fetchQ.PopFront()
 			budget--
 		}
 	}
@@ -336,7 +336,7 @@ func (p *Processor) fetchStage() {
 	if p.policyPure {
 		fetchable := false
 		for _, t := range p.threads {
-			if !t.done() && p.now >= t.stallUntil && t.fetchQ.len() < p.cfg.FetchQueue {
+			if !t.done() && p.now >= t.stallUntil && t.fetchQ.Len() < p.cfg.FetchQueue {
 				fetchable = true
 				break
 			}
@@ -365,7 +365,7 @@ func (p *Processor) fetchStage() {
 			break
 		}
 		t := p.threads[tid]
-		if t.done() || p.now < t.stallUntil || t.fetchQ.len() >= p.cfg.FetchQueue {
+		if t.done() || p.now < t.stallUntil || t.fetchQ.Len() >= p.cfg.FetchQueue {
 			continue
 		}
 		n := p.fetchThread(t, budget)
@@ -399,7 +399,7 @@ func (p *Processor) updateVulnFeedback() {
 func (p *Processor) fetchThread(t *thread, max int) int {
 	pl := p.pool
 	fetched := 0
-	for fetched < max && t.fetchQ.len() < p.cfg.FetchQueue {
+	for fetched < max && t.fetchQ.Len() < p.cfg.FetchQueue {
 		// Address of the next instruction, in this thread's address space.
 		var pc uint64
 		if t.wrongPath {
@@ -463,7 +463,7 @@ func (p *Processor) fetchThread(t *thread, max int) int {
 			}
 		}
 
-		t.fetchQ.pushBack(u)
+		t.fetchQ.PushBack(u)
 		t.fetched++
 		if t.wrongPath {
 			t.wrongPathFetch++
@@ -592,12 +592,12 @@ func (p *Processor) squashThread(t *thread, afterGSeq uint64) {
 			haveRewind = true
 		}
 	}
-	for t.fetchQ.len() > 0 {
-		u := t.fetchQ.back()
+	for t.fetchQ.Len() > 0 {
+		u := t.fetchQ.Back()
 		if pl.GSeq[u] <= afterGSeq {
 			break
 		}
-		t.fetchQ.popBack()
+		t.fetchQ.PopBack()
 		note(u)
 		pl.Flags[u] |= pipeline.FSquashed
 		p.recordObservers(u, true)

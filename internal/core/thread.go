@@ -21,63 +21,41 @@ func threadOffset(tid int) uint64 {
 	return uint64(tid)*threadSpacing + uint64(tid)*threadStagger
 }
 
-// uopQueue is a fixed-capacity ring deque holding the front-end fetch
-// queue. It stores pool ids; a plain slice re-sliced from the front walks
-// its backing array forward and forces a fresh allocation every few
-// dispatch groups, while the ring reuses one array for the whole run.
-type uopQueue struct {
-	buf  []pipeline.UID
-	head int
-	n    int
-}
-
-func newUopQueue(capacity int) uopQueue {
-	return uopQueue{buf: make([]pipeline.UID, capacity)}
-}
-
-func (q *uopQueue) len() int            { return q.n }
-func (q *uopQueue) front() pipeline.UID { return q.buf[q.head] }
-func (q *uopQueue) back() pipeline.UID  { return q.buf[(q.head+q.n-1)%len(q.buf)] }
-func (q *uopQueue) pushBack(u pipeline.UID) {
-	if q.n == len(q.buf) {
-		panic("core: fetch queue overflow")
+// rr reduces a round-robin position j in [0, 2n) to a thread index in
+// [0, n) with a compare and subtract, where % by the thread count would
+// divide.
+func rr(j, n int) int {
+	if j >= n {
+		j -= n
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = u
-	q.n++
+	return j
 }
 
-func (q *uopQueue) popFront() pipeline.UID {
-	u := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return u
-}
-
-func (q *uopQueue) popBack() pipeline.UID {
-	i := (q.head + q.n - 1) % len(q.buf)
-	u := q.buf[i]
-	q.n--
-	return u
-}
-
-// thread is one hardware context.
+// thread is one hardware context. The fetch-policy inputs come first:
+// the fetch stage reads them for every thread every cycle.
 type thread struct {
-	id      int
-	stream  *trace.Stream
-	wrong   *trace.WrongPath
-	profile trace.Profile
-	offset  uint64 // address-space offset (id * threadSpacing)
+	// Fetch-policy inputs.
+	outL1, outL2   int // outstanding (unresolved) L1 / L2 data misses
+	predL1, predL2 int // in-flight loads predicted to miss
+	recentACE      float64
+	vaLastACE      uint64
+
+	id     int
+	stream *trace.Stream
+	wrong  *trace.WrongPath
+	offset uint64 // address-space offset (id * threadSpacing)
 
 	// Private microarchitecture state.
 	rob *pipeline.ROB
 	lsq *pipeline.LSQ
 	ras *branch.RAS
 
-	// Fetch state.
-	fetchQ        uopQueue // fetched, in the front-end pipe
-	stallUntil    uint64   // IL1/ITLB miss or redirect penalty
-	stallICache   bool     // current stallUntil is an IL1/ITLB miss (CPI stack)
-	lastFetchLine uint64   // last IL1 line touched (access per line)
+	// Fetch state. fetchQ holds the uops fetched and still in the
+	// front-end pipe, in fetch order.
+	fetchQ        pipeline.Ring
+	stallUntil    uint64 // IL1/ITLB miss or redirect penalty
+	stallICache   bool   // current stallUntil is an IL1/ITLB miss (CPI stack)
+	lastFetchLine uint64 // last IL1 line touched (access per line)
 
 	// free recycles this thread's pool slots: fetch acquires, the
 	// classification sites release (docs/performance.md has the ownership
@@ -90,12 +68,6 @@ type thread struct {
 	wrongPath   bool
 	wrongPathPC uint64
 	wpBranch    pipeline.UID // NoUID when no mispredicted branch is pending
-
-	// Fetch-policy inputs.
-	outL1, outL2   int // outstanding (unresolved) L1 / L2 data misses
-	predL1, predL2 int // in-flight loads predicted to miss
-	recentACE      float64
-	vaLastACE      uint64
 
 	// Progress.
 	committed  uint64
@@ -142,7 +114,7 @@ func (t *thread) releaseUop(u pipeline.UID) {
 // icount is the ICOUNT fetch-policy metric: instructions in the front end
 // and the issue queue.
 func (t *thread) icount(iq *pipeline.IQ) int {
-	return t.fetchQ.len() + iq.ThreadCount(t.id)
+	return t.fetchQ.Len() + iq.ThreadCount(t.id)
 }
 
 // done reports whether the thread has reached its quota.

@@ -95,6 +95,22 @@ func (r *Runner) Figure2() (*Table, error) {
 // fig3Structs is the structure set of Figures 3 and 4.
 var fig3Structs = []avf.Struct{avf.IQ, avf.FU, avf.ROB}
 
+// isReplayed reports whether s is an SMT run of Figures 3 and 4, whose
+// threads smtVsST replays alone: the 4-context group-A mix of each kind
+// under ICOUNT.
+func isReplayed(s MixSpec) bool {
+	return s.Contexts == 4 && s.Group == workload.GroupA && s.Policy == "ICOUNT"
+}
+
+// replayQuota is the single-thread budget replaying thread tid of smt:
+// exactly the instructions it completed there.
+func replayQuota(smt *core.Results, tid int) uint64 {
+	if q := smt.Committed[tid]; q > 0 {
+		return q
+	}
+	return 1 // a starved thread still needs a well-formed ST run
+}
+
 // smtVsST runs the 4-context group-A mix of each kind under ICOUNT,
 // replays each thread alone for exactly the instructions it completed in
 // the SMT run, and hands both results to emit.
@@ -112,11 +128,7 @@ func (r *Runner) smtVsST(emit func(kind workload.Kind, tid int, bench string,
 		}
 		sts := make([]*core.Results, len(m.Benchmarks))
 		for tid, bench := range m.Benchmarks {
-			quota := smt.Committed[tid]
-			if quota == 0 {
-				quota = 1 // a starved thread still needs a well-formed ST run
-			}
-			st, err := r.Single(bench, quota)
+			st, err := r.Single(bench, replayQuota(smt, tid))
 			if err != nil {
 				return err
 			}

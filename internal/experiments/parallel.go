@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"smtavf/internal/workload"
 )
@@ -38,70 +39,145 @@ func AllSpecs() []MixSpec {
 
 // forEach runs fn(0..n-1) concurrently on a worker pool bounded by
 // GOMAXPROCS. Each job must be fully independent — simulations share no
-// state — which is what makes this safe. The first error is returned;
-// after it the workers drain the remaining jobs without running them, so
-// the sender never blocks on a pool whose workers have all failed.
+// state — which is what makes this safe. The first error is returned.
 func forEach(n int, fn func(i int) error) error {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers < 1 {
-		workers = 1
+	q := newQueue()
+	for i := 0; i < n; i++ {
+		q.push(func() error { return fn(i) })
 	}
-	jobs := make(chan int)
-	var (
-		wg     sync.WaitGroup
-		once   sync.Once
-		failed atomic.Bool
-		first  error
-	)
-	for w := 0; w < workers; w++ {
+	return q.run()
+}
+
+// queue is a FIFO of jobs run by run's GOMAXPROCS workers. A running job
+// may push more; run returns once every job pushed has finished, with the
+// first error. After an error the workers drain the remaining jobs without
+// running them, so no job blocks on a pool whose workers have all failed.
+type queue struct {
+	mu      sync.Mutex
+	wake    sync.Cond // signals a push, or a finished job
+	jobs    []func() error
+	running int
+	err     error
+}
+
+func newQueue() *queue {
+	q := &queue{}
+	q.wake.L = &q.mu
+	return q
+}
+
+// push appends job to the queue.
+func (q *queue) push(job func() error) {
+	q.mu.Lock()
+	q.jobs = append(q.jobs, job)
+	q.mu.Unlock()
+	q.wake.Signal()
+}
+
+// run works the queue on GOMAXPROCS goroutines until it is empty and no
+// job is running.
+func (q *queue) run() error {
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if err := fn(i); err != nil {
-					once.Do(func() { first = err })
-					failed.Store(true)
-				}
-			}
+			q.work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
-	return first
+	return q.err
 }
 
-// Preload runs the given specs concurrently (bounded by GOMAXPROCS) and
-// fills the runner's cache, so the figure drivers afterwards assemble
-// their tables from memoized results.
+func (q *queue) work() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		for len(q.jobs) == 0 && q.running > 0 {
+			q.wake.Wait() // a running job may still push more
+		}
+		if len(q.jobs) == 0 {
+			q.wake.Broadcast() // drained: release the other waiters
+			return
+		}
+		job := q.jobs[0]
+		q.jobs = q.jobs[1:]
+		if q.err != nil {
+			continue
+		}
+		q.running++
+		q.mu.Unlock()
+		err := job()
+		q.mu.Lock()
+		q.running--
+		if err != nil && q.err == nil {
+			q.err = err
+		}
+		if q.running == 0 {
+			q.wake.Broadcast()
+		}
+	}
+}
+
+// Preload fills the runner's cache on one worker pool bounded by
+// GOMAXPROCS, so the figure drivers afterwards assemble their tables from
+// memoized results: the given mix runs longest first, then the
+// single-thread baselines (PreloadSingles), then the Figure 3 and 4
+// replays. A replay's quota is what its thread committed in one of the
+// mix runs, so that run queues its replays when it finishes; no worker
+// waits on another.
 func (r *Runner) Preload(specs []MixSpec) error {
-	return forEach(len(specs), func(i int) error {
-		s := specs[i]
-		_, err := r.Mix(s.Contexts, s.Kind, s.Group, s.Policy)
-		return err
+	specs = slices.Clone(specs)
+	slices.SortStableFunc(specs, func(a, b MixSpec) int {
+		// 8 contexts run 4× the 2-context budget, and memory-bound mixes
+		// run at the lowest IPC.
+		return cmp.Or(cmp.Compare(b.Contexts, a.Contexts), cmp.Compare(b.Kind, a.Kind))
 	})
+	q := newQueue()
+	for _, s := range specs {
+		q.push(func() error {
+			smt, err := r.Mix(s.Contexts, s.Kind, s.Group, s.Policy)
+			if err != nil || !isReplayed(s) {
+				return err
+			}
+			m, err := workload.Lookup(s.Contexts, s.Kind, s.Group)
+			if err != nil {
+				return err
+			}
+			for tid, bench := range m.Benchmarks {
+				q.push(func() error {
+					_, err := r.Single(bench, replayQuota(smt, tid))
+					return err
+				})
+			}
+			return nil
+		})
+	}
+	r.pushSingles(q)
+	return q.run()
 }
 
 // PreloadSingles concurrently runs each distinct benchmark standalone for
 // the runner's base budget (the Figure 8 speedup denominators).
 func (r *Runner) PreloadSingles() error {
+	q := newQueue()
+	r.pushSingles(q)
+	return q.run()
+}
+
+// pushSingles queues one standalone run of each distinct benchmark at the
+// runner's base budget.
+func (r *Runner) pushSingles(q *queue) {
 	seen := map[string]bool{}
-	var names []string
 	for _, m := range workload.Mixes() {
 		for _, b := range m.Benchmarks {
 			if !seen[b] {
 				seen[b] = true
-				names = append(names, b)
+				q.push(func() error {
+					_, err := r.Single(b, r.opts.Base)
+					return err
+				})
 			}
 		}
 	}
-	return forEach(len(names), func(i int) error {
-		_, err := r.Single(names[i], r.opts.Base)
-		return err
-	})
 }

@@ -69,18 +69,24 @@ type Result struct {
 	Kind  MissKind // how deep the access went
 }
 
+// line is one cache line's timing state. The LRU rank lives here, beside
+// the tag the lookup already reads; an instrumented cache keeps its AVF
+// state in separate arrays indexed like lines, so the levels without
+// instrumentation (the L2 and the IL1) carry none of it.
 type line struct {
 	tag     uint64
+	readyAt uint64 // fill completion time (hit-under-fill returns this)
+	owner   int32  // last accessing thread (AVF attribution)
 	valid   bool
 	dirty   bool
-	readyAt uint64 // fill completion time (hit-under-fill returns this)
-	owner   int    // last accessing thread (AVF attribution)
+	rank    uint8 // LRU rank within the set: 0 = most recent, Ways-1 = victim
+}
 
-	// AVF state (only maintained when the cache is instrumented)
+// lineAVF is the per-line AVF state of an instrumented cache.
+type lineAVF struct {
 	fill       uint64 // cycle the current fill completed
 	lastAccess uint64
-	wordEvent  []uint64 // per-word last read/write/fill cycle
-	wordDirty  uint64   // bitmask of dirty words
+	wordDirty  uint64 // bitmask of dirty words
 }
 
 // Cache is one level of a write-back, write-allocate, true-LRU cache
@@ -93,14 +99,17 @@ type Cache struct {
 	sets     int
 	setMask  uint64
 	offBits  uint
-	lines    []line  // sets*ways
-	order    []uint8 // LRU rank per way
-	next     *Cache  // lower level; nil means memory backs this cache
-	memLat   int     // memory latency when next == nil
+	lines    []line // sets*ways
+	next     *Cache // lower level; nil means memory backs this cache
+	memLat   int    // memory latency when next == nil
 	wordsPer int
 
-	// AVF instrumentation (nil tracker disables it)
+	// AVF instrumentation (nil tracker disables it): per-line state, and
+	// each word's last read/write/fill cycle at wordEvent[i*wordsPer+w]
+	// for line i.
 	trk        *avf.Tracker
+	avf        []lineAVF
+	wordEvent  []uint64
 	dataStruct avf.Struct
 	tagStruct  avf.Struct
 	tagBits    uint64
@@ -130,7 +139,6 @@ func New(cfg Config, next *Cache, memLatency int, trk *avf.Tracker, dataStruct, 
 		setMask:    uint64(sets - 1),
 		offBits:    uint(bits.Len(uint(cfg.LineSize) - 1)),
 		lines:      make([]line, sets*cfg.Ways),
-		order:      make([]uint8, sets*cfg.Ways),
 		next:       next,
 		memLat:     memLatency,
 		wordsPer:   cfg.LineSize / wordSize,
@@ -139,15 +147,14 @@ func New(cfg Config, next *Cache, memLatency int, trk *avf.Tracker, dataStruct, 
 		tagStruct:  tagStruct,
 		tagBits:    uint64(cfg.TagBits()),
 	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < cfg.Ways; w++ {
-			c.order[s*cfg.Ways+w] = uint8(w)
+	for base := 0; base < len(c.lines); base += cfg.Ways {
+		for w := range c.lines[base : base+cfg.Ways] {
+			c.lines[base+w].rank = uint8(w)
 		}
 	}
 	if trk != nil {
-		for i := range c.lines {
-			c.lines[i].wordEvent = make([]uint64, c.wordsPer)
-		}
+		c.avf = make([]lineAVF, len(c.lines))
+		c.wordEvent = make([]uint64, len(c.lines)*c.wordsPer)
 	}
 	return c
 }
@@ -179,19 +186,19 @@ func (c *Cache) TryPort(now uint64) bool {
 // access went. Port arbitration is the caller's business (TryPort).
 func (c *Cache) Access(now uint64, addr uint64, size int, write bool, tid int) Result {
 	c.Accesses++
-	set := c.setOf(addr)
 	tag := c.tagOf(addr)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
+	base := c.setOf(addr) * c.cfg.Ways
+	set := c.lines[base : base+c.cfg.Ways]
+	for w := range set {
+		ln := &set[w]
 		if ln.valid && ln.tag == tag {
-			c.touch(base, w)
+			touch(set, w)
 			ready := now
 			if ln.readyAt > ready {
 				ready = ln.readyAt // hit under an in-flight fill
 			}
 			ready += uint64(c.cfg.Latency)
-			c.recordAccess(ln, ready, addr, size, write, tid)
+			c.recordAccess(base+w, ready, addr, size, write, tid)
 			return Result{Ready: ready, Kind: Hit}
 		}
 	}
@@ -212,29 +219,29 @@ func (c *Cache) Access(now uint64, addr uint64, size int, write bool, tid int) R
 	}
 
 	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.order[base+w] == uint8(c.cfg.Ways-1) {
+	for w := range set {
+		if set[w].rank == uint8(len(set)-1) {
 			victim = w
 			break
 		}
 	}
-	ln := &c.lines[base+victim]
-	c.evict(ln, now)
+	i := base + victim
+	c.evict(i, now)
+	ln := &set[victim]
 	ln.tag = tag
 	ln.valid = true
 	ln.dirty = false
 	ln.readyAt = fillReady
-	ln.owner = tid
+	ln.owner = int32(tid)
 	if c.trk != nil {
-		ln.fill = fillReady
-		ln.lastAccess = fillReady
-		ln.wordDirty = 0
-		for i := range ln.wordEvent {
-			ln.wordEvent[i] = fillReady
+		c.avf[i] = lineAVF{fill: fillReady, lastAccess: fillReady}
+		words := c.words(i)
+		for w := range words {
+			words[w] = fillReady
 		}
 	}
-	c.touch(base, victim)
-	c.recordAccess(ln, fillReady, addr, size, write, tid)
+	touch(set, victim)
+	c.recordAccess(i, fillReady, addr, size, write, tid)
 	return Result{Ready: fillReady, Kind: kind}
 }
 
@@ -252,47 +259,56 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-func (c *Cache) touch(base, w int) {
-	old := c.order[base+w]
-	for i := 0; i < c.cfg.Ways; i++ {
-		if c.order[base+i] < old {
-			c.order[base+i]++
+// touch makes way w the most recently used of set.
+func touch(set []line, w int) {
+	old := set[w].rank
+	for i := range set {
+		if set[i].rank < old {
+			set[i].rank++
 		}
 	}
-	c.order[base+w] = 0
+	set[w].rank = 0
 }
 
-// recordAccess applies the AVF word rules for a read or write at cycle at.
-func (c *Cache) recordAccess(ln *line, at uint64, addr uint64, size int, write bool, tid int) {
+// words returns line i's per-word event cycles.
+func (c *Cache) words(i int) []uint64 { return c.wordEvent[i*c.wordsPer : (i+1)*c.wordsPer] }
+
+// recordAccess applies the AVF word rules for a read or write of line i at
+// cycle at.
+func (c *Cache) recordAccess(i int, at uint64, addr uint64, size int, write bool, tid int) {
+	ln := &c.lines[i]
 	if write {
 		ln.dirty = true
 	}
-	ln.owner = tid
+	ln.owner = int32(tid)
 	if c.trk == nil {
 		return
 	}
-	if at > ln.lastAccess {
-		ln.lastAccess = at
+	la := &c.avf[i]
+	if at > la.lastAccess {
+		la.lastAccess = at
 	}
+	words := c.words(i)
 	off := int(addr) & (c.cfg.LineSize - 1)
 	w0 := off / wordSize
 	w1 := (off + size - 1) / wordSize
-	for w := w0; w <= w1 && w < c.wordsPer; w++ {
-		last := ln.wordEvent[w]
+	for w := w0; w <= w1 && w < len(words); w++ {
+		last := words[w]
 		if at > last {
 			// A read ends an interval the data had to survive: ACE.
 			// A write ends an interval about to be overwritten: un-ACE.
 			c.trk.AddInterval(c.dataStruct, tid, wordSize*8, last, at, !write)
-			ln.wordEvent[w] = at
+			words[w] = at
 		}
 		if write {
-			ln.wordDirty |= 1 << uint(w)
+			la.wordDirty |= 1 << uint(w)
 		}
 	}
 }
 
-// evict closes the AVF accounting of a victim line at cycle now.
-func (c *Cache) evict(ln *line, now uint64) {
+// evict closes the AVF accounting of line i, the victim, at cycle now.
+func (c *Cache) evict(i int, now uint64) {
+	ln := &c.lines[i]
 	if !ln.valid {
 		return
 	}
@@ -300,23 +316,24 @@ func (c *Cache) evict(ln *line, now uint64) {
 	if ln.dirty {
 		c.Writeback++
 	}
+	ln.valid = false
 	if c.trk == nil {
-		ln.valid = false
 		return
 	}
 	// Data words: intervals ending in eviction are un-ACE for clean words
 	// ("cache lines that will not be accessed before eviction"); dirty
 	// words must survive until the writeback reads them — ACE.
-	for w := 0; w < c.wordsPer; w++ {
-		dirty := ln.wordDirty&(1<<uint(w)) != 0
-		c.trk.AddInterval(c.dataStruct, ln.owner, wordSize*8, ln.wordEvent[w], now, dirty)
+	la := &c.avf[i]
+	owner := int(ln.owner)
+	for w, last := range c.words(i) {
+		dirty := la.wordDirty&(1<<uint(w)) != 0
+		c.trk.AddInterval(c.dataStruct, owner, wordSize*8, last, now, dirty)
 	}
 	// Tag: ACE from fill to last access (a flipped tag falsifies every
 	// lookup in that window); ACE until eviction too when the line is
 	// dirty (the writeback address depends on the tag).
-	c.trk.AddInterval(c.tagStruct, ln.owner, c.tagBits, ln.fill, ln.lastAccess, true)
-	c.trk.AddInterval(c.tagStruct, ln.owner, c.tagBits, ln.lastAccess, now, ln.dirty)
-	ln.valid = false
+	c.trk.AddInterval(c.tagStruct, owner, c.tagBits, la.fill, la.lastAccess, true)
+	c.trk.AddInterval(c.tagStruct, owner, c.tagBits, la.lastAccess, now, ln.dirty)
 }
 
 // CloseAccounting finalizes AVF intervals for lines still resident at the
@@ -326,9 +343,6 @@ func (c *Cache) CloseAccounting(now uint64) {
 		return
 	}
 	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid {
-			c.evict(ln, now)
-		}
+		c.evict(i, now)
 	}
 }

@@ -2,35 +2,6 @@ package pipeline
 
 import "smtavf/internal/isa"
 
-// uidRing is a fixed-capacity FIFO of pool ids in age order, used by the
-// LSQ's disambiguation index. Entries enter at the back (dispatch) and
-// leave from either end (commit from the front, squash from the back).
-type uidRing struct {
-	buf  []UID
-	head int
-	n    int
-}
-
-func (r *uidRing) front() UID { return r.buf[r.head] }
-func (r *uidRing) back() UID  { return r.buf[(r.head+r.n-1)%len(r.buf)] }
-func (r *uidRing) at(i int) UID {
-	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-func (r *uidRing) pushBack(u UID) {
-	r.buf[(r.head+r.n)%len(r.buf)] = u
-	r.n++
-}
-
-func (r *uidRing) popFront() {
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-}
-
-func (r *uidRing) popBack() {
-	r.n--
-}
-
 // LSQ is one thread's load/store queue (paper Table 1: 48 entries per
 // thread): memory uops in program order. Its tag array (addresses) and
 // data array (store data and returned load data) are AVF tracked
@@ -47,8 +18,8 @@ type LSQ struct {
 	// stores, is the oldest store whose address/data is still unknown —
 	// and the forward scan walks only the stores older than the load
 	// instead of every entry.
-	stores uidRing
-	unexec uidRing
+	stores Ring
+	unexec Ring
 
 	// sleepers holds loads parked by the core because ForwardCheck said
 	// wait. Entries may be stale (squashed, recycled slots) — the core
@@ -62,8 +33,8 @@ func NewLSQ(pool *Pool, capacity int) *LSQ {
 	return &LSQ{
 		pool:   pool,
 		buf:    make([]UID, capacity),
-		stores: uidRing{buf: make([]UID, capacity)},
-		unexec: uidRing{buf: make([]UID, capacity)},
+		stores: NewRing(capacity),
+		unexec: NewRing(capacity),
 	}
 }
 
@@ -83,13 +54,13 @@ func (q *LSQ) Push(u UID, now uint64) {
 	}
 	p := q.pool
 	p.Res[u].EnterLSQ = now
-	idx := (q.head + q.n) % len(q.buf)
+	idx := wrap(q.head+q.n, len(q.buf))
 	p.Meta[u].LSQIdx = int32(idx)
 	q.buf[idx] = u
 	q.n++
 	if p.Ins[u].Class == isa.Store {
-		q.stores.pushBack(u)
-		q.unexec.pushBack(u)
+		q.stores.PushBack(u)
+		q.unexec.PushBack(u)
 	}
 }
 
@@ -100,14 +71,14 @@ func (q *LSQ) PopHead(u UID, now uint64) {
 		panic("pipeline: LSQ pop out of order")
 	}
 	q.closeEntry(u, now)
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = wrap(q.head+1, len(q.buf))
 	q.n--
 	if q.pool.Ins[u].Class == isa.Store {
-		q.stores.popFront()
+		q.stores.PopFront()
 		// The oldest entry is the oldest store, so if it still sits on the
 		// unexecuted index it can only be at the front.
-		if q.unexec.n > 0 && q.unexec.front() == u {
-			q.unexec.popFront()
+		if q.unexec.Len() > 0 && q.unexec.Front() == u {
+			q.unexec.PopFront()
 		}
 	}
 }
@@ -117,13 +88,13 @@ func (q *LSQ) PopTail(now uint64) UID {
 	if q.n == 0 {
 		panic("pipeline: LSQ tail pop when empty")
 	}
-	u := q.buf[(q.head+q.n-1)%len(q.buf)]
+	u := q.buf[wrap(q.head+q.n-1, len(q.buf))]
 	q.closeEntry(u, now)
 	q.n--
 	if q.pool.Ins[u].Class == isa.Store {
-		q.stores.popBack()
-		if q.unexec.n > 0 && q.unexec.back() == u {
-			q.unexec.popBack()
+		q.stores.PopBack()
+		if q.unexec.Len() > 0 && q.unexec.Back() == u {
+			q.unexec.PopBack()
 		}
 	}
 	return u
@@ -152,7 +123,7 @@ func (q *LSQ) Tail() UID {
 	if q.n == 0 {
 		return NoUID
 	}
-	return q.buf[(q.head+q.n-1)%len(q.buf)]
+	return q.buf[wrap(q.head+q.n-1, len(q.buf))]
 }
 
 // ForwardCheck inspects the stores older than the load ld. It returns:
@@ -167,19 +138,19 @@ func (q *LSQ) ForwardCheck(ld UID) (forward, wait bool) {
 	// Drop executed stores from the front of the unexecuted index
 	// (amortized O(1): each store is popped once). The surviving front is
 	// the oldest store whose address/data is still unknown.
-	for q.unexec.n > 0 && p.Flags[q.unexec.front()]&FExecuted != 0 {
-		q.unexec.popFront()
+	for q.unexec.Len() > 0 && p.Flags[q.unexec.Front()]&FExecuted != 0 {
+		q.unexec.PopFront()
 	}
 	gseq := p.GSeq[ld]
-	if q.unexec.n > 0 && p.GSeq[q.unexec.front()] < gseq {
+	if q.unexec.Len() > 0 && p.GSeq[q.unexec.Front()] < gseq {
 		return false, true
 	}
 	// Every store older than ld has executed: scan them for an address
 	// match. Any match forwards — the original full scan kept the
 	// youngest, but the result is a plain bool either way.
 	addr := p.Ins[ld].Addr
-	for i := 0; i < q.stores.n; i++ {
-		s := q.stores.at(i)
+	for i := 0; i < q.stores.Len(); i++ {
+		s := q.stores.At(i)
 		if p.GSeq[s] >= gseq {
 			break
 		}

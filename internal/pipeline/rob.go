@@ -31,7 +31,7 @@ func (r *ROB) Push(u UID, now uint64) {
 		panic("pipeline: ROB push when full")
 	}
 	r.pool.Res[u].EnterROB = now
-	r.buf[(r.head+r.n)%len(r.buf)] = u
+	r.buf[wrap(r.head+r.n, len(r.buf))] = u
 	r.n++
 }
 
@@ -51,7 +51,7 @@ func (r *ROB) PopHead(now uint64) UID {
 		panic("pipeline: ROB pop when empty")
 	}
 	r.pool.Res[u].ROBCycles += now - r.pool.Res[u].EnterROB
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = wrap(r.head+1, len(r.buf))
 	r.n--
 	return u
 }
@@ -61,7 +61,7 @@ func (r *ROB) Tail() UID {
 	if r.n == 0 {
 		return NoUID
 	}
-	return r.buf[(r.head+r.n-1)%len(r.buf)]
+	return r.buf[wrap(r.head+r.n-1, len(r.buf))]
 }
 
 // PopTail removes and returns the youngest uop (squash rollback), closing
@@ -81,5 +81,5 @@ func (r *ROB) At(i int) UID {
 	if i < 0 || i >= r.n {
 		panic("pipeline: ROB index out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[wrap(r.head+i, len(r.buf))]
 }

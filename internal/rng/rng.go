@@ -5,6 +5,8 @@
 // splitmix64 seeding.
 package rng
 
+import "math"
+
 // Source is a deterministic xorshift64* generator. The zero value is not
 // usable; construct with New.
 type Source struct {
@@ -58,9 +60,13 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	return s.Uint64() % n
 }
 
+// Uint53 returns the next 53 pseudo-random bits, the draw Float64 scales
+// into [0, 1).
+func (s *Source) Uint53() uint64 { return s.Uint64() >> 11 }
+
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(s.Uint53()) / (1 << 53)
 }
 
 // Bool returns true with probability p.
@@ -74,15 +80,65 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (values >= 1). Used for run lengths such as basic-block sizes.
-func (s *Source) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
+// Prob is a probability converted once into an integer threshold on the
+// 53-bit draw, so a hot loop compares integers instead of scaling a float
+// per draw. Chance(P(p)) decides exactly as Bool(p) and consumes the same
+// draws: Float64 is x/2⁵³ for the draw x < 2⁵³, and both the conversion
+// and the division are exact, so Float64() < p holds iff x < p·2⁵³ (a
+// power-of-two scaling, also exact), iff x < ⌈p·2⁵³⌉. The top bit marks
+// the probabilities Bool decides without a draw.
+type Prob uint64
+
+const (
+	one53  = 1 << 53
+	noDraw = Prob(1 << 63)
+	never  = noDraw         // p <= 0: false, no draw
+	always = noDraw | one53 // p >= 1: true, no draw
+)
+
+// P converts probability p into its threshold. NaN compares false after
+// a draw, as Bool(NaN) does.
+func P(p float64) Prob {
+	switch {
+	case p <= 0:
+		return never
+	case p >= 1:
+		return always
+	case p != p:
+		return 0
 	}
-	p := 1 / m
+	return Prob(math.Ceil(p * one53))
+}
+
+// Covers reports whether the 53-bit draw x falls below the probability:
+// P(p).Covers(Uint53()) decides exactly as Float64() < p, for any p.
+func (t Prob) Covers(x uint64) bool { return x < uint64(t&^noDraw) }
+
+// Chance returns true with probability t, exactly as Bool does for the
+// p that t was converted from.
+func (s *Source) Chance(t Prob) bool {
+	if t&noDraw != 0 {
+		return t == always
+	}
+	return s.Uint53() < uint64(t)
+}
+
+// GeometricMean converts a mean m into the per-trial threshold of a
+// geometric distribution with that mean: success probability 1/m, and a
+// first-trial success without a draw for m <= 1.
+func GeometricMean(m float64) Prob {
+	if m <= 1 {
+		return always
+	}
+	return P(1 / m)
+}
+
+// GeometricP returns a geometric sample (values >= 1, capped at 2²⁰): the
+// number of Chance(t) trials up to the first success. Used for run
+// lengths such as dependence distances.
+func (s *Source) GeometricP(t Prob) int {
 	n := 1
-	for !s.Bool(p) && n < 1<<20 {
+	for !s.Chance(t) && n < 1<<20 {
 		n++
 	}
 	return n

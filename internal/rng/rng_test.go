@@ -137,7 +137,7 @@ func TestGeometricMean(t *testing.T) {
 	sum := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		sum += s.Geometric(8)
+		sum += s.GeometricP(GeometricMean(8))
 	}
 	mean := float64(sum) / n
 	if math.Abs(mean-8) > 0.3 {
@@ -148,11 +148,79 @@ func TestGeometricMean(t *testing.T) {
 func TestGeometricMinimum(t *testing.T) {
 	s := New(17)
 	for i := 0; i < 1000; i++ {
-		if v := s.Geometric(0.5); v != 1 {
+		if v := s.GeometricP(GeometricMean(0.5)); v != 1 {
 			t.Fatalf("Geometric(m<=1) = %d, want 1", v)
 		}
-		if v := s.Geometric(4); v < 1 {
+		if v := s.GeometricP(GeometricMean(4)); v < 1 {
 			t.Fatalf("Geometric returned %d < 1", v)
 		}
 	}
+}
+
+// geometricFloat is the float form of GeometricP(GeometricMean(m)), the
+// loop the generator used to run: one Bool(1/m) trial per step.
+func geometricFloat(s *Source, m float64) int {
+	if m <= 1 {
+		return 1
+	}
+	p := 1 / m
+	n := 1
+	for !s.Bool(p) && n < 1<<20 {
+		n++
+	}
+	return n
+}
+
+// FuzzChance checks the integer thresholds against the float comparisons
+// they stand in for, for any seed and any p: Chance(P(p)) answers as
+// Bool(p) on the same draws and leaves the stream where Bool leaves it;
+// P(p).Covers(x) is float64(x)/2⁵³ < p for a 53-bit x, probed at the
+// input and around the threshold; and GeometricP(GeometricMean(m)) draws
+// as the float loop does, for m = p and m = 1/p.
+func FuzzChance(f *testing.F) {
+	for _, p := range []float64{
+		0, math.Copysign(0, -1), -0.25, -1, math.Inf(-1), math.NaN(), math.Inf(1),
+		math.SmallestNonzeroFloat64, 0x1p-53, 1.0 / 150, 0.05, 0.3, 0.5, 0.7,
+		1 - 0x1p-53, 1, 1 + 0x1p-52, 8,
+	} {
+		f.Add(uint64(1), p, uint64(1)<<52)
+	}
+	f.Add(uint64(0), 0.9, uint64(0))
+	f.Add(^uint64(0), 0.12, ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, x uint64) {
+		a, b := New(seed), New(seed)
+		for i := 0; i < 64; i++ {
+			if got, want := b.Chance(P(p)), a.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Chance %v, Bool %v", p, i, got, want)
+			}
+		}
+		if got, want := b.Uint64(), a.Uint64(); got != want {
+			t.Fatalf("p=%v: Chance and Bool left the stream at different draws", p)
+		}
+
+		covers := func(x uint64) {
+			if got, want := P(p).Covers(x), float64(x)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v x=%d: Covers %v, float comparison %v", p, x, got, want)
+			}
+		}
+		covers(x & (1<<53 - 1))
+		th := uint64(P(p) &^ noDraw)
+		for _, y := range []uint64{th - 1, th, th + 1} {
+			if y < 1<<53 {
+				covers(y)
+			}
+		}
+		if got, want := P(p).Covers(b.Uint53()), a.Float64() < p; got != want {
+			t.Fatalf("p=%v: Covers(Uint53()) %v, Float64() < p %v", p, got, want)
+		}
+
+		for _, m := range []float64{p, 1 / p} {
+			if got, want := b.GeometricP(GeometricMean(m)), geometricFloat(a, m); got != want {
+				t.Fatalf("m=%v: GeometricP %d, float loop %d", m, got, want)
+			}
+			if got, want := b.Uint64(), a.Uint64(); got != want {
+				t.Fatalf("m=%v: GeometricP and the float loop left the stream at different draws", m)
+			}
+		}
+	})
 }

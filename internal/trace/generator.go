@@ -41,6 +41,48 @@ const (
 	longSourceP   = 0.30                     // P(compute Src2 reads a long-lived reg)
 )
 
+// The fixed probabilities the per-instruction draws use, as thresholds.
+var (
+	pBaseRewrite = rng.P(1.0 / baseRewrite)
+	pLongRewrite = rng.P(longRewriteP)
+	pLongSource  = rng.P(longSourceP)
+	pSeventy     = rng.P(0.7)
+)
+
+// thresholds holds a profile's per-instruction probabilities converted
+// once into rng thresholds (rng.P). A threshold decides exactly as
+// Bool(p) or Float64() < p would, on the same draws, so the stream is the
+// one the profile's fields define.
+type thresholds struct {
+	// Cumulative bounds of the body class draw: NopFrac, +LoadFrac and
+	// +StoreFrac, summed left to right. Another order can round to
+	// another float and move a class boundary.
+	nop, load, store rng.Prob
+
+	loadStoreReuse, fp, div, mul, dead rng.Prob
+	hot, stride, pageLocal             rng.Prob
+	predictable                        rng.Prob
+	depDist                            rng.Prob // rng.GeometricMean(DepDist)
+}
+
+func newThresholds(p *Profile) thresholds {
+	return thresholds{
+		nop:            rng.P(p.NopFrac),
+		load:           rng.P(p.NopFrac + p.LoadFrac),
+		store:          rng.P(p.NopFrac + p.LoadFrac + p.StoreFrac),
+		loadStoreReuse: rng.P(p.LoadStoreReuse),
+		fp:             rng.P(p.FPFrac),
+		div:            rng.P(p.DivFrac),
+		mul:            rng.P(p.MulFrac),
+		dead:           rng.P(p.DeadFrac),
+		hot:            rng.P(p.HotFrac),
+		stride:         rng.P(p.StrideFrac),
+		pageLocal:      rng.P(p.PageLocal),
+		predictable:    rng.P(p.BranchPredictability),
+		depDist:        rng.GeometricMean(float64(p.DepDist)),
+	}
+}
+
 type block struct {
 	start uint64 // PC of first instruction
 	n     int    // instruction count, excluding the terminating CTI
@@ -59,6 +101,7 @@ type block struct {
 // base registers.
 type Synthetic struct {
 	p   Profile
+	pr  thresholds
 	rnd *rng.Source
 
 	blocks []block
@@ -68,7 +111,7 @@ type Synthetic struct {
 	seq       uint64
 	callStack []int    // return-to block indices
 	retPC     []uint64 // return addresses (PC after the call)
-	trips     map[int]int
+	trips     []int    // per block: loop trips left, 0 = not looping
 
 	// Register dataflow.
 	recentInt []isa.RegID // ring of recently written short-lived int regs
@@ -98,8 +141,8 @@ func NewSynthetic(p Profile, seed uint64) *Synthetic {
 	p = p.withDefaults()
 	g := &Synthetic{
 		p:         p,
+		pr:        newThresholds(&p),
 		rnd:       rng.New(seed ^ hashName(p.Name)),
-		trips:     make(map[int]int),
 		recentInt: make([]isa.RegID, 8),
 		recentFP:  make([]isa.RegID, 8),
 		nextInt:   firstShortInt,
@@ -132,6 +175,7 @@ func hashName(s string) uint64 {
 func (g *Synthetic) buildCode() {
 	p := g.p
 	g.blocks = make([]block, p.CodeBlocks)
+	g.trips = make([]int, p.CodeBlocks)
 	pc := uint64(codeBase)
 	for i := range g.blocks {
 		// Block lengths cluster tightly around the mean so that the
@@ -213,16 +257,16 @@ func (g *Synthetic) Next() isa.Instruction {
 
 // body emits one non-CTI instruction at pc.
 func (g *Synthetic) body(pc uint64) isa.Instruction {
-	p := &g.p
+	p, pr := &g.p, &g.pr
 	in := isa.Instruction{PC: pc, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.RegNone}
-	r := g.rnd.Float64()
+	r := g.rnd.Uint53()
 	switch {
-	case r < p.NopFrac:
+	case pr.nop.Covers(r):
 		in.Class = isa.NOP
 		return in
-	case r < p.NopFrac+p.LoadFrac:
+	case pr.load.Covers(r):
 		in.Class = isa.Load
-		if g.storeRingN > 0 && g.rnd.Bool(p.LoadStoreReuse) {
+		if g.storeRingN > 0 && g.rnd.Chance(pr.loadStoreReuse) {
 			// Reload a recently stored address (register spill/reload).
 			in.Addr = g.storeRing[g.rnd.Intn(min(g.storeRingN, len(g.storeRing)))]
 			in.Size = 8
@@ -232,7 +276,7 @@ func (g *Synthetic) body(pc uint64) isa.Instruction {
 		in.Src1 = g.pickBase()
 		g.setDest(&in, p.FPFrac > 0.5)
 		return in
-	case r < p.NopFrac+p.LoadFrac+p.StoreFrac:
+	case pr.store.Covers(r):
 		in.Class = isa.Store
 		in.Addr, in.Size = g.address()
 		in.Src1 = g.pickBase()
@@ -242,15 +286,15 @@ func (g *Synthetic) body(pc uint64) isa.Instruction {
 		return in
 	}
 	// Compute op.
-	fp := g.rnd.Bool(p.FPFrac)
+	fp := g.rnd.Chance(pr.fp)
 	switch {
-	case g.rnd.Bool(p.DivFrac):
+	case g.rnd.Chance(pr.div):
 		if fp {
 			in.Class = isa.FPDiv
 		} else {
 			in.Class = isa.IntDiv
 		}
-	case g.rnd.Bool(p.MulFrac):
+	case g.rnd.Chance(pr.mul):
 		if fp {
 			in.Class = isa.FPMul
 		} else {
@@ -265,9 +309,9 @@ func (g *Synthetic) body(pc uint64) isa.Instruction {
 	}
 	in.Src1 = g.pickSrc(fp)
 	switch {
-	case g.rnd.Bool(longSourceP):
+	case g.rnd.Chance(pLongSource):
 		in.Src2 = g.pickLong(fp)
-	case g.rnd.Bool(0.7):
+	case g.rnd.Chance(pSeventy):
 		in.Src2 = g.pickSrc(fp)
 	default:
 		in.Src2 = isa.RegNone
@@ -278,7 +322,6 @@ func (g *Synthetic) body(pc uint64) isa.Instruction {
 
 // terminator emits the CTI ending block b and advances the block walk.
 func (g *Synthetic) terminator(b *block) isa.Instruction {
-	p := &g.p
 	pc := b.start + uint64(b.n)*4
 	in := isa.Instruction{PC: pc, Class: b.kind, Src1: g.pickSrc(false), Src2: isa.RegNone, Dest: isa.RegNone}
 	idx := g.cur
@@ -316,13 +359,13 @@ func (g *Synthetic) terminator(b *block) isa.Instruction {
 	// follow their static bias with probability BranchPredictability.
 	taken := false
 	if b.loopTrips > 0 {
-		t, ok := g.trips[idx]
-		if !ok {
+		t := g.trips[idx]
+		if t == 0 {
 			// Real loop bounds are stable across entries, which is what
 			// makes their exits learnable; BranchPredictability controls
 			// the occasional data-dependent jitter.
 			t = b.loopTrips
-			if !g.rnd.Bool(p.BranchPredictability) {
+			if !g.rnd.Chance(g.pr.predictable) {
 				t += g.rnd.Intn(5) - 2
 				if t < 1 {
 					t = 1
@@ -330,15 +373,11 @@ func (g *Synthetic) terminator(b *block) isa.Instruction {
 			}
 		}
 		t--
-		if t > 0 {
-			taken = true
-			g.trips[idx] = t
-		} else {
-			delete(g.trips, idx)
-		}
+		g.trips[idx] = t
+		taken = t > 0
 	} else {
 		taken = b.bias
-		if !g.rnd.Bool(p.BranchPredictability) {
+		if !g.rnd.Chance(g.pr.predictable) {
 			taken = !taken
 		}
 	}
@@ -364,9 +403,9 @@ func (g *Synthetic) nextSequential(idx int) int {
 // which is walked by strided streams or random accesses with page reuse.
 func (g *Synthetic) address() (uint64, uint8) {
 	p := &g.p
-	if p.HotFrac > 0 && g.rnd.Bool(p.HotFrac) {
+	if g.rnd.Chance(g.pr.hot) {
 		var off uint64
-		if g.rnd.Bool(0.7) {
+		if g.rnd.Chance(pSeventy) {
 			g.hotPtr = (g.hotPtr + 8) % p.HotSet
 			off = g.hotPtr
 		} else {
@@ -375,7 +414,7 @@ func (g *Synthetic) address() (uint64, uint8) {
 		return dataBase + (off &^ 7), 8
 	}
 	var off uint64
-	if g.rnd.Bool(p.StrideFrac) {
+	if g.rnd.Chance(g.pr.stride) {
 		s := g.rnd.Intn(numStrideStreams)
 		g.streamPtr[s] = (g.streamPtr[s] + p.Stride) % p.WorkingSet
 		off = g.streamPtr[s]
@@ -385,7 +424,7 @@ func (g *Synthetic) address() (uint64, uint8) {
 			pages = 1
 		}
 		var page uint64
-		if g.pageN > 0 && g.rnd.Bool(p.PageLocal) {
+		if g.pageN > 0 && g.rnd.Chance(g.pr.pageLocal) {
 			page = g.pageRing[g.rnd.Intn(min(g.pageN, pageRingSize))]
 		} else {
 			page = g.rnd.Uint64n(pages)
@@ -413,7 +452,7 @@ func (g *Synthetic) pickLong(fp bool) isa.RegID {
 // pickSrc chooses a short-lived source register at roughly DepDist
 // instructions behind the current point.
 func (g *Synthetic) pickSrc(fp bool) isa.RegID {
-	d := g.rnd.Geometric(float64(g.p.DepDist))
+	d := g.rnd.GeometricP(g.pr.depDist)
 	if fp {
 		if d > len(g.recentFP) {
 			d = len(g.recentFP)
@@ -430,7 +469,7 @@ func (g *Synthetic) pickSrc(fp bool) isa.RegID {
 // dynamically dead results, occasionally a base or long-lived register,
 // otherwise the next short-lived temporary.
 func (g *Synthetic) setDest(in *isa.Instruction, fp bool) {
-	if g.rnd.Bool(g.p.DeadFrac) {
+	if g.rnd.Chance(g.pr.dead) {
 		in.Dead = true
 		if fp {
 			in.Dest = isa.FPScratch
@@ -440,12 +479,12 @@ func (g *Synthetic) setDest(in *isa.Instruction, fp bool) {
 		return
 	}
 	if !fp {
-		if g.rnd.Bool(1.0 / baseRewrite) {
+		if g.rnd.Chance(pBaseRewrite) {
 			in.Dest = isa.RegID(g.baseRR % numBaseRegs)
 			g.baseRR++
 			return
 		}
-		if g.rnd.Bool(longRewriteP) {
+		if g.rnd.Chance(pLongRewrite) {
 			in.Dest = isa.RegID(numBaseRegs + g.longIntRR%numLongInt)
 			g.longIntRR++
 			return
@@ -459,7 +498,7 @@ func (g *Synthetic) setDest(in *isa.Instruction, fp bool) {
 		g.riPos++
 		return
 	}
-	if g.rnd.Bool(longRewriteP) {
+	if g.rnd.Chance(pLongRewrite) {
 		in.Dest = isa.FirstFPReg + isa.RegID(g.longFPRR%numLongFP)
 		g.longFPRR++
 		return
