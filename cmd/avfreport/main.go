@@ -279,6 +279,10 @@ func main() {
 			fatal(fmt.Errorf("propagation: %w", err))
 		}
 		atlas := res.Atlas
+		if atlas.Dropped > 0 {
+			logger.Warn("propagation tracer reached its node cap: strikes on later uops resolve no victim",
+				"dropped", atlas.Dropped)
+		}
 		fmt.Printf("fault-propagation atlas: %s\n\n", res.Title)
 		fmt.Print(atlas.Tables(*propTop))
 		if *propOut != "" {

@@ -554,6 +554,10 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 				"cross_thread", atlas.CrossEdges(),
 				"max_depth", atlas.MaxDepth,
 			)
+			if atlas.Dropped > 0 {
+				s.logger.Warn("propagation tracer reached its node cap: strikes on later uops resolve no victim",
+					"dropped", atlas.Dropped)
+			}
 			if s.prop.Out != "" {
 				if err := propagation.WriteFile(s.prop.Out, atlas.Traces); err != nil {
 					fatal(fmt.Errorf("propagation-out: %w", err))

@@ -81,6 +81,9 @@ type PropagationSummary struct {
 	// CrossEdges counts propagation steps that crossed a thread boundary.
 	CrossEdges int `json:"cross_edges,omitempty"`
 	MaxDepth   int `json:"max_depth,omitempty"`
+	// Dropped counts uops retired past the tracer's node cap, which no
+	// trace can reach (propagation.Atlas.Dropped).
+	Dropped uint64 `json:"dropped,omitempty"`
 }
 
 // SummarizeAtlas digests an atlas for the wire.
@@ -93,6 +96,7 @@ func SummarizeAtlas(a *propagation.Atlas) *PropagationSummary {
 		Resolved:  a.Resolved,
 		Truncated: a.Truncated,
 		MaxDepth:  a.MaxDepth,
+		Dropped:   a.Dropped,
 	}
 	if len(a.Terminals) > 0 {
 		s.Terminals = make(map[string]int, len(a.Terminals))

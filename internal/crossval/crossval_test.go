@@ -3,7 +3,9 @@ package crossval
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,4 +190,52 @@ func TestPool(t *testing.T) {
 	if _, err := Pool([]*Report{a, b}); err == nil {
 		t.Error("pooling mixed confidence levels should error")
 	}
+}
+
+// FuzzReadJSONL: ReadJSONL never panics, and whatever it accepts
+// re-encodes through WriteJSONL and reads back equal. The seeds are a real
+// smtsim -inject-report file (testdata/report.jsonl), each of its lines,
+// and the reports the tests above build.
+func FuzzReadJSONL(f *testing.F) {
+	file, err := os.ReadFile(filepath.Join("testdata", "report.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	for _, line := range bytes.SplitAfter(file, []byte("\n")) {
+		f.Add(line)
+	}
+	var tracker [avf.NumStructs]float64
+	tracker[avf.IQ], tracker[avf.ROB] = 0.2, 0.5
+	st := stats(map[avf.Struct][2]uint64{avf.IQ: {2000, 10000}, avf.ROB: {1000, 10000}})
+	a := Build(Meta{Workload: "w", Policy: "ICOUNT", Seed: 3, Every: 1}, tracker, st)
+	b := Build(Meta{Workload: "w", Seed: 4}, tracker, stats(map[avf.Struct][2]uint64{avf.IQ: {190, 1000}}))
+	pooled, err := Pool([]*Report{a, b})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rep := range []*Report{a, b, pooled} {
+		var buf bytes.Buffer
+		if err := rep.WriteJSONL(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := (&Report{Entries: entries}).WriteJSONL(&buf); err != nil {
+			t.Fatalf("re-encoding accepted entries: %v", err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded entries rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(back, entries) {
+			t.Fatalf("entries changed across the round trip:\n got %+v\nwant %+v", back, entries)
+		}
+	})
 }

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/inject"
+	"smtavf/internal/propagation"
 )
 
 // campaignOpts keeps the campaign runs fast; the checks need the runs to
@@ -156,5 +159,51 @@ func TestCampaignRejectsBadMachine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCampaignPropagationReportsDropped: a propagation point whose run
+// retires more uops than the tracer's node cap says so in the atlas, its
+// headline and the wire summary; an uncapped point says nothing.
+func TestCampaignPropagationReportsDropped(t *testing.T) {
+	spec := campaign.Spec{Mix: "2ctx-CPU-A", Propagation: &campaign.PropagationSpec{Strikes: 8}}
+	r := NewRunner(campaignOpts())
+	full, err := r.Campaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Atlas.Dropped != 0 || strings.Contains(full.Atlas.Tables(10), "node cap") {
+		t.Fatalf("uncapped point reports %d dropped uops:\n%s", full.Atlas.Dropped, full.Atlas.Tables(10))
+	}
+	if data, _ := json.Marshal(full.Propagation); strings.Contains(string(data), "dropped") {
+		t.Fatalf("uncapped summary carries dropped: %s", data)
+	}
+
+	spec.Propagation = &campaign.PropagationSpec{Strikes: 8, Options: propagation.Options{Cap: 2000}}
+	capped, err := r.Campaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := capped.Atlas.Dropped
+	if dropped == 0 {
+		t.Fatal("a run past the node cap reports no dropped uops")
+	}
+	if want := fmt.Sprintf(", %d uops past the node cap unrecorded\n", dropped); !strings.Contains(capped.Atlas.Tables(10), want) {
+		t.Fatalf("headline lacks %q:\n%s", want, capped.Atlas.Tables(10))
+	}
+	var wire struct {
+		Propagation struct {
+			Dropped uint64 `json:"dropped"`
+		} `json:"propagation"`
+	}
+	data, err := json.Marshal(capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Propagation.Dropped != dropped {
+		t.Fatalf("summary dropped = %d, atlas %d", wire.Propagation.Dropped, dropped)
 	}
 }

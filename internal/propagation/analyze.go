@@ -3,8 +3,11 @@ package propagation
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"smtavf/internal/avf"
 	"smtavf/internal/inject"
@@ -99,11 +102,11 @@ type seed struct {
 	cycle uint64
 }
 
-// analysis is the dataflow index built once per Analyze call — who writes
+// analysis is the dataflow index built once per Analyze call: who writes
 // and reads each physical register, which store satisfied each load (by
 // forwarding or through memory), who touched each DL1 set when, and whose
-// windows cover which cycles — plus the scratch one strike's expansion
-// reuses.
+// windows cover which cycles. Nothing writes it once build returns, so
+// any number of walkers share it.
 type analysis struct {
 	t       *Tracer
 	opt     Options
@@ -123,7 +126,12 @@ type analysis struct {
 	win      csr[int32]
 	maxLen   []uint64
 	pairKeys []string // [from*threads+to] -> "from>to" Pairs key
+}
 
+// walker is the scratch one strike's expansion reuses. Each worker owns
+// one; they share the analysis.
+type walker struct {
+	*analysis
 	hop   []int32 // node -> taint hop; -1 outside the current expansion
 	queue []int32 // the current expansion, breadth-first
 	edges [len(EdgeTypes)]int
@@ -133,112 +141,174 @@ type analysis struct {
 	seen  []bool // per thread, for DL1 set walks
 }
 
-// build indexes the tracer's nodes in O(n log n). Every list is sorted by
-// explicit keys so the whole analysis is deterministic.
-func (t *Tracer) build() *analysis {
+func (a *analysis) walker() *walker {
+	w := &walker{
+		analysis: a,
+		hop:      make([]int32, a.t.n),
+		pairs:    make([]int, a.threads*a.threads),
+		seen:     make([]bool, a.threads),
+	}
+	for i := range w.hop {
+		w.hop[i] = -1
+	}
+	return w
+}
+
+// build indexes the tracer's nodes in O(n log n) on up to workers
+// goroutines. Every list is sorted by explicit keys, so the index does not
+// depend on which worker built which part of it.
+func (t *Tracer) build(workers int) *analysis {
 	a := &analysis{t: t, opt: t.opt}
 	threads, regs := t.threads, 0
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := range int32(t.n) {
+		n := t.node(i)
 		threads = max(threads, int(n.tid)+1)
 		regs = max(regs, int(n.physDest)+1, int(n.physSrc1)+1, int(n.physSrc2)+1)
 	}
 	a.threads = threads
-
-	a.writes = newCSR(regs, func(add func(int32, int32)) {
-		for i := range t.nodes {
-			if n := &t.nodes[i]; n.executed && n.physDest >= 0 {
-				add(n.physDest, int32(i))
-			}
-		}
-	})
-	a.reads = newCSR(regs, func(add func(int32, int32)) {
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if !n.issued {
-				continue
-			}
-			if n.physSrc1 >= 0 {
-				add(n.physSrc1, int32(i))
-			}
-			if n.physSrc2 >= 0 && n.physSrc2 != n.physSrc1 {
-				add(n.physSrc2, int32(i))
-			}
-		}
-	})
-	var sorter nodeSorter
-	a.cons = make([]struct{ lo, hi int32 }, len(t.nodes))
-	for r := range int32(regs) {
-		writers, reads := a.writes.list(r), a.reads.list(r)
-		sorter.sort(writers, func(i int32) (uint64, uint64) { return t.nodes[i].ready, t.nodes[i].gseq })
-		sorter.sort(reads, func(i int32) (uint64, uint64) { return t.nodes[i].issueAt, t.nodes[i].gseq })
-		// Writers are sorted by writeback and readers by issue, so one
-		// forward walk finds every writer's range.
-		base, p := a.reads.start[r], 0
-		issuedFrom := func(cycle uint64) int32 {
-			for p < len(reads) && t.nodes[reads[p]].issueAt < cycle {
-				p++
-			}
-			return base + int32(p)
-		}
-		for w, wi := range writers {
-			limit := ^uint64(0)
-			if w+1 < len(writers) {
-				limit = t.nodes[writers[w+1]].ready
-			}
-			a.cons[wi].lo = issuedFrom(t.nodes[wi].ready)
-			a.cons[wi].hi = issuedFrom(limit)
-		}
-	}
-
-	a.win = newCSR(numWindows*threads, func(add func(int32, int32)) {
-		for i := range t.nodes {
-			for k := range numWindows {
-				if w := a.window(k, int32(i)); w.end > w.start {
-					add(int32(k*threads)+t.nodes[i].tid, int32(i))
-				}
-			}
-		}
-	})
-	a.maxLen = make([]uint64, numWindows*threads)
-	for key := range int32(len(a.maxLen)) {
-		k, list := int(key)/threads, a.win.list(key)
-		sorter.sort(list, func(i int32) (uint64, uint64) { return a.window(k, i).start, uint64(i) })
-		for _, i := range list {
-			w := a.window(k, i)
-			a.maxLen[key] = max(a.maxLen[key], w.end-w.start)
-		}
-	}
-
-	sets := 0
-	if t.dl1.Size > 0 {
-		sets = t.dl1.Sets()
-	}
-	a.sets = newCSR(sets, func(add func(int32, touch)) {
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if cycle, ok := n.dl1Access(); ok && sets > 0 {
-				add(a.setOf(n.addr), touch{cycle, int32(i)})
-			}
-		}
-	})
-	for set := range int32(sets) {
-		slices.SortFunc(a.sets.list(set), func(x, y touch) int {
-			return cmp.Or(cmp.Compare(x.cycle, y.cycle), cmp.Compare(x.idx, y.idx))
-		})
-	}
-	a.matchLoads(&sorter)
 	a.pairKeys = make([]string, threads*threads)
 	for p := range a.pairKeys {
 		a.pairKeys[p] = fmt.Sprintf("%d>%d", p/threads, p%threads)
 	}
-	a.hop = make([]int32, len(t.nodes))
-	for i := range a.hop {
-		a.hop[i] = -1
+	sets := 0
+	if t.dl1.Size > 0 {
+		sets = t.dl1.Sets()
 	}
-	a.pairs = make([]int, threads*threads)
-	a.seen = make([]bool, threads)
+	// Three passes over the log group the register writers, the register
+	// readers and the DL1 touches, one job each.
+	parallel(3, workers, func(_, job int) {
+		switch job {
+		case 0:
+			a.writes = newCSR(regs, func(add func(int32, int32)) {
+				for i := range int32(t.n) {
+					if n := t.node(i); n.executed && n.physDest >= 0 {
+						add(n.physDest, i)
+					}
+				}
+			})
+		case 1:
+			a.reads = newCSR(regs, func(add func(int32, int32)) {
+				for i := range int32(t.n) {
+					n := t.node(i)
+					if !n.issued {
+						continue
+					}
+					if n.physSrc1 >= 0 {
+						add(n.physSrc1, i)
+					}
+					if n.physSrc2 >= 0 && n.physSrc2 != n.physSrc1 {
+						add(n.physSrc2, i)
+					}
+				}
+			})
+		case 2:
+			a.sets = newCSR(sets, func(add func(int32, touch)) {
+				for i := range int32(t.n) {
+					n := t.node(i)
+					if cycle, ok := n.dl1Access(); ok && sets > 0 {
+						add(a.setOf(n.addr), touch{cycle, i})
+					}
+				}
+			})
+		}
+	})
+	a.cons = make([]struct{ lo, hi int32 }, t.n)
+	// One job matches the loads to their stores (the longest, so it goes
+	// first), one per register sorts its lists and finds its consumer
+	// ranges, and one per DL1 set sorts its touches. The window lists
+	// need the consumer ranges, so they are built after.
+	sorters := make([]nodeSorter, workers)
+	parallel(1+regs+sets, workers, func(w, job int) {
+		switch {
+		case job == 0:
+			a.matchLoads(&sorters[w])
+		case job <= regs:
+			a.indexReg(int32(job-1), &sorters[w])
+		default:
+			slices.SortFunc(a.sets.list(int32(job-1-regs)), func(x, y touch) int {
+				return cmp.Or(cmp.Compare(x.cycle, y.cycle), cmp.Compare(x.idx, y.idx))
+			})
+		}
+	})
+	a.win = newCSR(numWindows*threads, func(add func(int32, int32)) {
+		for i := range int32(t.n) {
+			n := t.node(i)
+			for k, s := range n.spans {
+				if s.end > s.start {
+					add(int32(k*threads)+n.tid, i)
+				}
+			}
+			// A consumer issues at or after its writer's writeback, so a
+			// writer with consumers has a nonempty liveness window.
+			if c := a.cons[i]; c.hi > c.lo {
+				add(int32(liveWindow*threads)+n.tid, i)
+			}
+		}
+	})
+	a.maxLen = make([]uint64, numWindows*threads)
+	radix := make([]radixSorter, workers)
+	parallel(len(a.maxLen), workers, func(w, key int) {
+		// A list is in node order, so a stable sort by start orders it by
+		// (start, node).
+		k, list := key/threads, a.win.list(int32(key))
+		radix[w].sortStable(list, func(i int32) uint64 { return a.windowStart(k, i) })
+		for _, i := range list {
+			s := a.window(k, i)
+			a.maxLen[key] = max(a.maxLen[key], s.end-s.start)
+		}
+	})
 	return a
+}
+
+// indexReg sorts register r's writers by (writeback, gseq) and readers by
+// (issue, gseq), and gives every writer its consumer range.
+func (a *analysis) indexReg(r int32, sorter *nodeSorter) {
+	t := a.t
+	writers, reads := a.writes.list(r), a.reads.list(r)
+	sorter.sort(writers, func(i int32) (uint64, uint64) { return t.node(i).ready, t.node(i).gseq })
+	sorter.sort(reads, func(i int32) (uint64, uint64) { return t.node(i).issueAt, t.node(i).gseq })
+	// Writers are sorted by writeback and readers by issue, so one forward
+	// walk finds every writer's range.
+	base, p := a.reads.start[r], 0
+	issuedFrom := func(cycle uint64) int32 {
+		for p < len(reads) && t.node(reads[p]).issueAt < cycle {
+			p++
+		}
+		return base + int32(p)
+	}
+	for w, wi := range writers {
+		limit := ^uint64(0)
+		if w+1 < len(writers) {
+			limit = t.node(writers[w+1]).ready
+		}
+		a.cons[wi].lo = issuedFrom(t.node(wi).ready)
+		a.cons[wi].hi = issuedFrom(limit)
+	}
+}
+
+// parallel calls job(w, i) for every i in [0, n), in order of i, on up to
+// workers goroutines; w names the calling worker (0 <= w < workers), so a
+// job can use that worker's scratch. It returns once every call has.
+func parallel(n, workers int, job func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			job(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				job(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // matchLoads matches every load to the store it observed, mirroring the
@@ -250,36 +320,36 @@ func (a *analysis) matchLoads(sorter *nodeSorter) {
 	fwdStores := make(map[wordKey][]int32) // executed stores, by gseq
 	memStores := make(map[wordKey][]int32) // committed stores, by (retire, gseq)
 	var loads []int32
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := range int32(t.n) {
+		n := t.node(i)
 		switch {
 		case n.class == isa.Store:
 			if n.executed {
-				fwdStores[n.word()] = append(fwdStores[n.word()], int32(i))
+				fwdStores[n.word()] = append(fwdStores[n.word()], i)
 			}
 			if n.committed() {
-				memStores[n.word()] = append(memStores[n.word()], int32(i))
+				memStores[n.word()] = append(memStores[n.word()], i)
 			}
 		case n.class == isa.Load && n.issued:
-			loads = append(loads, int32(i))
+			loads = append(loads, i)
 		}
 	}
 	for _, idxs := range fwdStores {
-		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.nodes[i].gseq, 0 })
+		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.node(i).gseq, 0 })
 	}
 	for _, idxs := range memStores {
-		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.nodes[i].retire, t.nodes[i].gseq })
+		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.node(i).retire, t.node(i).gseq })
 	}
 	var fwd, mem [][2]int32 // (store, load), in load order
 	for _, li := range loads {
-		ld := &t.nodes[li]
+		ld := t.node(li)
 		if ld.forwarded {
 			// The youngest store older than the load that had executed by
 			// its issue.
 			stores := fwdStores[ld.word()]
-			p := sort.Search(len(stores), func(i int) bool { return t.nodes[stores[i]].gseq >= ld.gseq })
+			p := sort.Search(len(stores), func(i int) bool { return t.node(stores[i]).gseq >= ld.gseq })
 			for p--; p >= 0; p-- {
-				if t.nodes[stores[p]].ready <= ld.issueAt {
+				if t.node(stores[p]).ready <= ld.issueAt {
 					fwd = append(fwd, [2]int32{stores[p], li})
 					break
 				}
@@ -287,12 +357,12 @@ func (a *analysis) matchLoads(sorter *nodeSorter) {
 			continue
 		}
 		stores := memStores[ld.word()]
-		if p := sort.Search(len(stores), func(i int) bool { return t.nodes[stores[i]].retire > ld.issueAt }); p > 0 {
+		if p := sort.Search(len(stores), func(i int) bool { return t.node(stores[i]).retire > ld.issueAt }); p > 0 {
 			mem = append(mem, [2]int32{stores[p-1], li})
 		}
 	}
 	out := func(pairs [][2]int32) csr[int32] {
-		return newCSR(len(t.nodes), func(add func(int32, int32)) {
+		return newCSR(t.n, func(add func(int32, int32)) {
 			for _, e := range pairs {
 				add(e[0], e[1])
 			}
@@ -329,6 +399,51 @@ func (s *nodeSorter) sort(idxs []int32, by func(i int32) (key, tie uint64)) {
 	})
 	for j := range buf {
 		idxs[j] = buf[j].idx
+	}
+}
+
+// radixSorter sorts node indices by a key through two reused buffers.
+type radixSorter struct {
+	src, dst []keyedIdx
+}
+
+type keyedIdx struct {
+	key uint64
+	idx int32
+}
+
+// sortStable orders idxs by key as by returns it, keeping equal keys in
+// their order: a least-significant-digit radix sort, one pass per byte
+// the largest key uses.
+func (s *radixSorter) sortStable(idxs []int32, by func(i int32) uint64) {
+	if cap(s.src) < len(idxs) {
+		s.src, s.dst = make([]keyedIdx, len(idxs)), make([]keyedIdx, len(idxs))
+	}
+	src, dst := s.src[:len(idxs)], s.dst[:len(idxs)]
+	var used uint64
+	for j, i := range idxs {
+		k := by(i)
+		src[j] = keyedIdx{k, i}
+		used |= k
+	}
+	for shift := 0; used>>shift != 0; shift += 8 {
+		var pos [256]int
+		for _, e := range src {
+			pos[byte(e.key>>shift)]++
+		}
+		at := 0
+		for d, n := range pos {
+			pos[d], at = at, at+n
+		}
+		for _, e := range src {
+			d := byte(e.key >> shift)
+			dst[pos[d]] = e
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	for j := range src {
+		idxs[j] = src[j].idx
 	}
 }
 
@@ -374,7 +489,7 @@ func (a *analysis) consumers(wi int32) []int32 {
 // none: a residency span, or for liveWindow the cycles from its register
 // writeback through its last consumer's issue.
 func (a *analysis) window(k int, i int32) span {
-	n := &a.t.nodes[i]
+	n := a.t.node(i)
 	if k < liveWindow {
 		return n.spans[k]
 	}
@@ -382,7 +497,15 @@ func (a *analysis) window(k int, i int32) span {
 	if c.lo == c.hi {
 		return span{}
 	}
-	return span{n.ready, a.t.nodes[a.reads.items[c.hi-1]].issueAt + 1}
+	return span{n.ready, a.t.node(a.reads.items[c.hi-1]).issueAt + 1}
+}
+
+// windowStart is window(k, i).start.
+func (a *analysis) windowStart(k int, i int32) uint64 {
+	if k < liveWindow {
+		return a.t.node(i).spans[k].start
+	}
+	return a.t.node(i).ready
 }
 
 // cover appends to dst the nodes of thread tid whose window of kind k
@@ -399,7 +522,7 @@ func (a *analysis) cover(k, tid int, c uint64, dst []int32) []int32 {
 	if c >= maxLen {
 		from = c - maxLen + 1
 	}
-	i := sort.Search(len(list), func(j int) bool { return a.window(k, list[j]).start >= from })
+	i := sort.Search(len(list), func(j int) bool { return a.windowStart(k, list[j]) >= from })
 	for ; i < len(list); i++ {
 		w := a.window(k, list[i])
 		if w.start > c {
@@ -415,8 +538,8 @@ func (a *analysis) cover(k, tid int, c uint64, dst []int32) []int32 {
 // firstTouches walks touches (sorted by cycle) forward from the first one
 // after cycle and calls visit with the first touch of every thread except
 // thread skip (-1 skips none). It stops once every such thread is seen.
-func (a *analysis) firstTouches(touches []touch, cycle uint64, skip int32, visit func(tc touch, tid int32)) {
-	seen, unseen := a.seen, a.threads
+func (w *walker) firstTouches(touches []touch, cycle uint64, skip int32, visit func(tc touch, tid int32)) {
+	seen, unseen := w.seen, w.threads
 	clear(seen)
 	if skip >= 0 {
 		seen[skip] = true
@@ -425,7 +548,7 @@ func (a *analysis) firstTouches(touches []touch, cycle uint64, skip int32, visit
 	i := sort.Search(len(touches), func(i int) bool { return touches[i].cycle > cycle })
 	for ; i < len(touches) && unseen > 0; i++ {
 		tc := touches[i]
-		if tid := a.t.nodes[tc.idx].tid; !seen[tid] {
+		if tid := w.t.node(tc.idx).tid; !seen[tid] {
 			seen[tid] = true
 			unseen--
 			visit(tc, tid)
@@ -438,8 +561,8 @@ func (a *analysis) firstTouches(touches []touch, cycle uint64, skip int32, visit
 // struck DL1 set after the strike). The strike's ThreadBit picks
 // deterministically among equally-resident candidates. The seeds alias
 // scratch reused by the next call.
-func (a *analysis) resolve(st inject.Strike) (victim int32, seeds []seed, ok bool) {
-	t := a.t
+func (w *walker) resolve(st inject.Strike) (victim int32, seeds []seed, ok bool) {
+	t := w.t
 	switch st.Struct {
 	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU, avf.Reg:
 		// A pipeline structure holds the uops whose residency span covers
@@ -449,14 +572,14 @@ func (a *analysis) resolve(st inject.Strike) (victim int32, seeds []seed, ok boo
 		if st.Struct != avf.Reg {
 			k = spanIndex(st.Struct)
 		}
-		a.cands = a.cover(k, st.TID, st.Cycle, a.cands[:0])
-		return pickByGSeq(t, a.cands, st.ThreadBit)
+		w.cands = w.cover(k, st.TID, st.Cycle, w.cands[:0])
+		return pickByGSeq(t, w.cands, st.ThreadBit)
 	case avf.DL1Data, avf.DL1Tag:
-		set, mapped := a.strikeSet(st)
+		set, mapped := w.strikeSet(st)
 		if !mapped {
 			return -1, nil, false
 		}
-		touches := a.sets.list(set)
+		touches := w.sets.list(set)
 		// Victim: the struck thread's last access to the set before the
 		// strike (falling back to any thread's — the line may be resident
 		// long after its owner's access).
@@ -466,7 +589,7 @@ func (a *analysis) resolve(st inject.Strike) (victim int32, seeds []seed, ok boo
 		}
 		victim = prior[len(prior)-1].idx
 		for i := len(prior) - 1; i >= 0; i-- {
-			if int(t.nodes[prior[i].idx].tid) == st.TID {
+			if int(t.node(prior[i].idx).tid) == st.TID {
 				victim = prior[i].idx
 				break
 			}
@@ -476,15 +599,15 @@ func (a *analysis) resolve(st inject.Strike) (victim int32, seeds []seed, ok boo
 		// the datum (memory), other threads are contaminated through the
 		// shared array (cross_thread). A node accesses the DL1 at most
 		// once, so the victim, at or before the strike, is not among them.
-		a.seeds = a.seeds[:0]
-		a.firstTouches(touches, st.Cycle, -1, func(tc touch, tid int32) {
+		w.seeds = w.seeds[:0]
+		w.firstTouches(touches, st.Cycle, -1, func(tc touch, tid int32) {
 			typ := edgeMemory
 			if int(tid) != st.TID {
 				typ = edgeCrossThread
 			}
-			a.seeds = append(a.seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
+			w.seeds = append(w.seeds, seed{idx: tc.idx, typ: typ, cycle: tc.cycle})
 		})
-		return victim, a.seeds, true
+		return victim, w.seeds, true
 	default:
 		// ITLB/DTLB strikes corrupt translations, not tracked dataflow.
 		return -1, nil, false
@@ -500,14 +623,14 @@ func pickByGSeq(t *Tracer, cands []int32, threadBit uint64) (int32, []seed, bool
 		return -1, nil, false
 	}
 	slices.SortFunc(cands, func(x, y int32) int {
-		return cmp.Compare(t.nodes[x].gseq, t.nodes[y].gseq)
+		return cmp.Compare(t.node(x).gseq, t.node(y).gseq)
 	})
 	return cands[int(threadBit%uint64(len(cands)))], nil, true
 }
 
 // trace taint-tracks one strike through the dataflow index.
-func (a *analysis) trace(st inject.Strike) Trace {
-	t := a.t
+func (w *walker) trace(st inject.Strike) Trace {
+	t := w.t
 	tr := Trace{
 		V:         SchemaVersion,
 		Struct:    st.Struct.String(),
@@ -522,9 +645,9 @@ func (a *analysis) trace(st inject.Strike) Trace {
 		tr.Terminal = TerminalMasked
 		return tr
 	}
-	victim, seeds, ok := a.resolve(st)
+	victim, seeds, ok := w.resolve(st)
 	if ok {
-		v := &t.nodes[victim]
+		v := t.node(victim)
 		tr.Resolved = true
 		tr.RootTID = int(v.tid)
 		tr.RootPC = v.pc
@@ -548,39 +671,39 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	}
 
 	// Breadth-first taint expansion from the victim.
-	a.hop[victim] = 0
-	a.queue = append(a.queue[:0], victim)
-	a.edges = [len(EdgeTypes)]int{}
-	clear(a.pairs)
+	w.hop[victim] = 0
+	w.queue = append(w.queue[:0], victim)
+	w.edges = [len(EdgeTypes)]int{}
+	clear(w.pairs)
 	for _, s := range seeds {
-		a.edge(&tr, victim, s.idx, s.typ, s.cycle)
+		w.edge(&tr, victim, s.idx, s.typ, s.cycle)
 	}
 	// Once the node bound truncates the expansion no later edge can change
 	// the trace, so the walk stops there.
-	for qi := 0; qi < len(a.queue) && !tr.Truncated; qi++ {
-		ni := a.queue[qi]
-		if int(a.hop[ni]) >= a.opt.MaxHops {
+	for qi := 0; qi < len(w.queue) && !tr.Truncated; qi++ {
+		ni := w.queue[qi]
+		if int(w.hop[ni]) >= w.opt.MaxHops {
 			continue
 		}
-		for _, ri := range a.consumers(ni) {
-			a.edge(&tr, ni, ri, edgeReg, t.nodes[ri].issueAt)
+		for _, ri := range w.consumers(ni) {
+			w.edge(&tr, ni, ri, edgeReg, t.node(ri).issueAt)
 		}
-		n := &t.nodes[ni]
+		n := t.node(ni)
 		if n.class != isa.Store {
 			continue
 		}
-		for _, li := range a.fwdOut.list(ni) {
-			a.edge(&tr, ni, li, edgeForward, t.nodes[li].issueAt)
+		for _, li := range w.fwdOut.list(ni) {
+			w.edge(&tr, ni, li, edgeForward, t.node(li).issueAt)
 		}
-		for _, li := range a.memOut.list(ni) {
-			a.edge(&tr, ni, li, edgeMemory, t.nodes[li].issueAt)
+		for _, li := range w.memOut.list(ni) {
+			w.edge(&tr, ni, li, edgeMemory, t.node(li).issueAt)
 		}
 		// A tainted committed store also dirties its DL1 set: the next
 		// access each *other* thread makes to that set after the writeback
 		// crosses the shared-array boundary.
-		if n.committed() && a.sets.keys() > 0 {
-			a.firstTouches(a.sets.list(a.setOf(n.addr)), n.retire, n.tid, func(tc touch, _ int32) {
-				a.edge(&tr, ni, tc.idx, edgeCrossThread, tc.cycle)
+		if n.committed() && w.sets.keys() > 0 {
+			w.firstTouches(w.sets.list(w.setOf(n.addr)), n.retire, n.tid, func(tc touch, _ int32) {
+				w.edge(&tr, ni, tc.idx, edgeCrossThread, tc.cycle)
 			})
 		}
 	}
@@ -589,31 +712,31 @@ func (a *analysis) trace(st inject.Strike) Trace {
 	// work committed live (ACE). Taint confined to squashed, dead, or NOP
 	// uops never reaches committed state — microarchitectural masking the
 	// per-strike view refines beyond the campaign's ACE verdict.
-	tr.Tainted = len(a.queue)
-	for _, i := range a.queue {
-		if h := int(a.hop[i]); t.nodes[i].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
+	tr.Tainted = len(w.queue)
+	for _, i := range w.queue {
+		if h := int(w.hop[i]); t.node(i).fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
 			tr.CommitHop = h
 		}
-		a.hop[i] = -1
+		w.hop[i] = -1
 	}
 	if tr.CommitHop >= 0 {
 		tr.Terminal = TerminalSDC
 	} else {
 		tr.Terminal = TerminalMasked
 	}
-	if len(a.queue) > 1 {
+	if len(w.queue) > 1 {
 		// Traces with no edges serialize without the maps, so a JSONL
 		// round trip reproduces them exactly.
 		tr.Edges = map[string]int{}
-		for typ, n := range a.edges {
+		for typ, n := range w.edges {
 			if n > 0 {
 				tr.Edges[EdgeTypes[typ]] = n
 			}
 		}
 		tr.Pairs = map[string]int{}
-		for p, n := range a.pairs {
+		for p, n := range w.pairs {
 			if n > 0 {
-				tr.Pairs[a.pairKeys[p]] = n
+				tr.Pairs[w.pairKeys[p]] = n
 			}
 		}
 	}
@@ -622,25 +745,25 @@ func (a *analysis) trace(st inject.Strike) Trace {
 
 // edge taints node to through an edge from the tainted node from, unless
 // it is already tainted or the expansion is at its node bound.
-func (a *analysis) edge(tr *Trace, from, to int32, typ edgeType, cycle uint64) {
-	if a.hop[to] >= 0 {
+func (w *walker) edge(tr *Trace, from, to int32, typ edgeType, cycle uint64) {
+	if w.hop[to] >= 0 {
 		return
 	}
-	if len(a.queue) >= a.opt.MaxNodes {
+	if len(w.queue) >= w.opt.MaxNodes {
 		tr.Truncated = true
 		return
 	}
-	h := a.hop[from] + 1
-	a.hop[to] = h
-	a.queue = append(a.queue, to)
-	a.edges[typ]++
+	h := w.hop[from] + 1
+	w.hop[to] = h
+	w.queue = append(w.queue, to)
+	w.edges[typ]++
 	tr.Depth = max(tr.Depth, int(h))
-	fn, tn := &a.t.nodes[from], &a.t.nodes[to]
+	fn, tn := w.t.node(from), w.t.node(to)
 	if fn.tid != tn.tid {
 		tr.CrossThread++
 	}
-	a.pairs[int(fn.tid)*a.threads+int(tn.tid)]++
-	if len(tr.Hops) < a.opt.MaxRecordedHops {
+	w.pairs[int(fn.tid)*w.threads+int(tn.tid)]++
+	if len(tr.Hops) < w.opt.MaxRecordedHops {
 		tr.Hops = append(tr.Hops, Hop{
 			Hop: int(h), Type: EdgeTypes[typ],
 			FromTID: int(fn.tid), FromPC: fn.pc,
@@ -654,11 +777,29 @@ func (a *analysis) edge(tr *Trace, from, to int32, typ edgeType, cycle uint64) {
 // run, returning the aggregated atlas. Call after the simulation
 // completes; the strikes typically come from Campaign.SampleStrikes with
 // the same campaign that observed the run.
+//
+// The index builds and the strikes trace on GOMAXPROCS workers. Each
+// strike's trace depends only on the strike and the index, and the atlas
+// folds the traces in strike order, so the atlas does not depend on the
+// worker count.
 func (t *Tracer) Analyze(strikes []inject.Strike) *Atlas {
-	a := t.build()
+	workers := runtime.GOMAXPROCS(0)
+	a := t.build(workers)
+	// Every walker is made before any worker starts: the workers only read
+	// the analysis.
+	walkers := make([]*walker, min(workers, len(strikes)))
+	for w := range walkers {
+		walkers[w] = a.walker()
+	}
+	traces := make([]Trace, len(strikes))
+	parallel(len(strikes), len(walkers), func(w, i int) {
+		traces[i] = walkers[w].trace(strikes[i])
+	})
 	atlas := NewAtlas(t.threads)
-	for _, st := range strikes {
-		atlas.Add(a.trace(st))
+	atlas.Dropped = t.dropped
+	atlas.Traces = traces
+	for i := range traces {
+		atlas.fold(&traces[i])
 	}
 	t.publish(atlas)
 	return atlas

@@ -43,6 +43,10 @@ type Atlas struct {
 	Escapes map[string]map[string]int
 	// MaxDepth is the deepest hop any trace reached.
 	MaxDepth int
+	// Dropped counts the uops the run retired past the tracer's node cap
+	// (Options.Cap). They were not recorded, so strikes on them resolve no
+	// victim and edges into them are missing.
+	Dropped uint64
 	// Traces holds every per-strike record, in strike order.
 	Traces []Trace
 
@@ -79,11 +83,16 @@ func (a *Atlas) growMatrix(threads int) {
 	}
 }
 
-// Add folds one trace into the aggregate tables — Analyze uses it per
-// strike, and it rebuilds an atlas from traces read back off JSONL.
+// Add appends one trace and folds it into the aggregate tables; it
+// rebuilds an atlas from traces read back off JSONL.
 func (a *Atlas) Add(tr Trace) {
-	a.Strikes++
 	a.Traces = append(a.Traces, tr)
+	a.fold(&a.Traces[len(a.Traces)-1])
+}
+
+// fold adds one trace to the aggregate tables.
+func (a *Atlas) fold(tr *Trace) {
+	a.Strikes++
 	a.Terminals[tr.Terminal]++
 	if tr.Resolved {
 		a.Resolved++
@@ -184,6 +193,9 @@ func (a *Atlas) Tables(top int) string {
 	fmt.Fprintf(&b, "fault-propagation atlas: %d strikes, %d resolved", a.Strikes, a.Resolved)
 	if a.Truncated > 0 {
 		fmt.Fprintf(&b, ", %d truncated", a.Truncated)
+	}
+	if a.Dropped > 0 {
+		fmt.Fprintf(&b, ", %d uops past the node cap unrecorded", a.Dropped)
 	}
 	b.WriteString("\n  terminals:")
 	for _, term := range [4]string{TerminalSDC, TerminalDUE, TerminalCorrected, TerminalMasked} {

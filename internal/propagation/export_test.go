@@ -3,6 +3,7 @@ package propagation
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -15,14 +16,14 @@ import (
 // range with the linear scan it replaced. It returns the number of
 // writers checked and the first disagreement.
 func (t *Tracer) CheckConsumers() (writers int, err error) {
-	a := t.build()
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	a := t.build(runtime.GOMAXPROCS(0))
+	for i := range int32(t.n) {
+		n := t.node(i)
 		if !n.executed || n.physDest < 0 {
 			continue
 		}
 		writers++
-		got, want := a.consumers(int32(i)), a.scanConsumers(n.physDest, int32(i))
+		got, want := a.consumers(i), a.scanConsumers(n.physDest, i)
 		if !slices.Equal(got, want) {
 			return writers, fmt.Errorf("writer %d of p%d: consumers %v, linear scan %v", i, n.physDest, got, want)
 		}
@@ -30,16 +31,20 @@ func (t *Tracer) CheckConsumers() (writers int, err error) {
 	return writers, nil
 }
 
+// SetOptions replaces the tracer's options; after a run, only the bounds
+// Analyze applies still matter.
+func (t *Tracer) SetOptions(opt Options) { t.opt = opt.withDefaults() }
+
 // CheckAnalyze traces every strike through the indexed analysis and
 // through the reference below, under opt's bounds. It returns the indexed
 // traces and the first strike whose traces differ.
 func (t *Tracer) CheckAnalyze(strikes []inject.Strike, opt Options) ([]Trace, error) {
-	a := t.build()
+	a := t.build(runtime.GOMAXPROCS(0))
 	a.opt = opt.withDefaults()
-	ref := a.reference()
+	ref, w := a.reference(), a.walker()
 	traces := make([]Trace, len(strikes))
 	for i, st := range strikes {
-		traces[i] = a.trace(st)
+		traces[i] = w.trace(st)
 		if want := ref.trace(st); !reflect.DeepEqual(traces[i], want) {
 			return nil, fmt.Errorf("strike %d (%+v):\n indexed   %+v\n reference %+v", i, st, traces[i], want)
 		}
@@ -52,7 +57,7 @@ func (t *Tracer) CheckAnalyze(strikes []inject.Strike, opt Options) ([]Trace, er
 // up to 32 longest windows, where the index's search bound is tight, and
 // at 64 cycles spread over the run. It returns the first disagreement.
 func (t *Tracer) CheckCover() error {
-	a := t.build()
+	a := t.build(runtime.GOMAXPROCS(0))
 	type window struct {
 		idx int32
 		span
@@ -60,9 +65,9 @@ func (t *Tracer) CheckCover() error {
 	for k := range numWindows {
 		windows := make([][]window, a.threads)
 		var end uint64
-		for i := range t.nodes {
-			if w := a.scanWindow(k, int32(i)); w.end > w.start {
-				windows[t.nodes[i].tid] = append(windows[t.nodes[i].tid], window{int32(i), w})
+		for i := range int32(t.n) {
+			if w := a.scanWindow(k, i); w.end > w.start {
+				windows[t.node(i).tid] = append(windows[t.node(i).tid], window{i, w})
 				end = max(end, w.end)
 			}
 		}
@@ -102,7 +107,7 @@ func (t *Tracer) CheckCover() error {
 // a register writer the cycles from its writeback through the issue of its
 // last consumer, found by scanConsumers.
 func (a *analysis) scanWindow(k int, i int32) span {
-	n := &a.t.nodes[i]
+	n := a.t.node(i)
 	if k < liveWindow {
 		return n.spans[k]
 	}
@@ -111,7 +116,7 @@ func (a *analysis) scanWindow(k int, i int32) span {
 	}
 	var w span
 	for _, ri := range a.scanConsumers(n.physDest, i) {
-		w = span{n.ready, a.t.nodes[ri].issueAt + 1}
+		w = span{n.ready, a.t.node(ri).issueAt + 1}
 	}
 	return w
 }
@@ -125,14 +130,14 @@ func (a *analysis) scanConsumers(phys, wi int32) []int32 {
 	if pos < 0 {
 		return nil
 	}
-	w := &a.t.nodes[wi]
+	w := a.t.node(wi)
 	limit := ^uint64(0)
 	if pos+1 < len(writers) {
-		limit = a.t.nodes[writers[pos+1]].ready
+		limit = a.t.node(writers[pos+1]).ready
 	}
 	var out []int32
 	for _, ri := range a.reads.list(phys) {
-		r := &a.t.nodes[ri]
+		r := a.t.node(ri)
 		if r.issueAt < w.ready {
 			continue
 		}
@@ -165,28 +170,28 @@ func (a *analysis) reference() *reference {
 	fwdStores := make(map[wordKey][]int32)
 	memStores := make(map[wordKey][]int32)
 	var loads []int32
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := range int32(t.n) {
+		n := t.node(i)
 		switch n.class {
 		case isa.Store:
 			if n.executed {
-				fwdStores[n.word()] = append(fwdStores[n.word()], int32(i))
+				fwdStores[n.word()] = append(fwdStores[n.word()], i)
 			}
 			if n.committed() {
-				memStores[n.word()] = append(memStores[n.word()], int32(i))
+				memStores[n.word()] = append(memStores[n.word()], i)
 			}
 		case isa.Load:
 			if n.issued {
-				loads = append(loads, int32(i))
+				loads = append(loads, i)
 			}
 		}
 	}
 	for _, idxs := range fwdStores {
-		sort.Slice(idxs, func(x, y int) bool { return t.nodes[idxs[x]].gseq < t.nodes[idxs[y]].gseq })
+		sort.Slice(idxs, func(x, y int) bool { return t.node(idxs[x]).gseq < t.node(idxs[y]).gseq })
 	}
 	for _, idxs := range memStores {
 		sort.Slice(idxs, func(x, y int) bool {
-			nx, ny := &t.nodes[idxs[x]], &t.nodes[idxs[y]]
+			nx, ny := t.node(idxs[x]), t.node(idxs[y])
 			if nx.retire != ny.retire {
 				return nx.retire < ny.retire
 			}
@@ -194,11 +199,11 @@ func (a *analysis) reference() *reference {
 		})
 	}
 	for _, li := range loads {
-		ld := &t.nodes[li]
+		ld := t.node(li)
 		if ld.forwarded {
 			best := int32(-1)
 			for _, si := range fwdStores[ld.word()] {
-				st := &t.nodes[si]
+				st := t.node(si)
 				if st.gseq >= ld.gseq {
 					break
 				}
@@ -213,7 +218,7 @@ func (a *analysis) reference() *reference {
 		}
 		best := int32(-1)
 		for _, si := range memStores[ld.word()] {
-			if t.nodes[si].retire > ld.issueAt {
+			if t.node(si).retire > ld.issueAt {
 				break
 			}
 			best = si
@@ -231,28 +236,28 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 	case avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU:
 		si := spanIndex(st.Struct)
 		var cands []int32
-		for i := range t.nodes {
-			n := &t.nodes[i]
+		for i := range int32(t.n) {
+			n := t.node(i)
 			if int(n.tid) != st.TID {
 				continue
 			}
 			sp := n.spans[si]
 			if sp.end > sp.start && sp.start <= st.Cycle && st.Cycle < sp.end {
-				cands = append(cands, int32(i))
+				cands = append(cands, i)
 			}
 		}
 		victim, _, ok = pickByGSeq(t, cands, st.ThreadBit)
 		return victim, nil, ok
 	case avf.Reg:
 		var cands []int32
-		for i := range t.nodes {
-			n := &t.nodes[i]
+		for i := range int32(t.n) {
+			n := t.node(i)
 			if int(n.tid) != st.TID || !n.executed || n.physDest < 0 || n.ready > st.Cycle {
 				continue
 			}
-			for _, ri := range a.scanConsumers(n.physDest, int32(i)) {
-				if t.nodes[ri].issueAt >= st.Cycle {
-					cands = append(cands, int32(i))
+			for _, ri := range a.scanConsumers(n.physDest, i) {
+				if t.node(ri).issueAt >= st.Cycle {
+					cands = append(cands, i)
 					break
 				}
 			}
@@ -272,7 +277,7 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 				break
 			}
 			anyPrior = tc.idx
-			if int(t.nodes[tc.idx].tid) == st.TID {
+			if int(t.node(tc.idx).tid) == st.TID {
 				victim = tc.idx
 			}
 		}
@@ -287,7 +292,7 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 			if tc.cycle <= st.Cycle {
 				continue
 			}
-			tid := t.nodes[tc.idx].tid
+			tid := t.node(tc.idx).tid
 			if seen[tid] || tc.idx == victim {
 				continue
 			}
@@ -322,7 +327,7 @@ func (r *reference) trace(st inject.Strike) Trace {
 	}
 	victim, seeds, ok := r.resolve(st)
 	if ok {
-		v := &t.nodes[victim]
+		v := t.node(victim)
 		tr.Resolved = true
 		tr.RootTID = int(v.tid)
 		tr.RootPC = v.pc
@@ -364,7 +369,7 @@ func (r *reference) trace(st inject.Strike) Trace {
 		if h > tr.Depth {
 			tr.Depth = h
 		}
-		fn, tn := &t.nodes[from], &t.nodes[to]
+		fn, tn := t.node(from), t.node(to)
 		if fn.tid != tn.tid {
 			tr.CrossThread++
 		}
@@ -386,18 +391,18 @@ func (r *reference) trace(st inject.Strike) Trace {
 		if hops[ni] >= a.opt.MaxHops {
 			continue
 		}
-		n := &t.nodes[ni]
+		n := t.node(ni)
 		if n.executed && n.physDest >= 0 {
 			for _, ri := range a.scanConsumers(n.physDest, ni) {
-				edge(ni, ri, EdgeReg, t.nodes[ri].issueAt)
+				edge(ni, ri, EdgeReg, t.node(ri).issueAt)
 			}
 		}
 		if n.class == isa.Store {
 			for _, li := range r.fwdOut[ni] {
-				edge(ni, li, EdgeForward, t.nodes[li].issueAt)
+				edge(ni, li, EdgeForward, t.node(li).issueAt)
 			}
 			for _, li := range r.memOut[ni] {
-				edge(ni, li, EdgeMemory, t.nodes[li].issueAt)
+				edge(ni, li, EdgeMemory, t.node(li).issueAt)
 			}
 			if n.committed() && a.sets.keys() > 0 {
 				set := int32(n.addr / uint64(t.dl1.LineSize) % uint64(a.sets.keys()))
@@ -406,7 +411,7 @@ func (r *reference) trace(st inject.Strike) Trace {
 					if tc.cycle <= n.retire {
 						continue
 					}
-					tid := t.nodes[tc.idx].tid
+					tid := t.node(tc.idx).tid
 					if seen[tid] {
 						continue
 					}
@@ -417,7 +422,7 @@ func (r *reference) trace(st inject.Strike) Trace {
 		}
 	}
 	for idx, h := range hops {
-		if t.nodes[idx].fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
+		if t.node(idx).fate == avf.FateCommitted && (tr.CommitHop < 0 || h < tr.CommitHop) {
 			tr.CommitHop = h
 		}
 	}

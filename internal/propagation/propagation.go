@@ -51,8 +51,8 @@ import (
 
 // Options parameterizes a Tracer.
 type Options struct {
-	// Cap bounds the retained node buffer; once reached, further uops are
-	// dropped and counted (Dropped). 0 selects DefaultCap.
+	// Cap bounds the retained node log; once reached, further uops are
+	// dropped and counted (Dropped, Atlas.Dropped). 0 selects DefaultCap.
 	Cap int `json:"cap,omitempty"`
 	// MaxHops bounds the breadth-first taint expansion depth of one
 	// strike. 0 selects DefaultMaxHops.
@@ -131,6 +131,15 @@ type node struct {
 	spans     [5]span
 }
 
+// The node log is a list of chunks of chunkLen nodes (1.2 MB each), so
+// recording never copies what is already logged.
+const (
+	chunkBits = 13
+	chunkLen  = 1 << chunkBits
+)
+
+type chunk [chunkLen]node
+
 // committed reports the node retired by commit (its state reached the
 // architectural machine), mirroring pipetrace.Record.Committed.
 func (n *node) committed() bool {
@@ -151,7 +160,11 @@ type Tracer struct {
 	dl1     mem.Config
 	threads int
 	rebase  uint64
-	nodes   []node
+	// chunks hold the n recorded nodes in order; node i is at
+	// chunks[i>>chunkBits][i%chunkLen] (node). The first chunk is made by
+	// the first Record, and Rebase keeps the chunks for reuse.
+	chunks  []*chunk
+	n       int
 	dropped uint64
 
 	// Live result gauges (PublishTelemetry); nil-receiver no-ops when
@@ -193,12 +206,18 @@ func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squas
 	if t == nil {
 		return
 	}
-	if len(t.nodes) >= t.opt.Cap {
+	if t.n >= t.opt.Cap {
 		t.dropped++
 		return
 	}
+	c := t.n >> chunkBits
+	if c == len(t.chunks) {
+		t.chunks = append(t.chunks, new(chunk))
+	}
+	n := &t.chunks[c][t.n%chunkLen]
+	t.n++
 	in, m := &pl.Ins[id], &pl.Meta[id]
-	n := node{
+	*n = node{
 		tid:       pl.TID[id],
 		physSrc1:  m.PhysSrc1,
 		physSrc2:  m.PhysSrc2,
@@ -226,7 +245,11 @@ func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squas
 		}
 		n.spans[i] = span{start, end}
 	}
-	t.nodes = append(t.nodes, n)
+}
+
+// node returns recorded node i (0 <= i < t.n).
+func (t *Tracer) node(i int32) *node {
+	return &t.chunks[i>>chunkBits][uint32(i)%chunkLen]
 }
 
 // Rebase drops everything recorded so far and clips all future residency
@@ -238,7 +261,7 @@ func (t *Tracer) Rebase(cycle uint64) {
 		return
 	}
 	t.rebase = cycle
-	t.nodes = t.nodes[:0]
+	t.n = 0
 	t.dropped = 0
 }
 
@@ -247,11 +270,12 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.nodes)
+	return t.n
 }
 
 // Dropped returns the number of uops discarded by the node cap; a nonzero
 // value means traces past the capped region cannot resolve victims.
+// Analyze copies it into Atlas.Dropped.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

@@ -89,7 +89,9 @@ func TestConsumersMatchLinearScan(t *testing.T) {
 // windows a scan finds, and the indexed analysis to trace every strike
 // into every structure exactly as the linear-scan, map-based reference
 // does, on 1-, 2- and 4-thread runs, under the default bounds and under
-// bounds tight enough to truncate expansions.
+// bounds tight enough to truncate expansions. Analyze, which traces the
+// strikes on GOMAXPROCS workers, must return exactly the traces the
+// strike-by-strike check computes (run it with -cpu 1,4 -race).
 func TestAnalyzeMatchesReference(t *testing.T) {
 	tight := propagation.Options{MaxNodes: 64, MaxHops: 3, MaxRecordedHops: 4}
 	for _, benches := range [][]string{
@@ -109,6 +111,16 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 			traces, err := tracer.CheckAnalyze(strikes, opt)
 			if err != nil {
 				t.Fatalf("%d threads, %+v: %v", len(benches), opt, err)
+			}
+			tracer.SetOptions(opt)
+			if got := tracer.Analyze(strikes).Traces; !reflect.DeepEqual(got, traces) {
+				for i := range min(len(got), len(traces)) {
+					if !reflect.DeepEqual(got[i], traces[i]) {
+						t.Fatalf("%d threads, %+v: Analyze strike %d:\n got  %+v\n want %+v",
+							len(benches), opt, i, got[i], traces[i])
+					}
+				}
+				t.Fatalf("%d threads, %+v: Analyze returned %d traces, want %d", len(benches), opt, len(got), len(traces))
 			}
 			// The comparison must reach every path it guards: register
 			// victims, DL1 seeds, cross-thread edges, and truncation.
