@@ -11,10 +11,6 @@ import (
 
 func TestNewOptionErrors(t *testing.T) {
 	cfg := smtavf.DefaultConfig(2)
-	camp, err := smtavf.NewFaultCampaign(cfg, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		opts []smtavf.Option
@@ -29,36 +25,6 @@ func TestNewOptionErrors(t *testing.T) {
 		{"unknown benchmark", []smtavf.Option{smtavf.WithBenchmarks("bogus", "mcf")}, "bogus"},
 		{"thread mismatch", []smtavf.Option{smtavf.WithBenchmarks("gcc")}, "threads"},
 		{"zero phase period", []smtavf.Option{smtavf.WithPhases([][]string{{"eon"}, {"gcc"}}, 0)}, "period"},
-		{"zero shards", []smtavf.Option{smtavf.WithBenchmarks("gcc", "mcf"), smtavf.WithShards(0, 1)}, "shard count"},
-		{"telemetry with shards", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShards(2, 2),
-			smtavf.WithTelemetry(smtavf.NewTelemetry(smtavf.TelemetryOptions{})),
-		}, "WithTelemetry"},
-		{"pipetrace with shards", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShards(2, 2),
-			smtavf.WithPipeTrace(smtavf.NewPipeTrace(smtavf.PipeTraceOptions{})),
-		}, "WithPipeTrace"},
-		{"fault injection with shards", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShards(2, 2),
-			smtavf.WithFaultInjection(camp),
-		}, "WithFaultInjection"},
-		{"propagation with shards", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShards(2, 2),
-			smtavf.WithPropagation(smtavf.NewPropagation(smtavf.PropagationOptions{})),
-		}, "WithPropagation"},
-		{"cpistack with shards", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShards(2, 2),
-			smtavf.WithCPIStack(smtavf.NewCPIStack(smtavf.CPIStackOptions{})),
-		}, "WithCPIStack"},
-		{"short warmup window", []smtavf.Option{
-			smtavf.WithBenchmarks("gcc", "mcf"),
-			smtavf.WithShardWarmupWindow(512),
-		}, "4096"},
 		{"nil option", []smtavf.Option{nil}, "nil Option"},
 	}
 	for _, tc := range cases {
@@ -71,76 +37,7 @@ func TestNewOptionErrors(t *testing.T) {
 	}
 }
 
-// A sharded simulator commits exact counts, stays within the documented
-// AVF tolerance of the monolithic run, and records one checkpoint per
-// shard.
-func TestNewSharded(t *testing.T) {
-	cfg := smtavf.DefaultConfig(2)
-	quotas := []uint64{12_000, 12_000}
-
-	mono, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mono.RunPerThread(quotas)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sharded, err := smtavf.New(cfg,
-		smtavf.WithBenchmarks("gcc", "mcf"),
-		smtavf.WithShards(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sharded.RunPerThread(quotas)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got.Committed, want.Committed) || got.Total != want.Total {
-		t.Fatalf("sharded commits %v (total %d), monolithic %v (total %d)",
-			got.Committed, got.Total, want.Committed, want.Total)
-	}
-	for _, s := range smtavf.Structs() {
-		d := got.StructAVF(s) - want.StructAVF(s)
-		if d < 0 {
-			d = -d
-		}
-		if d > smtavf.ShardTolerance {
-			t.Errorf("struct %v: sharded AVF %.4f vs monolithic %.4f (|Δ| %.4f > %.3f)",
-				s, got.StructAVF(s), want.StructAVF(s), d, smtavf.ShardTolerance)
-		}
-	}
-	if cps := sharded.Checkpoints(); len(cps) != 3 {
-		t.Fatalf("%d checkpoints, want 3", len(cps))
-	}
-	if mono.Checkpoints() != nil {
-		t.Fatal("monolithic simulator reports checkpoints")
-	}
-	if _, err := sharded.Run(1_000); err == nil || !strings.Contains(err.Error(), "single-shot") {
-		t.Fatalf("second sharded Run: %v", err)
-	}
-}
-
-// Run on a sharded simulator splits the total evenly.
-func TestNewShardedRunSplitsEvenly(t *testing.T) {
-	sim, err := smtavf.New(smtavf.DefaultConfig(2),
-		smtavf.WithBenchmarks("gcc", "mcf"),
-		smtavf.WithShards(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(10_001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed[0] != 5_001 || res.Committed[1] != 5_000 {
-		t.Fatalf("committed %v, want [5001 5000]", res.Committed)
-	}
-}
-
-// Options attach observers on the monolithic path.
+// Options attach observers to the run.
 func TestNewWithObservers(t *testing.T) {
 	cfg := smtavf.DefaultConfig(1)
 	tel := smtavf.NewTelemetry(smtavf.TelemetryOptions{WindowCycles: 1_000})
@@ -167,9 +64,9 @@ func TestNewWithObservers(t *testing.T) {
 	}
 }
 
-// TestWithObservability: the campaign-observability option attaches to
-// both execution paths, appends one run manifest per run, drives the
-// progress tracker, and yields the sharded utilization timeline.
+// TestWithObservability: the campaign-observability option appends one
+// run manifest per run and drives the progress tracker under both stop
+// rules.
 func TestWithObservability(t *testing.T) {
 	cfg := smtavf.DefaultConfig(2)
 	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
@@ -181,8 +78,8 @@ func TestWithObservability(t *testing.T) {
 	prog := smtavf.NewProgress(smtavf.ProgressOptions{Heartbeat: -1, Registry: reg})
 	o := &smtavf.Observability{Registry: reg, Progress: prog, Ledger: ledger, Program: "apitest"}
 
-	// Monolithic run with telemetry: progress advances in committed
-	// instructions via the collector.
+	// A run with telemetry: progress advances in committed instructions
+	// via the collector.
 	tel := smtavf.NewTelemetry(smtavf.TelemetryOptions{WindowCycles: 1000, Registry: reg})
 	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"),
 		smtavf.WithTelemetry(tel), smtavf.WithObservability(o))
@@ -194,33 +91,21 @@ func TestWithObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap := prog.Snapshot(); snap.Phase != "run" || snap.Done == 0 {
-		t.Fatalf("monolithic progress = %+v", snap)
-	}
-	if tl := sim.Timeline(); tl != nil {
-		t.Fatalf("monolithic simulator has a timeline: %v", tl)
+		t.Fatalf("progress = %+v", snap)
 	}
 
-	// Sharded run with the same Observability (valid, unlike the
-	// pipeline observers).
-	sim2, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"),
-		smtavf.WithShards(2, 2), smtavf.WithObservability(o))
+	// A per-thread run with the same Observability: its phase totals the
+	// quotas.
+	sim2, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"), smtavf.WithObservability(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := sim2.Run(8_000)
+	res2, err := sim2.RunPerThread([]uint64{3_000, 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := prog.Snapshot(); snap.Phase != "shards" || snap.Done != 2 {
-		t.Fatalf("sharded progress = %+v", snap)
-	}
-	if tl := sim2.Timeline(); len(tl) == 0 {
-		t.Fatal("sharded simulator recorded no timeline")
-	} else {
-		var b strings.Builder
-		if err := smtavf.WriteTimeline(&b, tl); err != nil {
-			t.Fatal(err)
-		}
+	if snap := prog.Snapshot(); snap.Phase != "run" || snap.Total != 8_000 {
+		t.Fatalf("per-thread progress = %+v", snap)
 	}
 
 	// Two manifests in the ledger, in run order, fully attributed.
@@ -242,11 +127,8 @@ func TestWithObservability(t *testing.T) {
 			t.Errorf("manifest %d workloads = %v", i, m.Workloads)
 		}
 	}
-	if ms[0].Shards != 1 || ms[0].Cycles != res.Cycles {
-		t.Errorf("monolithic manifest = %+v", ms[0])
-	}
-	if ms[1].Shards != 2 || ms[1].Cycles != res2.Cycles {
-		t.Errorf("sharded manifest = %+v", ms[1])
+	if ms[0].Cycles != res.Cycles || ms[1].Cycles != res2.Cycles {
+		t.Errorf("manifest cycles: %d/%d want %d/%d", ms[0].Cycles, ms[1].Cycles, res.Cycles, res2.Cycles)
 	}
 	if ms[0].Instructions != res.Total || ms[1].Instructions != res2.Total {
 		t.Errorf("manifest instruction counts: %d/%d want %d/%d",
@@ -255,7 +137,7 @@ func TestWithObservability(t *testing.T) {
 }
 
 // TestObservabilityIsInert: attaching WithObservability must not change
-// the simulated results on either path.
+// the simulated results.
 func TestObservabilityIsInert(t *testing.T) {
 	cfg := smtavf.DefaultConfig(2)
 	runWith := func(opts ...smtavf.Option) *smtavf.Results {
@@ -275,11 +157,6 @@ func TestObservabilityIsInert(t *testing.T) {
 		Progress: smtavf.NewProgress(smtavf.ProgressOptions{Heartbeat: -1}),
 	}
 	if !reflect.DeepEqual(runWith(), runWith(smtavf.WithObservability(o))) {
-		t.Fatal("observability perturbed a monolithic run")
-	}
-	if !reflect.DeepEqual(
-		runWith(smtavf.WithShards(2, 2)),
-		runWith(smtavf.WithShards(2, 2), smtavf.WithObservability(o))) {
-		t.Fatal("observability perturbed a sharded run")
+		t.Fatal("observability perturbed a run")
 	}
 }

@@ -1,8 +1,7 @@
 // Micro-benchmarks of the simulator with no twin in the repository
 // benchmark (bench/): the ablations of DESIGN.md §9, the paper's §5
-// sensitivity and extension studies, raw simulation speed, the sharded
-// engine's speedup and what each observer costs when attached or
-// detached. Each reports its headline quantities via b.ReportMetric.
+// sensitivity and extension studies, raw simulation speed and what each
+// observer costs when attached or detached. Each reports its headline quantities via b.ReportMetric.
 // TestSimulatorAllocs bounds the raw-speed benchmark's allocations in
 // tier 1. The paper's tables and figures are timed by bench/'s figures
 // workload and checked by the TestFigure* and TestReportGolden tests of
@@ -10,7 +9,6 @@
 package smtavf_test
 
 import (
-	"runtime"
 	"testing"
 
 	"smtavf"
@@ -200,38 +198,6 @@ func TestSimulatorAllocs(t *testing.T) {
 		t.Errorf("BenchmarkSimulatorCycles' simulation allocates %.0f times, more than %d (%d recorded + 25%%)",
 			got, maxSimulatorAllocs, simulatorAllocs)
 	}
-}
-
-// BenchmarkShardSpeedup measures the parallel speedup of the sharded
-// engine: the same 4-shard, 4-thread plan executed by a single worker vs
-// one worker per core (GOMAXPROCS). Compare the two cycles/s metrics —
-// their ratio is the speedup, which approaches min(shards, cores) on
-// multi-core machines and sits near 1.0 on a single core (functional
-// warmup re-runs each shard's prefix, so the serialized sharded run does
-// strictly more work than the monolith; docs/sharding.md quantifies it).
-func BenchmarkShardSpeedup(b *testing.B) {
-	b.ReportAllocs()
-	const perThread = 20_000
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			sim, err := smtavf.New(smtavf.DefaultConfig(4),
-				smtavf.WithBenchmarks(ablationMix...),
-				smtavf.WithShards(4, workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := sim.RunPerThread([]uint64{perThread, perThread, perThread, perThread})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += res.Cycles
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-	}
-	b.Run("workers-1", func(b *testing.B) { run(b, 1) })
-	b.Run("workers-max", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkTelemetryOverhead measures the cost of the telemetry subsystem
@@ -474,19 +440,15 @@ func BenchmarkCPIStackOverhead(b *testing.B) {
 // layer on the simulator hot path. "off" runs fully detached — the
 // nil-receiver fast path every hot-loop handle pays. "on" attaches a
 // full Observability (registry, progress tracker with heartbeats
-// disabled) on both the monolithic and sharded paths; obs instruments
-// are fed at campaign rate (windows, shards, phases), never per cycle,
-// so both must stay within noise of the detached run.
+// disabled); obs instruments are fed at campaign rate (windows, phases),
+// never per cycle, so it must stay within noise of the detached run.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.ReportAllocs()
-	run := func(b *testing.B, shards int, attach bool) {
+	run := func(b *testing.B, attach bool) {
 		b.ReportAllocs()
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
-			opts := []smtavf.Option{
-				smtavf.WithBenchmarks(ablationMix...),
-				smtavf.WithShards(shards, 0),
-			}
+			opts := []smtavf.Option{smtavf.WithBenchmarks(ablationMix...)}
 			if attach {
 				reg := smtavf.NewMetricsRegistry()
 				opts = append(opts, smtavf.WithObservability(&smtavf.Observability{
@@ -507,8 +469,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}
-	b.Run("mono-off", func(b *testing.B) { run(b, 1, false) })
-	b.Run("mono-on", func(b *testing.B) { run(b, 1, true) })
-	b.Run("sharded-off", func(b *testing.B) { run(b, 4, false) })
-	b.Run("sharded-on", func(b *testing.B) { run(b, 4, true) })
+	b.Run("off", func(b *testing.B) { run(b, false) })
+	b.Run("on", func(b *testing.B) { run(b, true) })
 }

@@ -78,13 +78,11 @@ func main() {
 
 		svcFlags cliopts.Service
 		logFlags cliopts.Log
-		shards   cliopts.Shards
 		prof     cliopts.Profile
 		obsFlags cliopts.Obs
 	)
 	svcFlags.Register(flag.CommandLine)
 	logFlags.Register(flag.CommandLine)
-	shards.Register(flag.CommandLine)
 	prof.Register(flag.CommandLine)
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -96,14 +94,8 @@ func main() {
 	if err := svcFlags.Validate(); err != nil {
 		fatal(err)
 	}
-	if err := shards.Validate(); err != nil {
+	if err := obsFlags.Validate(); err != nil {
 		fatal(err)
-	}
-	if err := obsFlags.Validate(shards.Sharded()); err != nil {
-		fatal(err)
-	}
-	if obsFlags.Timeline != "" {
-		fatal(fmt.Errorf("-obs-timeline records a single run's worker timeline; use smtsim -shards"))
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -120,14 +112,8 @@ func main() {
 	}
 
 	// One experiments runner backs every point: its Campaign executor
-	// resolves specs exactly as avfreport does, and the -shards flags act
-	// as defaults for specs that leave their shard shape unset.
-	runner := experiments.NewRunner(experiments.Options{
-		Base:         *base,
-		Seed:         *seed,
-		Shards:       shards.N,
-		ShardWorkers: shards.Workers,
-	})
+	// resolves specs exactly as avfreport does.
+	runner := experiments.NewRunner(experiments.Options{Base: *base, Seed: *seed})
 	svc, err := campaign.NewService(campaign.ServiceOptions{
 		Dir:      svcFlags.Dir,
 		Workers:  svcFlags.Workers,

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"smtavf/internal/campaign"
 	"smtavf/internal/experiments"
 	"smtavf/internal/obs"
-	"smtavf/internal/shard"
 )
 
 // TestMain re-execs the test binary as the avfd process itself when
@@ -97,9 +97,8 @@ func readStream(t *testing.T, addr, id string, limit int) []*campaign.Result {
 // TestKillAndResume is the service's end-to-end contract: a campaign
 // interrupted by SIGTERM mid-point resumes on restart, every point lands
 // exactly once in the stream and the run ledger, the campaign's ledger
-// trail reads interrupted -> ok, and the resumed results match an
-// uninterrupted in-process run of the same specs within the documented
-// shard tolerance.
+// trail reads interrupted -> ok, and the resumed results equal an
+// uninterrupted in-process run of the same specs.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second process-level e2e")
@@ -187,8 +186,8 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	// The uninterrupted control: the same specs through the same executor,
-	// in-process. The deterministic engine should agree far inside the
-	// documented tolerance.
+	// in-process. The simulator is deterministic, so a resumed point must
+	// reproduce it exactly.
 	points, err := matrix.Points()
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +202,14 @@ func TestKillAndResume(t *testing.T) {
 		if got == nil {
 			t.Fatalf("point %d missing from stream", i)
 		}
-		if name, delta := campaign.MaxAVFDelta(want, got); delta > shard.DefaultTolerance {
-			t.Errorf("point %d: %s AVF off by %.4f after resume (tolerance %.2f)",
-				i, name, delta, shard.DefaultTolerance)
+		if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
+			got.IPC != want.IPC || got.ProcessorAVF != want.ProcessorAVF {
+			t.Errorf("point %d after resume: cycles %d, instructions %d, IPC %v, processor AVF %v; control %d, %d, %v, %v",
+				i, got.Cycles, got.Instructions, got.IPC, got.ProcessorAVF,
+				want.Cycles, want.Instructions, want.IPC, want.ProcessorAVF)
 		}
-		if got.Instructions != want.Instructions {
-			t.Errorf("point %d committed %d instructions, control %d", i, got.Instructions, want.Instructions)
+		if !reflect.DeepEqual(got.AVF, want.AVF) {
+			t.Errorf("point %d AVF after resume %v, control %v", i, got.AVF, want.AVF)
 		}
 	}
 

@@ -5,7 +5,6 @@
 //
 //	avfreport                      # everything, default budgets
 //	avfreport -figure 6 -base 20000
-//	avfreport -figure all -shards 4 -shard-workers 4
 //	avfreport -csv > report.csv
 //	avfreport -provenance 4ctx-MEM-A -provenance-top 10
 //	avfreport -propagation 2ctx-MEM-A -propagation-out atlas.jsonl.gz
@@ -78,13 +77,11 @@ func main() {
 
 		logFlags cliopts.Log
 		inj      cliopts.Inject
-		shards   cliopts.Shards
 		prof     cliopts.Profile
 		obsFlags cliopts.Obs
 	)
 	logFlags.Register(flag.CommandLine)
 	inj.RegisterStop(flag.CommandLine)
-	shards.Register(flag.CommandLine)
 	prof.Register(flag.CommandLine)
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -93,10 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := inj.Validate(); err == nil {
-		err = shards.Validate()
-	}
-	if err != nil {
+	if err := inj.Validate(); err != nil {
 		fatal(err)
 	}
 	// 0 would fall back to a campaign kind's default fan-out or strike
@@ -107,11 +101,8 @@ func main() {
 	if *propN < 1 {
 		fatal(fmt.Errorf("-propagation-strikes must be positive, got %d", *propN))
 	}
-	if err := obsFlags.Validate(shards.Sharded()); err != nil {
+	if err := obsFlags.Validate(); err != nil {
 		fatal(err)
-	}
-	if obsFlags.Timeline != "" {
-		fatal(fmt.Errorf("-obs-timeline records a single run's worker timeline; use smtsim -shards"))
 	}
 
 	// Ledger browsing: list or show manifests, no simulation.
@@ -171,15 +162,9 @@ func main() {
 		"base", *base,
 		"seed", *seed,
 		"figures", *figure,
-		"shards", shards.N,
 	)
 
-	r := experiments.NewRunner(experiments.Options{
-		Base:         *base,
-		Seed:         *seed,
-		Shards:       shards.N,
-		ShardWorkers: shards.Workers,
-	})
+	r := experiments.NewRunner(experiments.Options{Base: *base, Seed: *seed})
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figure, ",") {
 		want[strings.TrimSpace(f)] = true

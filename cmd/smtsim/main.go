@@ -7,14 +7,13 @@
 //	smtsim -bench mcf,twolf -policy ICOUNT -instructions 50000
 //	smtsim -mix 4ctx-MIX-A -telemetry run.jsonl -telemetry-window 10000
 //	smtsim -mix 4ctx-MIX-A -instructions 10000000 -debug-addr :6060
-//	smtsim -mix 4ctx-MIX-A -instructions 10000000 -shards 8 -shard-workers 4
 //	smtsim -spec run.json
 //	smtsim -mix 4ctx-MIX-A -policy FLUSH -dumpspec > run.json
 //	smtsim -spec sweep.json -json -telemetry-dir series/
 //
-// The workload, policy, seed, machine override, and shard shape resolve
-// into one versioned campaign spec (docs/campaign-service.md): -dumpspec
-// prints it, and -spec loads one instead of the per-axis flags. Observer
+// The workload, policy, seed, and machine override resolve into one
+// versioned campaign spec (docs/campaign-service.md): -dumpspec prints
+// it, and -spec loads one instead of the per-axis flags. Observer
 // flags (-telemetry, -pipetrace, -cpistack, -obs-*) layer on top of a
 // loaded spec rather than living inside it, -inject attaches a strike
 // campaign to a spec without one, and the -inject-* flags fill the fields
@@ -35,15 +34,7 @@
 // point's cross-validation report in one file, and -dumpspec and
 // -dumpconfig print one document per point. The flags that write a
 // single run's file (-telemetry, -pipetrace, -cpistack-out,
-// -propagation-out, -obs-timeline) are rejected for several points.
-//
-// With -shards N the run is split into N deterministic intervals per
-// thread and simulated in parallel; committed-instruction counts stay
-// exact and per-structure AVFs agree with the monolithic run within the
-// documented tolerance (docs/sharding.md). Sharded runs cannot carry the
-// -telemetry series, -pipetrace, or -inject observers — those sample the
-// cycle timeline — but -debug-addr and the -obs-* campaign observability
-// work on both paths.
+// -propagation-out) are rejected for several points.
 //
 // With -telemetry the run emits a cycle-windowed time-series (JSONL, or
 // CSV if the path ends in .csv); with -debug-addr a live HTTP server
@@ -56,8 +47,7 @@
 // digest, seeds, workloads, cycle/strike counts, the index of every
 // artifact it wrote, exit status — to an append-only runs.jsonl; list it
 // with `avfreport -runs`. -obs-heartbeat paces the progress heartbeat
-// lines, and on a sharded run -obs-timeline writes the per-worker
-// utilization timeline as Chrome trace_event JSON (docs/campaigns.md).
+// lines (docs/campaigns.md).
 // ^C flushes and closes every exporter, then records the manifest with
 // status "interrupted" instead of truncating gzip output mid-block.
 //
@@ -114,7 +104,6 @@ import (
 	"smtavf/internal/obs"
 	"smtavf/internal/pipetrace"
 	"smtavf/internal/propagation"
-	"smtavf/internal/shard"
 	"smtavf/internal/telemetry"
 )
 
@@ -141,7 +130,6 @@ func main() {
 
 		s        session
 		logFlags cliopts.Log
-		shards   cliopts.Shards
 		prof     cliopts.Profile
 	)
 	flag.BoolVar(&s.asJSON, "json", false, "emit the full results as JSON")
@@ -152,7 +140,6 @@ func main() {
 	s.prop.Register(flag.CommandLine)
 	s.pt.Register(flag.CommandLine)
 	s.cpi.Register(flag.CommandLine)
-	shards.Register(flag.CommandLine)
 	prof.Register(flag.CommandLine)
 	s.obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -161,7 +148,7 @@ func main() {
 	if s.logger, err = logFlags.Logger(os.Stderr); err != nil {
 		fatal(err)
 	}
-	for _, validate := range []func() error{s.tel.Validate, s.inj.Validate, s.prop.Validate, s.cpi.Validate, shards.Validate} {
+	for _, validate := range []func() error{s.tel.Validate, s.inj.Validate, s.prop.Validate, s.cpi.Validate, s.obsFlags.Validate} {
 		if err := validate(); err != nil {
 			fatal(err)
 		}
@@ -186,9 +173,9 @@ func main() {
 
 	// Resolve the invocation to campaign points: the -spec file's spec or
 	// matrix expansion, or one spec assembled from the per-axis flags.
-	// Everything downstream — machine config, workload sources, shard
-	// shape, the strike campaign — derives from a point's spec, so a run
-	// submitted to avfd and a run typed here resolve identically.
+	// Everything downstream — machine config, workload sources, the
+	// strike campaign — derives from a point's spec, so a run submitted
+	// to avfd and a run typed here resolve identically.
 	var points []campaign.Spec
 	if *specPath != "" {
 		if points, err = campaign.ReadFile(*specPath); err != nil {
@@ -201,8 +188,6 @@ func main() {
 			Seed:          *seed,
 			Warmup:        *warmup,
 			PhaseInterval: *phases,
-			Shards:        shards.N,
-			ShardWorkers:  shards.Workers,
 		}
 		if *benches != "" {
 			spec.Benchmarks = strings.Split(*benches, ",")
@@ -230,7 +215,7 @@ func main() {
 	if s.multi {
 		for _, f := range []struct{ name, val string }{
 			{"telemetry", s.tel.Path}, {"pipetrace", s.pt.Path}, {"cpistack-out", s.cpi.Out},
-			{"propagation-out", s.prop.Out}, {"obs-timeline", s.obsFlags.Timeline},
+			{"propagation-out", s.prop.Out},
 		} {
 			if f.val != "" {
 				fatal(fmt.Errorf("-%s writes a single run's file, but %s expands to %d points (use -telemetry-dir for per-point series)", f.name, *specPath, len(points)))
@@ -256,12 +241,6 @@ func main() {
 		}
 		if s.prop.Enabled() && p.Inject == nil {
 			fatal(fmt.Errorf("-propagation needs the strike campaign: pass -inject"))
-		}
-		if err := s.obsFlags.Validate(p.Shards > 1); err != nil {
-			fatal(err)
-		}
-		if p.Shards > 1 && (s.tel.Path != "" || s.tel.Dir != "") {
-			fatal(fmt.Errorf("-telemetry and -telemetry-dir require a monolithic run: a sharded run has no contiguous cycle timeline (drop -shards or the series flag)"))
 		}
 	}
 
@@ -352,8 +331,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	if name == "" {
 		name = rv.Title
 	}
-	sharded := p.Shards > 1
-
 	// The manifest is authored here so it can index every artifact this
 	// point writes; the Final hook appends it once, whatever way the point
 	// ends.
@@ -362,7 +339,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	man.Seed = cfg.Seed
 	man.Policy = p.PolicyName()
 	man.Workloads = p.WorkloadIDs()
-	man.Shards = max(p.Shards, 1)
 	man.Extra = map[string]string{}
 	if p.Mix != "" {
 		man.Extra["mix"] = p.Mix
@@ -386,14 +362,10 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 			s.logger.Error("run ledger append", "path", s.ledger.Path(), "err", err)
 		}
 	})
-	opts := shard.Options{Obs: &obs.Observability{Registry: s.reg, Progress: s.prog, Program: "smtsim"}}
+	opts := campaign.Options{Obs: &obs.Observability{Registry: s.reg, Progress: s.prog, Program: "smtsim"}}
 
 	// Telemetry: a collector when a series file or the debug server is
 	// requested; the built-in ring buffer backs the /telemetry endpoint.
-	// A sharded run has no cycle timeline to sample, so the collector is
-	// not attached there — it still carries the registry and progress
-	// tracker for the debug server, which is how a sharded -debug-addr
-	// serves live pool metrics and shard completion.
 	var col *telemetry.Collector
 	if s.tel.Enabled() {
 		col = telemetry.New(telemetry.Options{WindowCycles: s.tel.Window, Logger: s.logger, Registry: s.reg})
@@ -414,9 +386,7 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 			man.AddArtifact("telemetry", path)
 		}
 		shut.Defer("telemetry", col.Close)
-		if !sharded {
-			opts.Telemetry = col
-		}
+		opts.Telemetry = col
 	}
 	// Fault-injection campaign: samples the run on a cycle grid, then the
 	// strike phase after the run cross-validates the tracker's AVF. Strike
@@ -493,19 +463,11 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		"instructions", p.Instructions,
 		"warmup", cfg.Warmup,
 		"telemetry_window", s.tel.Window,
-		"shards", man.Shards,
 	)
 
 	start := time.Now()
 	if res, err = sim.Run(rv.Quota); err != nil {
 		fatal(err)
-	}
-	if s.obsFlags.Timeline != "" {
-		if err := writeTimeline(s.obsFlags.Timeline, sim.Timeline()); err != nil {
-			fatal(fmt.Errorf("obs-timeline: %w", err))
-		}
-		man.AddArtifact("timeline", s.obsFlags.Timeline)
-		s.logger.Info("worker timeline written", "path", s.obsFlags.Timeline, "spans", len(sim.Timeline()))
 	}
 	if rec != nil && s.pt.Path != "" {
 		if err := rec.WriteFile(s.pt.Path, format); err != nil {
@@ -575,7 +537,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		"ipc", fmt.Sprintf("%.4f", res.IPC()),
 		"processor_avf", fmt.Sprintf("%.4f", res.ProcessorAVF()),
 		"windows", col.Windows(),
-		"shards", man.Shards,
 		"elapsed", elapsed.Round(time.Millisecond).String(),
 		"cycles_per_sec", fmt.Sprintf("%.0f", float64(res.Cycles)/elapsed.Seconds()),
 	)
@@ -644,20 +605,6 @@ func writeReports(path string, reports []*crossval.Report) error {
 		}
 	}
 	return w.Close()
-}
-
-// writeTimeline exports the sharded run's worker-phase spans as Chrome
-// trace_event JSON for chrome://tracing / Perfetto.
-func writeTimeline(path string, spans []obs.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeSpans(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

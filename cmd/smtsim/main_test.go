@@ -191,7 +191,7 @@ func TestMatrixArtifacts(t *testing.T) {
 		}
 	}
 
-	for _, flag := range []string{"-telemetry", "-pipetrace", "-cpistack-out", "-propagation-out", "-obs-timeline"} {
+	for _, flag := range []string{"-telemetry", "-pipetrace", "-cpistack-out", "-propagation-out"} {
 		_, stderr, err := execSmtsim("-spec", sweep, "-inject", flag, filepath.Join(dir, "out.jsonl"))
 		if err == nil || !strings.Contains(stderr, flag+" writes a single run's file") {
 			t.Errorf("%s with 4 points: err %v, stderr %q; want a refusal", flag, err, stderr)

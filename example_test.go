@@ -77,22 +77,20 @@ func ExampleNewFaultCampaign() {
 	// true
 }
 
-// ExampleNew_sharded splits a run into parallel deterministic intervals:
-// commit counts stay exact and per-structure AVFs agree with the
-// monolithic run within smtavf.ShardTolerance (see docs/sharding.md).
-func ExampleNew_sharded() {
+// ExampleSimulator_RunPerThread runs each thread to its own quota, the
+// stop rule Figures 3–4 use to replay a thread's SMT progress alone: every
+// thread commits exactly its quota, however fast it runs.
+func ExampleSimulator_RunPerThread() {
 	cfg := smtavf.DefaultConfig(2)
-	sim, err := smtavf.New(cfg,
-		smtavf.WithBenchmarks("gcc", "mcf"),
-		smtavf.WithShards(4, 2))
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc", "mcf"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.RunPerThread([]uint64{20_000, 20_000})
+	res, err := sim.RunPerThread([]uint64{20_000, 5_000})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(res.Committed[0], res.Committed[1])
 	// Output:
-	// 20000 20000
+	// 20000 5000
 }

@@ -4,8 +4,9 @@
 // mechanical optimizations: they must not move a single reported number. This
 // test pins the full result surface — cycles, committed counts, per-structure
 // AVF, and per-thread AVF — of a spread of seed workloads to digests recorded
-// from the pre-optimization engine (commit e68affd), covering both the
-// monolithic and the sharded execution paths and every squash-heavy policy.
+// from the pre-optimization engine (commit e68affd), covering both stop
+// rules (a machine-wide total and per-thread quotas) and every squash-heavy
+// policy.
 //
 // To regenerate after an INTENTIONAL modeling change (never after a pure
 // perf change), run:
@@ -16,32 +17,34 @@
 package smtavf_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"testing"
 
 	"smtavf"
-	"smtavf/internal/digest"
 )
 
 // resultDigest folds every reported figure of a run into one order-sensitive
-// 64-bit hash: any bit of drift in cycles, committed counts, per-structure
-// AVF, or per-thread AVF changes the digest.
+// 64-bit hash, FNV-1a over little-endian words: any bit of drift in cycles,
+// committed counts, per-structure AVF, or per-thread AVF changes the digest.
 func resultDigest(res *smtavf.Results) uint64 {
-	h := digest.New()
-	h = digest.Mix(h, res.Cycles)
-	h = digest.Mix(h, res.Total)
+	h := fnv.New64a()
+	mix := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	mix(res.Cycles)
+	mix(res.Total)
 	for _, c := range res.Committed {
-		h = digest.Mix(h, c)
+		mix(c)
 	}
 	for _, s := range smtavf.Structs() {
-		h = digest.Mix(h, math.Float64bits(res.StructAVF(s)))
+		mix(math.Float64bits(res.StructAVF(s)))
 		for tid := 0; tid < res.Threads; tid++ {
-			h = digest.Mix(h, math.Float64bits(res.AVF.ThreadAVF(s, tid)))
+			mix(math.Float64bits(res.AVF.ThreadAVF(s, tid)))
 		}
 	}
-	return h
+	return h.Sum64()
 }
 
 // hotLoopCase is one pinned workload: a (config, workload, run) triple whose
@@ -52,7 +55,8 @@ type hotLoopCase struct {
 	policy   string
 	benches  []string
 	warmup   uint64
-	shards   int
+	// iqPartition statically caps each thread's IQ entries (0: shared).
+	iqPartition int
 	// run: total instructions (Run) or per-thread quotas (RunPerThread).
 	total     uint64
 	perThread []uint64
@@ -71,23 +75,24 @@ var hotLoopCases = []hotLoopCase{
 	// Static IQ partition caps interact with CanInsert and the ready set.
 	{name: "icount-partition", contexts: 4, policy: "ICOUNT",
 		benches: []string{"gcc", "mcf", "vpr", "perlbmk"}, total: 8000,
-		shards: -1 /* sentinel: monolithic with IQPartition=24 */},
-	// The sharded engine must rebuild bit-identical pooled machines per
-	// interval (functional warmup + detailed interval on a fresh pool).
-	{name: "sharded-mix4", contexts: 4, policy: "ICOUNT",
-		benches: []string{"gcc", "mcf", "vpr", "perlbmk"}, shards: 4,
+		iqPartition: 24},
+	// The per-thread stop rule (Figures 3–4's single-thread replays): each
+	// thread retires at its own quota while the others keep running.
+	{name: "perthread-mix4", contexts: 4, policy: "ICOUNT",
+		benches:   []string{"gcc", "mcf", "vpr", "perlbmk"},
 		perThread: []uint64{5000, 5000, 5000, 5000}},
 }
 
 // hotLoopGolden pins the digest of every case, recorded from the
 // pre-optimization engine (commit e68affd, sort-and-scan IQ, one heap uop
-// per fetched instruction).
+// per fetched instruction). perthread-mix4 was recorded later, from the
+// engine at 6e37061.
 var hotLoopGolden = map[string]uint64{
 	"icount-mix4":      0x57fe96783ae944f5,
 	"flush-mem4":       0x7469b1c1492c8e8b,
 	"stallp-mix2-warm": 0xb65251ebcade5859,
 	"icount-partition": 0xa7a94460c4351695,
-	"sharded-mix4":     0xe225cd8064ba2676,
+	"perthread-mix4":   0xc345e3725907889e,
 }
 
 func runHotLoopCase(t *testing.T, c hotLoopCase) *smtavf.Results {
@@ -95,17 +100,11 @@ func runHotLoopCase(t *testing.T, c hotLoopCase) *smtavf.Results {
 	cfg := smtavf.DefaultConfig(c.contexts)
 	cfg.Seed = 1
 	cfg.Warmup = c.warmup
-	if c.shards == -1 {
-		cfg.IQPartition = 24
-	}
+	cfg.IQPartition = c.iqPartition
 	if err := cfg.SetPolicy(c.policy); err != nil {
 		t.Fatal(err)
 	}
-	opts := []smtavf.Option{smtavf.WithBenchmarks(c.benches...)}
-	if c.shards > 1 {
-		opts = append(opts, smtavf.WithShards(c.shards, 2))
-	}
-	sim, err := smtavf.New(cfg, opts...)
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks(c.benches...))
 	if err != nil {
 		t.Fatal(err)
 	}

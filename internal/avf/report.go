@@ -2,9 +2,7 @@ package avf
 
 // Report is an immutable per-structure AVF snapshot extracted from a
 // Tracker at the end of a run. Alongside the derived rates it carries the
-// raw integer bit-cycle numerators, so reports covering disjoint intervals
-// of the same run can be merged exactly (integer addition, rates
-// recomputed) rather than approximately (averaging floats).
+// raw integer bit-cycle numerators they are computed from.
 type Report struct {
 	Cycles    uint64
 	Threads   int
@@ -47,54 +45,3 @@ func (r *Report) AVF(s Struct) float64 { return r.Total[s] }
 
 // ThreadAVF returns thread tid's contribution to the AVF of s.
 func (r *Report) ThreadAVF(s Struct, tid int) float64 { return r.PerThread[tid][s] }
-
-// Merge combines reports covering disjoint, consecutive intervals of one
-// logical run into a single report over the concatenated window. The merge
-// is exact: raw ACE/un-ACE bit-cycle numerators are summed as integers and
-// every rate is recomputed over the summed cycle count, so merging the
-// reports of a sharded run introduces no arithmetic error beyond what the
-// shards themselves measured. bits[s] must be the structure capacities the
-// parts were tracked with (core.StructBits of the shared Config).
-//
-// Parts recorded without raw numerators (a Report from an older snapshot,
-// or one round-tripped through an encoding that dropped them) cannot be
-// merged exactly; Merge treats absent numerators as zero.
-func Merge(bits [NumStructs]uint64, parts ...Report) Report {
-	if len(parts) == 0 {
-		return Report{}
-	}
-	m := Report{
-		Threads:   parts[0].Threads,
-		PerThread: make([][NumStructs]float64, parts[0].Threads),
-		ACE:       make([][NumStructs]uint64, parts[0].Threads),
-		UnACE:     make([][NumStructs]uint64, parts[0].Threads),
-	}
-	for _, p := range parts {
-		m.Cycles += p.Cycles
-		for tid := 0; tid < m.Threads && tid < len(p.ACE); tid++ {
-			for s := Struct(0); s < NumStructs; s++ {
-				m.ACE[tid][s] += p.ACE[tid][s]
-			}
-		}
-		for tid := 0; tid < m.Threads && tid < len(p.UnACE); tid++ {
-			for s := Struct(0); s < NumStructs; s++ {
-				m.UnACE[tid][s] += p.UnACE[tid][s]
-			}
-		}
-	}
-	for s := Struct(0); s < NumStructs; s++ {
-		den := float64(bits[s]) * float64(m.Cycles)
-		if den == 0 {
-			continue
-		}
-		var ace, occ uint64
-		for tid := 0; tid < m.Threads; tid++ {
-			ace += m.ACE[tid][s]
-			occ += m.ACE[tid][s] + m.UnACE[tid][s]
-			m.PerThread[tid][s] = float64(m.ACE[tid][s]) / den
-		}
-		m.Total[s] = float64(ace) / den
-		m.Occ[s] = float64(occ) / den
-	}
-	return m
-}

@@ -139,6 +139,11 @@ var badSubmissions = []string{
 	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_hops":-5}}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_nodes":-1}}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_recorded_hops":-2}}}}`,
+	// The retired sharded engine's fields; a monolithic run in their
+	// place would be another experiment.
+	`{"base":{"mix":"4ctx-MIX-A","shards":4}}`,
+	`{"base":{"mix":"4ctx-MIX-A","shard_workers":2}}`,
+	`{"base":{"mix":"4ctx-MIX-A","shard_warmup_window":4096}}`,
 }
 
 func TestHTTPStream(t *testing.T) {

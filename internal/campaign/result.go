@@ -120,23 +120,6 @@ func (r *Result) FillRun(res *core.Results) {
 	}
 }
 
-// MaxAVFDelta returns the structure with the largest absolute
-// whole-structure AVF difference between two results — the metric the
-// resume e2e test checks against shard.DefaultTolerance.
-func MaxAVFDelta(a, b *Result) (string, float64) {
-	name, max := "", 0.0
-	for _, s := range avf.Structs() {
-		d := a.AVF[s.String()] - b.AVF[s.String()]
-		if d < 0 {
-			d = -d
-		}
-		if d >= max {
-			name, max = s.String(), d
-		}
-	}
-	return name, max
-}
-
 // Err is a convenience constructor for a failed point.
 func Err(spec Spec, err error) *Result {
 	return &Result{

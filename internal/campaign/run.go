@@ -3,33 +3,112 @@ package campaign
 import (
 	"smtavf/internal/avf"
 	"smtavf/internal/core"
+	"smtavf/internal/cpistack"
 	"smtavf/internal/crossval"
 	"smtavf/internal/inject"
-	"smtavf/internal/shard"
+	"smtavf/internal/obs"
+	"smtavf/internal/pipetrace"
+	"smtavf/internal/propagation"
+	"smtavf/internal/telemetry"
 )
 
-// Build assembles rv's run through shard.Build, in the spec's shard shape
-// with opts' observers attached. It is the one way a resolved spec
-// becomes a simulation, whether smtsim, the experiments runner or an avfd
-// point drives it. The per-thread sources are fresh deterministic
-// generators for benchmark specs and clones of once-loaded recordings for
-// trace-file specs, so every shard may build its own, concurrently.
-func (rv *Resolved) Build(opts shard.Options) (*shard.Sim, error) {
-	factory := func() ([]core.Source, error) { return core.Sources(rv.Config, rv.Profiles) }
-	if rv.Profiles == nil {
-		var err error
-		if factory, err = core.ReplayFactory(rv.Spec.TraceFiles); err != nil {
-			return nil, err
-		}
-	}
-	opts.Shards, opts.Workers, opts.WarmupWindow = rv.Spec.Shards, rv.Spec.ShardWorkers, rv.Spec.ShardWarmupWindow
-	return shard.Build(rv.Config, factory, opts)
+// Options names what a Build attaches to its run: campaign
+// observability and the pipeline observers. Nil fields stay detached.
+type Options struct {
+	// Obs, when non-nil, has its Progress track the run's "run" phase.
+	// It watches the run rather than the simulated machine, so attaching
+	// it does not perturb results.
+	Obs *obs.Observability
+
+	Telemetry   *telemetry.Collector
+	PipeTrace   *pipetrace.Recorder
+	Inject      *inject.Campaign
+	Propagation *propagation.Tracer
+	CPIStack    *cpistack.Observer
 }
 
-// Run builds rv's run and simulates it to the resolved quota. A sharded
-// run splits the quota evenly across threads (the engine's stop rule), so
-// per-thread commits are exact either way.
-func (rv *Resolved) Run(opts shard.Options) (*core.Results, error) {
+// Build assembles one simulation of cfg over srcs; every run, whatever
+// drives it, is put together here. It builds one processor and attaches
+// the pipeline observers in a fixed order: telemetry, pipetrace, the
+// strike campaign, propagation, and last the CPI-stack observer, which
+// joins the campaign's tracker sink through AddSink.
+func Build(cfg core.Config, srcs []core.Source, opts Options) (*Sim, error) {
+	proc, err := core.NewFromSources(cfg, srcs)
+	if err != nil {
+		return nil, err
+	}
+	sim := &Sim{proc: proc}
+	if opts.Obs != nil {
+		sim.prog = opts.Obs.Progress
+	}
+	if opts.Telemetry != nil {
+		proc.SetTelemetry(opts.Telemetry)
+		if sim.prog != nil {
+			opts.Telemetry.SetProgress(sim.prog)
+		}
+	}
+	if opts.PipeTrace != nil {
+		proc.SetPipeTrace(opts.PipeTrace)
+	}
+	if opts.Inject != nil {
+		proc.AttachSink(opts.Inject)
+	}
+	if opts.Propagation != nil {
+		proc.SetPropagation(opts.Propagation)
+	}
+	if opts.CPIStack != nil {
+		proc.SetCPIStack(opts.CPIStack)
+	}
+	return sim, nil
+}
+
+// Sim is one assembled simulation: a processor with its observers
+// attached. It is single-shot.
+type Sim struct {
+	proc *core.Processor
+	prog *obs.Progress // tracks the "run" phase
+}
+
+// Run simulates until total instructions commit across all threads: the
+// paper's stop rule, under which faster threads commit more.
+func (s *Sim) Run(total uint64) (*core.Results, error) {
+	s.prog.Phase("run", total)
+	return s.proc.Run(core.Limits{TotalInstructions: total})
+}
+
+// RunPerThread simulates until every thread commits its quota.
+func (s *Sim) RunPerThread(quotas []uint64) (*core.Results, error) {
+	var total uint64
+	for _, q := range quotas {
+		total += q
+	}
+	s.prog.Phase("run", total)
+	return s.proc.Run(core.Limits{PerThread: quotas})
+}
+
+// Build assembles rv's run with opts' observers attached. It is the one
+// way a resolved spec becomes a simulation, whether smtsim, the
+// experiments runner or an avfd point drives it. The per-thread sources
+// are fresh deterministic generators for benchmark specs and the loaded
+// recordings for trace-file specs.
+func (rv *Resolved) Build(opts Options) (*Sim, error) {
+	var (
+		srcs []core.Source
+		err  error
+	)
+	if rv.Profiles != nil {
+		srcs, err = core.Sources(rv.Config, rv.Profiles)
+	} else {
+		srcs, err = core.ReplaySources(rv.Spec.TraceFiles)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return Build(rv.Config, srcs, opts)
+}
+
+// Run builds rv's run and simulates it to the resolved quota.
+func (rv *Resolved) Run(opts Options) (*core.Results, error) {
 	sim, err := rv.Build(opts)
 	if err != nil {
 		return nil, err

@@ -26,8 +26,7 @@ var ErrUnknownCampaign = errors.New("campaign: unknown campaign")
 type ServiceOptions struct {
 	// Dir is the store root (required).
 	Dir string
-	// Workers bounds concurrent point executions (default 1 — simulator
-	// points are already internally parallel for sharded specs).
+	// Workers bounds concurrent point executions (default 1).
 	Workers int
 	// Executor runs points (required).
 	Executor Executor
@@ -79,6 +78,7 @@ type campaignState struct {
 	issued    time.Time
 	points    []Spec
 	results   map[int]*Result
+	refused   map[int]string // points that fail with this reason instead of running
 	cancelled bool
 	resumed   bool
 	finished  bool // terminal manifest written
@@ -157,6 +157,7 @@ func (s *Service) resume() ([]job, error) {
 			issued:    lc.Issued,
 			points:    lc.Points,
 			results:   lc.Results,
+			refused:   lc.Refused,
 			cancelled: lc.Cancelled,
 			subs:      make(map[chan *Result]struct{}),
 			done:      make(chan struct{}),
@@ -230,7 +231,9 @@ func (s *Service) worker() {
 }
 
 // execute runs one point unless its campaign is cancelled, already has a
-// durable result for the point, or the service is draining.
+// durable result for the point, or the service is draining. A refused
+// point fails with its reason instead of running; its error result is
+// stored, streamed and recorded like any other.
 func (s *Service) execute(j job) {
 	c := j.c
 	s.mu.Lock()
@@ -245,7 +248,15 @@ func (s *Service) execute(j job) {
 
 	spec := c.points[j.point]
 	start := time.Now()
-	res, err := s.opts.Executor(spec)
+	var (
+		res *Result
+		err error
+	)
+	if reason, ok := c.refused[j.point]; ok {
+		err = errors.New(reason)
+	} else {
+		res, err = s.opts.Executor(spec)
+	}
 	if err != nil || res == nil {
 		if err == nil {
 			err = errors.New("campaign: executor returned no result")
@@ -310,7 +321,6 @@ func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
 	m.Workloads = spec.WorkloadIDs()
 	m.Cycles = res.Cycles
 	m.Instructions = res.Instructions
-	m.Shards = spec.Shards
 	m.Strikes = res.Strikes
 	m.Extra = map[string]string{
 		"campaign": j.c.id,

@@ -379,6 +379,98 @@ func TestServiceResume(t *testing.T) {
 	}
 }
 
+// TestServiceResumeRefusesShardedPoints: a campaign an older avfd stored
+// with "shards" > 1 points resumes without running them monolithic. A
+// completed point keeps its stored result, a pending sharded point fails
+// with a message that names the removal, once in the stream and once in
+// the ledger, and an unsharded point runs as usual.
+func TestServiceResumeRefusesShardedPoints(t *testing.T) {
+	dir := t.TempDir()
+	const id = "20260901T080000-0000abcd"
+	if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stored := `{"v":1,"id":"` + id + `","name":"old","issued":"2026-09-01T08:00:00Z","points":[
+	  {"v":1,"name":"seed=1","mix":"4ctx-MIX-A","seed":1,"instructions":1000000,"shards":4,"shard_workers":2},
+	  {"v":1,"name":"seed=2","mix":"4ctx-MIX-A","seed":2,"instructions":1000000,"shards":4,"shard_workers":2},
+	  {"v":1,"name":"seed=3","mix":"4ctx-MIX-A","seed":3,"instructions":1000000}]}`
+	done0 := `{"v":1,"point":0,"campaign":"` + id + `","kind":"run","name":"seed=1","seed":1,"status":"ok","cycles":2760000,"instructions":1000000}`
+	for name, data := range map[string]string{"campaign.json": stored, "results.jsonl": done0 + "\n"} {
+		if err := os.WriteFile(filepath.Join(dir, id, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ledgerPath := filepath.Join(dir, "runs.jsonl")
+	ledger, err := obs.OpenLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fe := &fakeExecutor{gate: make(chan struct{})}
+	s := newTestService(t, dir, fe.exec, ledger)
+	past, live, done, cancel, err := s.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	close(fe.gate)
+	streamed := map[int][]*Result{}
+	for _, res := range past {
+		streamed[res.Point] = append(streamed[res.Point], res)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("resumed campaign did not finish")
+	}
+	for len(live) > 0 {
+		res := <-live
+		streamed[res.Point] = append(streamed[res.Point], res)
+	}
+
+	for p := 0; p < 3; p++ {
+		if len(streamed[p]) != 1 {
+			t.Fatalf("point %d streamed %d times, want once", p, len(streamed[p]))
+		}
+	}
+	if r := streamed[0][0]; r.Status != obs.StatusOK || r.Cycles != 2760000 {
+		t.Errorf("completed point 0 = %+v, want its stored result", r)
+	}
+	if r := streamed[1][0]; r.Status != obs.StatusError || !strings.Contains(r.Error, "sharded runs were removed") {
+		t.Errorf("sharded point 1 = status %q, error %q; want an error naming the removal", r.Status, r.Error)
+	}
+	if r := streamed[2][0]; r.Status != obs.StatusOK || r.Cycles != 1003 {
+		t.Errorf("unsharded point 2 = %+v, want the executor's result", r)
+	}
+	if fe.count() != 1 || fe.runs[0].Seed != 3 {
+		t.Errorf("executor ran %+v, want only point 2", fe.runs)
+	}
+
+	manifests, err := obs.ReadLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[string][]obs.RunManifest{}
+	for _, m := range manifests {
+		if m.Kind == "campaign-point" {
+			points[m.Extra["point"]] = append(points[m.Extra["point"]], m)
+		}
+	}
+	if len(points) != 2 || len(points["1"]) != 1 || len(points["2"]) != 1 {
+		t.Fatalf("ledger point manifests = %v, want points 1 and 2 once each", points)
+	}
+	if m := points["1"][0]; m.Status != obs.StatusError || !strings.Contains(m.Error, "sharded runs were removed") {
+		t.Errorf("point 1 manifest = status %q, error %q", m.Status, m.Error)
+	}
+
+	// The refusal is durable: another restart finds every point done.
+	fe2 := &fakeExecutor{}
+	s2 := newTestService(t, dir, fe2.exec, nil)
+	if st, err := s2.Status(id); err != nil || st.Done != 3 || fe2.count() != 0 {
+		t.Fatalf("second restart: status %+v (%v), %d runs", st, err, fe2.count())
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

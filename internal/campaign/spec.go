@@ -6,12 +6,12 @@
 //
 // A Spec names a workload source (a Table 2 mix, explicit benchmarks, or
 // recorded trace files), the machine (fetch policy, seed, an optional full
-// core.Config override), the execution shape (instruction budget, warmup,
-// shards), and at most one experiment kind beyond the plain run:
+// core.Config override), the execution shape (instruction budget and
+// warmup), and at most one experiment kind beyond the plain run:
 // fault-injection cross-validation, a fault-propagation atlas, or the
 // CPI-stack explainability study. Every Spec runs through one path:
 // Resolve joins it with the caller's defaults and Resolved.Build assembles
-// the run in shard.Build.
+// the run in Build.
 //
 // The package also carries the campaign job service behind cmd/avfd: a
 // Matrix fans one base Spec out into points, a Service executes points on
@@ -79,13 +79,6 @@ type Spec struct {
 	NoWarmup bool   `json:"no_warmup,omitempty"`
 	// PhaseInterval samples per-interval IPC/AVF every N cycles (0: off).
 	PhaseInterval uint64 `json:"phase_interval,omitempty"`
-
-	// Shards splits the run into deterministic per-thread intervals
-	// simulated in parallel (0 or 1: monolithic); incompatible with the
-	// experiment kinds, which sample the cycle timeline.
-	Shards            int    `json:"shards,omitempty"`
-	ShardWorkers      int    `json:"shard_workers,omitempty"`
-	ShardWarmupWindow uint64 `json:"shard_warmup_window,omitempty"`
 
 	// Machine overrides the default Table 1 configuration wholesale
 	// (Threads is still forced from the workload, and Policy/Seed/Warmup
@@ -218,9 +211,9 @@ func (s Spec) Threads() int {
 
 // Validate checks the structural rules: a supported version, exactly one
 // workload source, at most one experiment kind, experiment kinds
-// monolithic and benchmark-sourced, known fetch policies, an inject
-// stopping rule in range, and a parseable protection map. Workload names
-// and the machine are checked by Resolve.
+// benchmark-sourced, known fetch policies, an inject stopping rule in
+// range, and a parseable protection map. Workload names and the machine
+// are checked by Resolve.
 func (s Spec) Validate() error {
 	if s.V != 0 && s.V != SpecVersion {
 		return fmt.Errorf("campaign: spec schema v%d is not supported (want v%d)", s.V, SpecVersion)
@@ -249,23 +242,6 @@ func (s Spec) Validate() error {
 	}
 	if kinds > 1 {
 		return fmt.Errorf("campaign: crossval, propagation, and explain are mutually exclusive; give at most one")
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("campaign: shards must be non-negative, got %d", s.Shards)
-	}
-	if s.ShardWorkers < 0 {
-		return fmt.Errorf("campaign: shard_workers must be non-negative, got %d", s.ShardWorkers)
-	}
-	if s.Shards > 1 {
-		if s.Kind() != KindRun {
-			return fmt.Errorf("campaign: the %s kind samples the cycle timeline and needs a monolithic run (shards <= 1)", s.Kind())
-		}
-		if s.Inject != nil {
-			return fmt.Errorf("campaign: inject samples the cycle timeline and needs a monolithic run (shards <= 1)")
-		}
-		if s.ShardWarmupWindow != 0 && s.ShardWarmupWindow < 4096 {
-			return fmt.Errorf("campaign: shard_warmup_window %d below the documented floor of 4096", s.ShardWarmupWindow)
-		}
 	}
 	if s.Kind() != KindRun && len(s.TraceFiles) > 0 {
 		return fmt.Errorf("campaign: the %s kind needs benchmark profiles; trace_files only run the plain run kind", s.Kind())

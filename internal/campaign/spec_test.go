@@ -25,10 +25,6 @@ func TestSpecValidate(t *testing.T) {
 		{"two sources", Spec{Mix: "2ctx-CPU-A", Benchmarks: []string{"gcc"}}, false},
 		{"bad version", Spec{V: 99, Mix: "2ctx-CPU-A"}, false},
 		{"two kinds", Spec{Mix: "2ctx-CPU-A", CrossVal: &CrossValSpec{}, Explain: &ExplainSpec{}}, false},
-		{"sharded run", Spec{Mix: "2ctx-CPU-A", Shards: 4}, true},
-		{"sharded inject", Spec{Mix: "2ctx-CPU-A", Shards: 4, Inject: &InjectSpec{}}, false},
-		{"sharded crossval", Spec{Mix: "2ctx-CPU-A", Shards: 4, CrossVal: &CrossValSpec{}}, false},
-		{"negative shards", Spec{Mix: "2ctx-CPU-A", Shards: -1}, false},
 		{"trace explain", Spec{TraceFiles: []string{"a.trace"}, Explain: &ExplainSpec{}}, false},
 		{"bad protection struct", Spec{Mix: "2ctx-CPU-A", Protection: map[string]string{"Bogus": "ecc"}}, false},
 		{"bad protection mode", Spec{Mix: "2ctx-CPU-A", Protection: map[string]string{"IQ": "raid"}}, false},
@@ -220,6 +216,12 @@ var invalidSpecDocs = []string{
 	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"max_nodes":-1}}}`,
 	`{"v":1,"mix":"2ctx-CPU-A","propagation":{"strikes":4,"options":{"max_recorded_hops":-2}}}`,
 	`{"base":{"mix":"2ctx-CPU-A","propagation":{"options":{"max_hops":-5}}}}`,
+	// The retired sharded engine's fields: a spec file asking for a
+	// sharded run is refused, not run monolithic.
+	`{"v":1,"mix":"4ctx-MIX-A","instructions":8000,"shards":4,"shard_workers":2,"shard_warmup_window":4096}`,
+	`{"v":1,"mix":"4ctx-MIX-A","shards":1}`,
+	`{"base":{"mix":"4ctx-MIX-A","shard_workers":2}}`,
+	`{"base":{"mix":"4ctx-MIX-A","shard_warmup_window":4096}}`,
 }
 
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
@@ -276,7 +278,6 @@ func FuzzReadFile(f *testing.F) {
 		  "policies": ["ICOUNT", "FLUSH"], "machines": [{"IQSize": 48}, {"IQSize": 192}]}`,
 		// One spec of each kind, and a trace replay.
 		`{"v":1,"mix":"2ctx-CPU-A","policy":"STALL","seed":3,"instructions":5000,"warmup":1000}`,
-		`{"v":1,"mix":"4ctx-MIX-A","instructions":8000,"shards":4,"shard_workers":2,"shard_warmup_window":4096}`,
 		`{"v":1,"benchmarks":["gcc","twolf"],"protection":{"IQ":"ecc","ROB":"parity"},
 		  "inject":{"every":4,"seed":9,"stop":{"half_width":0.02,"max_strikes":500,"confidence":0.95,"batch":64}}}`,
 		`{"v":1,"mix":"2ctx-MIX-A","crossval":{"seeds":[1,2,3]},"inject":{"stop":{"half_width":0.05}}}`,

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -108,6 +109,40 @@ type LoadedCampaign struct {
 	Points    []Spec
 	Results   map[int]*Result // by point index; completed points only
 	Cancelled bool
+	// Refused maps a point index to the reason it must fail rather than
+	// run: a point stored with a setting this version no longer honours.
+	Refused map[int]string
+}
+
+// shardedRefusal is the reason a pending point an older avfd stored with
+// "shards" > 1 fails on resume. The sharded engine that ran it is gone and
+// Spec no longer has the field, so running it would silently swap in a
+// monolithic run, whose stop rule lets fast threads commit more, beside
+// the campaign's sharded results.
+const shardedRefusal = "campaign: this point was stored with \"shards\" > 1, but sharded runs were removed; resubmit it without shards for a monolithic run"
+
+// refusedPoints lists the points of a stored campaign.json that carry
+// "shards" > 1. Only a store an older avfd wrote mentions the key, so
+// the second decode runs only there.
+func refusedPoints(data []byte) map[int]string {
+	if !bytes.Contains(data, []byte(`"shards"`)) {
+		return nil
+	}
+	var old struct {
+		Points []struct {
+			Shards int `json:"shards"`
+		} `json:"points"`
+	}
+	if json.Unmarshal(data, &old) != nil {
+		return nil
+	}
+	refused := map[int]string{}
+	for i, p := range old.Points {
+		if p.Shards > 1 {
+			refused[i] = shardedRefusal
+		}
+	}
+	return refused
 }
 
 // Load reads one campaign back, tolerantly: a results.jsonl whose final
@@ -133,6 +168,7 @@ func (st *Store) Load(id string) (*LoadedCampaign, error) {
 		Points:    sc.Points,
 		Results:   make(map[int]*Result),
 		Cancelled: st.Cancelled(id),
+		Refused:   refusedPoints(data),
 	}
 	f, err := os.Open(filepath.Join(dir, "results.jsonl"))
 	if errors.Is(err, fs.ErrNotExist) {

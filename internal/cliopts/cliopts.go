@@ -1,10 +1,10 @@
 // Package cliopts centralizes the flag groups shared by the smtavf
 // commands (smtsim, avfreport, avfd): structured logging, telemetry,
-// fault injection, pipeline tracing, and sharded execution. Each group is
-// a struct with one Register method binding its flags to a FlagSet and one
-// validation path, so every command spells the same option the same way
-// (the flags drifted apart when each command owned its own copies:
-// avfreport said -crossval-ci for what smtsim called -inject-ci).
+// fault injection, pipeline tracing, and campaign observability. Each
+// group is a struct with one Register method binding its flags to a
+// FlagSet and one validation path, so every command spells the same option
+// the same way (the flags drifted apart when each command owned its own
+// copies: avfreport said -crossval-ci for what smtsim called -inject-ci).
 package cliopts
 
 import (
@@ -321,23 +321,17 @@ func (p *Profile) Stop() error {
 }
 
 // Obs is the campaign-observability flag group (-obs-ledger,
-// -obs-heartbeat, -obs-timeline).
+// -obs-heartbeat).
 type Obs struct {
 	Ledger    string
 	Heartbeat time.Duration
-	Timeline  string
 }
 
 // Register binds the observability flags.
 func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Ledger, "obs-ledger", "", help("obs-ledger"))
 	fs.DurationVar(&o.Heartbeat, "obs-heartbeat", obs.DefaultHeartbeat, help("obs-heartbeat"))
-	fs.StringVar(&o.Timeline, "obs-timeline", "", help("obs-timeline"))
 }
-
-// Enabled reports whether any observability sink beyond the default
-// heartbeats was requested.
-func (o *Obs) Enabled() bool { return o.Ledger != "" || o.Timeline != "" }
 
 // HeartbeatInterval maps the flag onto obs.ProgressOptions.Heartbeat:
 // the flag's 0 means "disable", which the option spells as negative.
@@ -348,17 +342,13 @@ func (o *Obs) HeartbeatInterval() time.Duration {
 	return o.Heartbeat
 }
 
-// Validate rejects meaningless settings; sharded reports whether the
-// command resolved to a sharded run.
-func (o *Obs) Validate(sharded bool) error {
+// Validate rejects meaningless settings.
+func (o *Obs) Validate() error {
 	if o.Heartbeat < 0 {
 		return fmt.Errorf("-obs-heartbeat must be non-negative, got %v", o.Heartbeat)
 	}
 	if o.Ledger != "" && jsonlio.IsGzipPath(o.Ledger) {
 		return fmt.Errorf("-obs-ledger %q: gzip ledgers cannot be appended to; use an uncompressed .jsonl path", o.Ledger)
-	}
-	if o.Timeline != "" && !sharded {
-		return fmt.Errorf("-obs-timeline requires a sharded run (-shards > 1)")
 	}
 	return nil
 }
@@ -398,32 +388,6 @@ func (s *Service) Validate() error {
 	}
 	if s.Workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", s.Workers)
-	}
-	return nil
-}
-
-// Shards is the parallel-execution flag group (-shards, -shard-workers).
-type Shards struct {
-	N       int
-	Workers int
-}
-
-// Register binds the sharding flags.
-func (s *Shards) Register(fs *flag.FlagSet) {
-	fs.IntVar(&s.N, "shards", 1, help("shards"))
-	fs.IntVar(&s.Workers, "shard-workers", 0, help("shard-workers"))
-}
-
-// Sharded reports whether a parallel run was requested.
-func (s *Shards) Sharded() bool { return s.N > 1 }
-
-// Validate rejects meaningless settings.
-func (s *Shards) Validate() error {
-	if s.N < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", s.N)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("-shard-workers must be non-negative, got %d", s.Workers)
 	}
 	return nil
 }

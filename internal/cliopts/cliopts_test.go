@@ -127,51 +127,19 @@ func TestPipeTrace(t *testing.T) {
 	}
 }
 
-func TestShards(t *testing.T) {
-	var sh Shards
-	parse(t, sh.Register, "-shards", "4", "-shard-workers", "2")
-	if !sh.Sharded() || sh.N != 4 || sh.Workers != 2 {
-		t.Fatalf("parsed %+v", sh)
-	}
-	if err := sh.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var def Shards
-	parse(t, def.Register)
-	if def.Sharded() {
-		t.Fatal("default is sharded")
-	}
-	if err := (&Shards{N: 0}).Validate(); err == nil {
-		t.Fatal("zero shards accepted")
-	}
-	if err := (&Shards{N: 2, Workers: -1}).Validate(); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-}
-
 func TestObs(t *testing.T) {
 	var o Obs
-	parse(t, o.Register, "-obs-ledger", "runs.jsonl", "-obs-heartbeat", "2s", "-obs-timeline", "tl.json")
-	if !o.Enabled() {
-		t.Fatal("ledger+timeline did not enable observability")
+	parse(t, o.Register, "-obs-ledger", "runs.jsonl", "-obs-heartbeat", "2s")
+	if o.Ledger != "runs.jsonl" || o.HeartbeatInterval() != 2*time.Second {
+		t.Fatalf("parsed %+v, heartbeat %v", o, o.HeartbeatInterval())
 	}
-	if o.HeartbeatInterval() != 2*time.Second {
-		t.Fatalf("heartbeat = %v", o.HeartbeatInterval())
-	}
-	if err := o.Validate(true); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The timeline needs a sharded run.
-	if err := o.Validate(false); err == nil {
-		t.Fatal("-obs-timeline accepted on a monolithic run")
-	}
 
-	// Defaults: heartbeats on at the default interval, nothing else.
+	// Defaults: heartbeats on at the default interval, no ledger.
 	o = Obs{}
 	parse(t, o.Register)
-	if o.Enabled() {
-		t.Fatal("default group reports enabled")
-	}
 	if o.Heartbeat != obs.DefaultHeartbeat {
 		t.Fatalf("default heartbeat = %v", o.Heartbeat)
 	}
@@ -185,12 +153,12 @@ func TestObs(t *testing.T) {
 	if o.HeartbeatInterval() >= 0 {
 		t.Fatalf("0 heartbeat maps to %v, want negative", o.HeartbeatInterval())
 	}
-	if err := o.Validate(false); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Gzip ledgers are append-hostile and rejected up front.
-	if err := (&Obs{Ledger: "runs.jsonl.gz"}).Validate(false); err == nil {
+	if err := (&Obs{Ledger: "runs.jsonl.gz"}).Validate(); err == nil {
 		t.Fatal("gzip ledger accepted")
 	}
 	if _, err := (&Obs{Ledger: ""}).OpenLedger(); err != nil {

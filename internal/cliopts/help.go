@@ -49,16 +49,11 @@ var helpText = map[string]string{
 	// Obs
 	"obs-ledger":    "append one run-manifest record per run to this JSONL ledger (list with avfreport -runs)",
 	"obs-heartbeat": "minimum wall-clock gap between progress heartbeat log lines (0 disables them)",
-	"obs-timeline":  "write the sharded run's worker-utilization timeline as Chrome trace_event JSON to this file (requires -shards > 1)",
-
-	// Shards
-	"shards":        "split the run into this many deterministic intervals per thread and simulate them in parallel (1 = monolithic; see docs/sharding.md)",
-	"shard-workers": "worker goroutines for -shards (0 = GOMAXPROCS)",
 
 	// Service (avfd)
 	"addr":    "HTTP listen address for the campaign-service API (e.g. :8080 or 127.0.0.1:0)",
 	"dir":     "campaign state directory: submitted specs, per-point result checkpoints, cancel markers; interrupted campaigns found here resume on start",
-	"workers": "campaign points executed concurrently (each point may parallelize internally via its spec's shards)",
+	"workers": "campaign points executed concurrently",
 }
 
 // help returns the canonical help string for a flag, panicking on a

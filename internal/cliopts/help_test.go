@@ -25,7 +25,6 @@ func registerAll(fs *flag.FlagSet) {
 		pt  PipeTrace
 		pf  Profile
 		o   Obs
-		sh  Shards
 		svc Service
 	)
 	l.Register(fs)
@@ -37,7 +36,6 @@ func registerAll(fs *flag.FlagSet) {
 	pt.Register(fs)
 	pf.Register(fs)
 	o.Register(fs)
-	sh.Register(fs)
 	svc.Register(fs)
 }
 

@@ -138,8 +138,7 @@ func New(cfg Config, profiles []trace.Profile) (*Processor, error) {
 // Sources builds the per-thread instruction sources New derives from a
 // profile list: thread i's generators are seeded from cfg.Seed and i, so
 // any processor built from the same (cfg, profiles) pair replays the same
-// program — the property sharded runs rely on to rebuild a fresh machine
-// per interval.
+// program.
 func Sources(cfg Config, profiles []trace.Profile) ([]Source, error) {
 	if len(profiles) != cfg.Threads {
 		return nil, fmt.Errorf("core: %d profiles for %d threads", len(profiles), cfg.Threads)
@@ -155,26 +154,18 @@ func Sources(cfg Config, profiles []trace.Profile) ([]Source, error) {
 	return srcs, nil
 }
 
-// ReplayFactory loads recorded traces (cmd/tracegen) once and returns a
-// factory whose every call clones them, so each processor built from it
-// replays the same program from the start — what a sharded run's
-// per-interval machines need.
-func ReplayFactory(paths []string) (func() ([]Source, error), error) {
-	masters := make([]*trace.Replay, 0, len(paths))
+// ReplaySources loads recorded traces (cmd/tracegen) as per-thread
+// sources, one per path, each replaying its recording from the start.
+func ReplaySources(paths []string) ([]Source, error) {
+	srcs := make([]Source, 0, len(paths))
 	for _, p := range paths {
 		r, err := trace.LoadTraceFile(p)
 		if err != nil {
 			return nil, err
 		}
-		masters = append(masters, r)
+		srcs = append(srcs, Source{Gen: r})
 	}
-	return func() ([]Source, error) {
-		srcs := make([]Source, 0, len(masters))
-		for _, m := range masters {
-			srcs = append(srcs, Source{Gen: m.Clone()})
-		}
-		return srcs, nil
-	}, nil
+	return srcs, nil
 }
 
 // NewFromSources builds a processor from explicit instruction sources,
@@ -278,15 +269,6 @@ type Limits struct {
 	// PerThread quotas; nil or 0 entries mean unlimited. Used to replay a
 	// thread's SMT progress in a single-thread run (Figures 3 and 4).
 	PerThread []uint64
-	// PartialTail marks the run as an interval of a longer sharded run
-	// whose successor re-simulates the instructions still in flight when
-	// this interval's quota is reached. The end-of-run drain then
-	// classifies their residency un-ACE — the successor interval accounts
-	// their ACE-ness when it actually commits them — instead of the
-	// monolithic rule of classifying in-flight state with the fate it was
-	// heading for. Without this, every interval boundary double-counts a
-	// pipeline's worth of ACE residency.
-	PartialTail bool
 }
 
 // Run simulates until the limits are reached and returns the results.
@@ -352,7 +334,7 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 			p.telemetryRoll(false)
 		}
 	}
-	p.closeAccounting(lim.PartialTail)
+	p.closeAccounting()
 	if p.cfg.PhaseInterval > 0 && p.now > p.phaseCycle {
 		p.samplePhase() // close the final partial phase
 	}
@@ -495,9 +477,8 @@ func (p *Processor) SetPropagation(t *propagation.Tracer) {
 // closeAccounting finalizes every open residency interval at the end of a
 // run: in-flight uops are classified with the fate they were heading for
 // (commit unless wrong-path), and the address structures close their
-// resident entries. partialTail switches the in-flight classification to
-// un-ACE (see Limits.PartialTail).
-func (p *Processor) closeAccounting(partialTail bool) {
+// resident entries.
+func (p *Processor) closeAccounting() {
 	pl := p.pool
 	for _, t := range p.threads {
 		for t.rob.Len() > 0 {
@@ -509,7 +490,7 @@ func (p *Processor) closeAccounting(partialTail bool) {
 			if pl.Meta[u].LSQIdx >= 0 {
 				t.lsq.PopTail(p.now)
 			}
-			unACE := pl.Flags[u]&pipeline.FWrongPath != 0 || partialTail
+			unACE := pl.Flags[u]&pipeline.FWrongPath != 0
 			p.classifyUop(u, unACE)
 			p.recordObservers(u, unACE)
 		}

@@ -74,7 +74,7 @@ type Results struct {
 	Bits      [avf.NumStructs]uint64 // structure capacities (AVF denominators)
 	Thread    []ThreadStats
 	Machine   MachineStats
-	Counters  MachineCounters // raw counts behind Machine (mergeable)
+	Counters  MachineCounters // raw counts behind Machine
 	Phases    []Phase         // nonempty only when Config.PhaseInterval is set
 }
 
@@ -217,27 +217,6 @@ func (p *Processor) threadStats(t *thread) ThreadStats {
 	}
 }
 
-// Plus sums two counter snapshots covering disjoint intervals of the same
-// thread (sharded-run merging). The workload name is taken from a.
-func (a ThreadStats) Plus(b ThreadStats) ThreadStats {
-	a.Committed += b.Committed
-	a.Fetched += b.Fetched
-	a.WrongPathFetch += b.WrongPathFetch
-	a.Branches += b.Branches
-	a.Mispredicts += b.Mispredicts
-	a.Flushes += b.Flushes
-	a.SquashedUops += b.SquashedUops
-	a.LoadForwards += b.LoadForwards
-	a.DL1Loads += b.DL1Loads
-	a.DL1LoadMisses += b.DL1LoadMisses
-	a.L2LoadMisses += b.L2LoadMisses
-	a.RenameStalls += b.RenameStalls
-	a.IQFullStalls += b.IQFullStalls
-	a.ROBFullStalls += b.ROBFullStalls
-	a.LSQFullStalls += b.LSQFullStalls
-	return a
-}
-
 // minus subtracts a warmup baseline from a counter snapshot.
 func (a ThreadStats) minus(b ThreadStats) ThreadStats {
 	a.Committed -= b.Committed
@@ -259,9 +238,7 @@ func (a ThreadStats) minus(b ThreadStats) ThreadStats {
 }
 
 // MachineCounters holds the raw shared-resource event counts behind
-// MachineStats. Results carries them (measurement window only) so runs
-// over disjoint intervals merge exactly: counts are summed and the rates
-// recomputed, instead of averaging floats.
+// MachineStats, over the measurement window only.
 type MachineCounters struct {
 	DL1Accesses, DL1Misses   uint64
 	L2Accesses, L2Misses     uint64
@@ -281,23 +258,6 @@ func (p *Processor) counters() MachineCounters {
 		ITLBAccesses: p.itlb.Accesses, ITLBMisses: p.itlb.Misses,
 		FUBusy: p.fus.BusyAll,
 	}
-}
-
-// Plus sums two counter snapshots covering disjoint intervals (FUUnits is
-// a capacity: it must agree, not add).
-func (a MachineCounters) Plus(b MachineCounters) MachineCounters {
-	a.DL1Accesses += b.DL1Accesses
-	a.DL1Misses += b.DL1Misses
-	a.L2Accesses += b.L2Accesses
-	a.L2Misses += b.L2Misses
-	a.IL1Accesses += b.IL1Accesses
-	a.IL1Misses += b.IL1Misses
-	a.DTLBAccesses += b.DTLBAccesses
-	a.DTLBMisses += b.DTLBMisses
-	a.ITLBAccesses += b.ITLBAccesses
-	a.ITLBMisses += b.ITLBMisses
-	a.FUBusy += b.FUBusy
-	return a
 }
 
 // minus subtracts a warmup baseline (the count-valued fields only; FUUnits

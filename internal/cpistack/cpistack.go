@@ -114,7 +114,7 @@ type Options struct {
 }
 
 // Observer accumulates the per-thread CPI stack and the occupancy-by-fate
-// series. Attach with the facade's WithCPIStack (shard.Options.CPIStack);
+// series. Attach with the facade's WithCPIStack (campaign.Options.CPIStack);
 // all methods are nil-receiver no-ops so a detached observer costs
 // nothing.
 //

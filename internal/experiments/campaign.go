@@ -8,7 +8,6 @@ import (
 	"smtavf/internal/crossval"
 	"smtavf/internal/inject"
 	"smtavf/internal/propagation"
-	"smtavf/internal/shard"
 )
 
 // defaults exposes the runner's options as the spec-resolution fallbacks:
@@ -23,7 +22,7 @@ func (r *Runner) defaults() campaign.Defaults {
 
 // Campaign executes one campaign point — the single entry point the CLIs
 // and the avfd service share. The spec's kind selects the experiment:
-// a plain run (optionally sharded or with a strike campaign attached),
+// a plain run (optionally with a strike campaign attached),
 // the ACE-vs-injection cross-validation, the fault-propagation atlas, or
 // the CPI-stack explainability study. Campaign runs are not memoized.
 func (r *Runner) Campaign(spec campaign.Spec) (*campaign.Result, error) {
@@ -53,14 +52,9 @@ func newResult(spec campaign.Spec, title string, seed uint64) *campaign.Result {
 	}
 }
 
-// campaignRun executes a plain simulation point: sharded when the spec
-// (or, for a spec without a strike campaign, the runner) asks for it,
-// monolithic otherwise, with an optional strike campaign cross-validated
-// against the tracker.
+// campaignRun executes a plain simulation point, with an optional strike
+// campaign cross-validated against the tracker.
 func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
-	if spec.Inject == nil {
-		spec = r.withShards(spec)
-	}
 	rv, err := spec.Resolve(r.defaults())
 	if err != nil {
 		return nil, err
@@ -71,7 +65,7 @@ func (r *Runner) campaignRun(spec campaign.Spec) (*campaign.Result, error) {
 			return nil, err
 		}
 	}
-	res, err := rv.Run(shard.Options{Inject: camp})
+	res, err := rv.Run(campaign.Options{Inject: camp})
 	if err != nil {
 		return nil, fmt.Errorf("campaign run %s: %w", rv.Title, err)
 	}
@@ -107,7 +101,7 @@ func (r *Runner) campaignCrossVal(spec campaign.Spec) (*campaign.Result, error) 
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
-		res, err := rv.Run(shard.Options{Inject: camp})
+		res, err := rv.Run(campaign.Options{Inject: camp})
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
@@ -152,7 +146,7 @@ func (r *Runner) campaignPropagation(spec campaign.Spec) (*campaign.Result, erro
 		return nil, err
 	}
 	tracer := propagation.New(spec.Propagation.Options)
-	res, err := rv.Run(shard.Options{Inject: camp, Propagation: tracer})
+	res, err := rv.Run(campaign.Options{Inject: camp, Propagation: tracer})
 	if err != nil {
 		return nil, fmt.Errorf("propagation run %s: %w", title, err)
 	}
@@ -193,7 +187,7 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	runs := make([]explainRun, len(policies))
 	err = forEach(len(policies), func(i int) error {
 		obs := cpistack.New(cpistack.Options{WindowCycles: window})
-		res, err := rvs[i].Run(shard.Options{CPIStack: obs})
+		res, err := rvs[i].Run(campaign.Options{CPIStack: obs})
 		if err != nil {
 			return fmt.Errorf("explain run %s under %s: %w", rv0.Title, policies[i], err)
 		}

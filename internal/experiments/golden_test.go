@@ -13,7 +13,7 @@ import (
 
 // reportGolden pins the SHA-256 of every report the runner renders at
 // Options{Base: 4000, Seed: 1}: the paper tables and figures, the
-// extension studies, a provenance table set, and the JSON results of six
+// extension studies, a provenance table set, and the JSON results of five
 // campaign points (one per executor path). Any change to how a run is
 // assembled or observed that moves a single number moves a digest.
 var reportGolden = map[string]string{
@@ -32,7 +32,6 @@ var reportGolden = map[string]string{
 	"stability":            "ab284eeea3f3c5a3f3bbf82862a23c1fc2c833794f731955612b3ea0dffb5cc9",
 	"provenance":           "b7e8b90615b49439fe6f5aa247e7cdf31802ca662e1a859c351ea3af79adea6c",
 	"campaign/plain":       "ccc782444f7af63dc8a8c28325f8c6b62ea360e62cdc1fc3657d44472a99846c",
-	"campaign/sharded":     "fd16ab4d791eea79d36f09665f3e4faa2b7097478e88ced31f1c5987492c0c76",
 	"campaign/inject":      "64e983e82db46f8a9c460222b494cdfc94ee464dffa1a6ac09640f2d63d82e50",
 	"campaign/crossval":    "5b78ed202dd55fae2715201f00344b71df305b5694e4b134b3472345e43b805d",
 	"campaign/propagation": "2f7f5f0af4f03fa27d988b77c27b25a2c8436a48a9f7707f9e308f247082b85e",
@@ -40,13 +39,12 @@ var reportGolden = map[string]string{
 }
 
 // goldenCampaigns are the campaign points TestReportGolden hashes: a plain
-// run, a 2-shard run, a run with a protected strike campaign, a 2-seed
-// cross-validation, a propagation atlas and an explain study.
+// run, a run with a protected strike campaign, a 2-seed cross-validation,
+// a propagation atlas and an explain study.
 func goldenCampaigns() map[string]campaign.Spec {
 	stop := inject.Stop{MaxStrikes: 200}
 	return map[string]campaign.Spec{
-		"plain":   {Mix: "2ctx-MIX-A"},
-		"sharded": {Mix: "2ctx-MIX-A", Shards: 2},
+		"plain": {Mix: "2ctx-MIX-A"},
 		"inject": {Mix: "2ctx-CPU-A", Policy: "STALL",
 			Protection: map[string]string{"IQ": "ecc", "ROB": "parity"},
 			Inject:     &campaign.InjectSpec{Every: 4, Stop: stop}},

@@ -6,7 +6,6 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/campaign"
 	"smtavf/internal/pipetrace"
-	"smtavf/internal/shard"
 )
 
 // Provenance runs the named Table 2 mix under the given fetch policy with
@@ -22,7 +21,7 @@ func (r *Runner) Provenance(mixName, policy string, top int) ([]*Table, error) {
 		return nil, err
 	}
 	rec := pipetrace.New(pipetrace.Options{ProvenanceOnly: true})
-	if _, err := rv.Run(shard.Options{PipeTrace: rec}); err != nil {
+	if _, err := rv.Run(campaign.Options{PipeTrace: rec}); err != nil {
 		return nil, fmt.Errorf("provenance run %s under %s: %w", mixName, policy, err)
 	}
 	title := fmt.Sprintf("%s under %s", mixName, policy)

@@ -12,7 +12,6 @@ import (
 
 	"smtavf/internal/campaign"
 	"smtavf/internal/core"
-	"smtavf/internal/shard"
 	"smtavf/internal/workload"
 )
 
@@ -28,13 +27,6 @@ type Options struct {
 	NoWarmup bool
 	// Seed makes the whole report reproducible.
 	Seed uint64
-	// Shards splits every run into this many deterministic intervals per
-	// thread, simulated in parallel on ShardWorkers goroutines (see
-	// internal/shard). 0 or 1 runs monolithically. Sharded runs keep exact
-	// commit counts; AVFs carry the documented shard.DefaultTolerance.
-	Shards int
-	// ShardWorkers bounds the worker pool of sharded runs (0 = GOMAXPROCS).
-	ShardWorkers int
 }
 
 // withDefaults fills unset options.
@@ -87,7 +79,7 @@ func (r *Runner) Mix(contexts int, kind workload.Kind, group workload.Group, pol
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.run(r.withShards(campaign.Spec{Mix: m.Name(), Policy: policy}))
+	res, err := r.run(campaign.Spec{Mix: m.Name(), Policy: policy})
 	if err != nil {
 		return nil, fmt.Errorf("mix %s under %s: %w", m.Name(), policy, err)
 	}
@@ -97,7 +89,7 @@ func (r *Runner) Mix(contexts int, kind workload.Kind, group workload.Group, pol
 // Single runs (or recalls) benchmark bench alone for quota instructions —
 // the superscalar baseline.
 func (r *Runner) Single(bench string, quota uint64) (*core.Results, error) {
-	res, err := r.run(r.withShards(campaign.Spec{Benchmarks: []string{bench}, Instructions: quota}))
+	res, err := r.run(campaign.Spec{Benchmarks: []string{bench}, Instructions: quota})
 	if err != nil {
 		return nil, fmt.Errorf("single %s: %w", bench, err)
 	}
@@ -121,20 +113,10 @@ func (r *Runner) run(spec campaign.Spec) (*core.Results, error) {
 	e.once.Do(func() {
 		var rv *campaign.Resolved
 		if rv, e.err = spec.Resolve(r.defaults()); e.err == nil {
-			e.res, e.err = rv.Run(shard.Options{})
+			e.res, e.err = rv.Run(campaign.Options{})
 		}
 	})
 	return e.res, e.err
-}
-
-// withShards gives a spec that leaves its shard shape unset the runner's
-// (Options.Shards, avfd -shards). Only runs without pipeline observers
-// take it: the observers need a monolithic run.
-func (r *Runner) withShards(spec campaign.Spec) campaign.Spec {
-	if spec.Shards == 0 {
-		spec.Shards, spec.ShardWorkers = r.opts.Shards, r.opts.ShardWorkers
-	}
-	return spec
 }
 
 // MixAvg runs a mix over every available group and returns the results

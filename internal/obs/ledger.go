@@ -28,7 +28,7 @@ const (
 // Artifact is one file a run produced, indexed in its manifest so every
 // figure traces back to the exact run that made it.
 type Artifact struct {
-	Kind string `json:"kind"` // telemetry | pipetrace | crossval | propagation | timeline | csv | ...
+	Kind string `json:"kind"` // telemetry | pipetrace | crossval | propagation | cpistack | ...
 	Path string `json:"path"`
 }
 
@@ -57,7 +57,6 @@ type RunManifest struct {
 
 	Cycles       uint64 `json:"cycles,omitempty"`
 	Instructions uint64 `json:"instructions,omitempty"`
-	Shards       int    `json:"shards,omitempty"`
 	Strikes      uint64 `json:"strikes,omitempty"`
 
 	Status string `json:"status"`

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smtavf/internal/jsonlio"
 )
 
 // fixedManifests builds a deterministic ledger for the golden tests —
@@ -18,7 +21,7 @@ func fixedManifests() []RunManifest {
 			Program: "smtsim", ConfigDigest: "a1b2c3d4e5f6", Seed: 1, Policy: "ICOUNT",
 			Workloads: []string{"mcf", "gcc"},
 			Start:     "2026-08-01T12:00:00Z", End: "2026-08-01T12:00:09Z", WallSeconds: 9,
-			Cycles: 123456, Instructions: 100000, Shards: 1,
+			Cycles: 123456, Instructions: 100000,
 			Status: StatusOK,
 			Artifacts: []Artifact{
 				{Kind: "telemetry", Path: "run.jsonl.gz"},
@@ -206,4 +209,88 @@ func TestConfigDigestStable(t *testing.T) {
 	if len(h1) != 12 {
 		t.Fatalf("digest length = %d", len(h1))
 	}
+}
+
+// retiredLedgerLine is a manifest smtsim wrote before sharded runs were
+// removed: a "shards" count and a worker-"timeline" artifact. The fields
+// are gone from RunManifest, but such a ledger must still read and list.
+const retiredLedgerLine = `{"v":1,"id":"smtsim-20260901T080000-7-1","kind":"run","program":"smtsim","config_digest":"0a1b2c3d4e5f","seed":1,"policy":"ICOUNT","workloads":["gcc","mcf","vpr","perlbmk"],"start":"2026-09-01T08:00:00Z","end":"2026-09-01T08:00:04Z","wall_seconds":4,"cycles":2760000,"instructions":1000000,"shards":4,"status":"ok","artifacts":[{"kind":"timeline","path":"tl.json"}]}`
+
+func TestReadLedgerKeepsRetiredRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := os.WriteFile(path, []byte(retiredLedgerLine+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ReadLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Cycles != 2760000 || len(ms[0].Artifacts) != 1 {
+		t.Fatalf("read %+v", ms)
+	}
+	if out := FormatRuns(ms, RunFilter{}); !strings.Contains(out, "1 runs") || !strings.Contains(out, "smtsim-20260901T080000-7-1") {
+		t.Fatalf("retired record not listed:\n%s", out)
+	}
+}
+
+// FuzzReadLedger feeds arbitrary bytes to ReadLedger as a runs.jsonl. It
+// must not panic; the records it accepts must re-encode to a ledger that
+// reads back to the same JSON; and FormatRuns and FormatRun must render
+// them.
+func FuzzReadLedger(f *testing.F) {
+	var buf strings.Builder
+	for _, m := range fixedManifests() {
+		line, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(line) + "\n")
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	f.Add(buf.String())
+	f.Add(retiredLedgerLine + "\n")
+	f.Add(buf.String() + retiredLedgerLine)
+	f.Add(`{"v":99,"id":"x","kind":"run","status":"ok"}` + "\n")
+	f.Add(`{"v":1,"id":"x","kind":"run","workloads":[],"extra":{}}` + "\n" + `null`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "runs.jsonl")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := ReadLedger(path)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(ms)
+		if err != nil {
+			t.Fatalf("re-encoding accepted records: %v", err)
+		}
+		again := filepath.Join(dir, "again.jsonl")
+		if err := jsonlio.WriteFile(again, ms); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadLedger(again)
+		if err != nil {
+			t.Fatalf("re-encoded records rejected: %v", err)
+		}
+		// JSON, not reflect.DeepEqual: an empty list or map reads back as
+		// nil once omitempty drops it.
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(ms) || string(first) != string(second) {
+			t.Fatalf("records changed across the round trip:\n%s\nread back as\n%s", first, second)
+		}
+		if out := FormatRuns(ms, RunFilter{}); !strings.HasPrefix(out, fmt.Sprintf("%d runs\n", len(ms))) {
+			t.Fatalf("FormatRuns of %d records:\n%s", len(ms), out)
+		}
+		for i := range ms {
+			if out := FormatRun(&ms[i]); strings.HasPrefix(out, "unprintable") {
+				t.Fatalf("record %d: %s", i, out)
+			}
+		}
+	})
 }

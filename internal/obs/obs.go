@@ -5,7 +5,7 @@
 // long multi-configuration campaign raises: what is running right now,
 // how fast, how far along, which run produced this artifact.
 //
-// Four pieces:
+// Three pieces:
 //
 //   - Registry (registry.go): a lock-cheap typed metrics registry —
 //     counters, gauges, histograms with fixed buckets — exposed as
@@ -26,13 +26,8 @@
 //     periodic heartbeats (cycles/s, completion fraction, ETA) emitted
 //     to slog and served as JSON at /debug/progress.
 //
-//   - Spans (spans.go): shard/worker utilization timelines — per-worker
-//     phase spans from internal/shard's pool, exported as Chrome
-//     trace_event JSON so scheduling bubbles are visible in
-//     chrome://tracing.
-//
 // The package depends only on the standard library and internal/jsonlio,
-// so every subsystem (telemetry, shard, inject) can attach to it without
+// so every subsystem (telemetry, campaign, inject) can attach to it without
 // import cycles. docs/campaigns.md documents the ledger schema, the
 // OpenMetrics name table, and the scrape recipes.
 package obs
@@ -47,8 +42,7 @@ import (
 // one whole campaign) carries: the metrics registry, the progress
 // tracker, and the run ledger. Any field may be nil — each consumer
 // nil-checks the piece it feeds. Unlike the pipeline observers, an
-// Observability attaches to sharded runs too: it watches the campaign,
-// not the cycle timeline.
+// Observability watches the campaign, not the cycle timeline.
 type Observability struct {
 	// Registry receives live metrics (nil: no metrics surface).
 	Registry *Registry

@@ -24,7 +24,7 @@ func TestWriteOpenMetricsAndLint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("inject.events", "events seen").Add(42)
 	r.Gauge("inject.halfwidth.IQ", "CI half-width").Set(0.0125)
-	h := r.Histogram("shard.phase_seconds", "phase durations",
+	h := r.Histogram("point.phase_seconds", "phase durations",
 		[]float64{0.1, 1}, Label{"phase", "run"})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -45,12 +45,12 @@ func TestWriteOpenMetricsAndLint(t *testing.T) {
 		"# HELP smtavf_inject_events events seen",
 		"# TYPE smtavf_inject_halfwidth_IQ gauge",
 		"smtavf_inject_halfwidth_IQ 0.0125",
-		"# TYPE smtavf_shard_phase_seconds histogram",
-		`smtavf_shard_phase_seconds_bucket{phase="run",le="0.1"} 1`,
-		`smtavf_shard_phase_seconds_bucket{phase="run",le="1"} 2`,
-		`smtavf_shard_phase_seconds_bucket{phase="run",le="+Inf"} 3`,
-		`smtavf_shard_phase_seconds_sum{phase="run"} 5.55`,
-		`smtavf_shard_phase_seconds_count{phase="run"} 3`,
+		"# TYPE smtavf_point_phase_seconds histogram",
+		`smtavf_point_phase_seconds_bucket{phase="run",le="0.1"} 1`,
+		`smtavf_point_phase_seconds_bucket{phase="run",le="1"} 2`,
+		`smtavf_point_phase_seconds_bucket{phase="run",le="+Inf"} 3`,
+		`smtavf_point_phase_seconds_sum{phase="run"} 5.55`,
+		`smtavf_point_phase_seconds_count{phase="run"} 3`,
 		"# TYPE smtavf_runtime_goroutines gauge",
 	} {
 		if !strings.Contains(text, want) {

@@ -28,10 +28,9 @@ type ProgressOptions struct {
 // periodic heartbeats: the phase name, a done/total fraction, the
 // smoothed cycle rate, and an ETA extrapolated from the phase's own
 // rate. It is fed from whatever drives the phase — telemetry windows in
-// a monolithic run, shard completions in a sharded one, stopping-rule
-// rounds in a strike campaign — and read from slog, the /debug/progress
-// endpoint, and the metrics registry. All methods are safe for
-// concurrent use and no-ops on a nil receiver.
+// a run, stopping-rule rounds in a strike campaign — and read from slog,
+// the /debug/progress endpoint, and the metrics registry. All methods are
+// safe for concurrent use and no-ops on a nil receiver.
 type Progress struct {
 	logger *slog.Logger
 	every  time.Duration

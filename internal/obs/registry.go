@@ -178,7 +178,7 @@ type metric struct {
 // Registry is a typed metrics registry: registration takes a short
 // mutex, after which updates on the returned handles are plain atomics —
 // lock-cheap by construction, cheap enough for campaign-rate events
-// (windows, strikes, shards), and deliberately not wired into the
+// (windows, strikes, phases), and deliberately not wired into the
 // per-cycle hot loop. Registering the same name+labels again returns the
 // existing instrument; registering it as a different type panics (a
 // programming error, caught loudly like expvar does).
@@ -321,10 +321,4 @@ func (r *Registry) snapshot() []*metric {
 		out = append(out, r.metrics[k])
 	}
 	return out
-}
-
-// DefaultDurationBuckets are the seconds buckets the phase-duration
-// histograms use: sub-millisecond warmups through minute-scale shards.
-var DefaultDurationBuckets = []float64{
-	0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }

@@ -45,9 +45,9 @@ func TestRegistryReuseAndIdentity(t *testing.T) {
 		t.Fatalf("aliased counter diverged: %d", b.Value())
 	}
 
-	l1 := r.Gauge("shard.phase", "", Label{"phase", "warmup"})
-	l2 := r.Gauge("shard.phase", "", Label{"phase", "run"})
-	l1again := r.Gauge("shard.phase", "", Label{"phase", "warmup"})
+	l1 := r.Gauge("point.phase", "", Label{"phase", "warmup"})
+	l2 := r.Gauge("point.phase", "", Label{"phase", "run"})
+	l1again := r.Gauge("point.phase", "", Label{"phase", "warmup"})
 	if l1 == l2 {
 		t.Fatalf("distinct label sets shared a gauge")
 	}
@@ -96,7 +96,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("concurrent.events", "")
-			h := r.Histogram("concurrent.dur", "", DefaultDurationBuckets)
+			h := r.Histogram("concurrent.dur", "", []float64{0.001, 0.1, 1})
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(0.01)
@@ -107,7 +107,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("concurrent.events", "").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("concurrent.dur", "", DefaultDurationBuckets).Count(); got != 8000 {
+	if got := r.Histogram("concurrent.dur", "", []float64{0.001, 0.1, 1}).Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"smtavf/internal/avf"
-	"smtavf/internal/digest"
 	"smtavf/internal/isa"
 )
 
@@ -312,16 +311,3 @@ func (rf *RegFile) CloseAccounting(now uint64) {
 
 // Mapping returns thread tid's current physical mapping of arch (tests).
 func (rf *RegFile) Mapping(tid int, arch isa.RegID) int { return rf.rename[tid][arch] }
-
-// RenameDigest digests every thread's architectural→physical rename table
-// for checkpoint identification.
-func (rf *RegFile) RenameDigest() uint64 {
-	h := digest.New()
-	for tid := range rf.rename {
-		for arch, phys := range rf.rename[tid] {
-			h = digest.Mix(h, uint64(tid)<<32|uint64(arch))
-			h = digest.Mix(h, uint64(phys))
-		}
-	}
-	return h
-}

@@ -147,7 +147,7 @@ func (n *node) committed() bool {
 }
 
 // Tracer records the per-uop nodes the propagation analysis needs. Attach
-// with the facade's WithPropagation (shard.Options.Propagation); a nil
+// with the facade's WithPropagation (campaign.Options.Propagation); a nil
 // *Tracer is a valid detached tracer (Record and Rebase are nil-receiver
 // no-ops, the same convention the pipetrace recorder and the injection
 // campaign follow).

@@ -116,24 +116,3 @@ func (s *Stream) Release(seq uint64) {
 
 // Buffered returns the number of instructions currently held for replay.
 func (s *Stream) Buffered() int { return len(s.buf) - int(s.head-s.base) }
-
-// Forward advances the stream so that seq is the next instruction
-// delivered, releasing everything before it. When the underlying generator
-// is Seekable and nothing is buffered, the jump is O(1); otherwise the
-// intervening instructions are generated and discarded. Forwarding to or
-// behind the current cursor is a no-op (use Rewind to go back).
-func (s *Stream) Forward(seq uint64) {
-	if seq <= s.cursor {
-		return
-	}
-	if _, ok := s.gen.(Seekable); ok && s.Buffered() == 0 && s.cursor == s.head {
-		Forward(s.gen, seq)
-		s.buf = s.buf[:0]
-		s.base, s.head, s.cursor = seq, seq, seq
-		return
-	}
-	for s.cursor < seq {
-		s.Next()
-		s.Release(s.cursor)
-	}
-}

@@ -18,19 +18,16 @@
 //	res, err := sim.Run(100_000)
 //	fmt.Printf("IQ AVF = %.1f%%\n", 100*res.StructAVF(smtavf.IQ))
 //
-// Long runs can be split into deterministic intervals and simulated in
-// parallel with WithShards; see docs/sharding.md for the accuracy
-// contract. docs/api.md lists the removed constructors and setters with
-// their replacements.
+// docs/api.md lists the removed constructors and setters with their
+// replacements.
 package smtavf
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/campaign"
 	"smtavf/internal/core"
 	"smtavf/internal/cpistack"
 	"smtavf/internal/crossval"
@@ -39,7 +36,6 @@ import (
 	"smtavf/internal/obs"
 	"smtavf/internal/pipetrace"
 	"smtavf/internal/propagation"
-	"smtavf/internal/shard"
 	"smtavf/internal/telemetry"
 	"smtavf/internal/trace"
 	"smtavf/internal/workload"
@@ -115,40 +111,28 @@ func MixByName(name string) (Mix, error) {
 // Simulator runs one workload on one machine configuration. A Simulator is
 // single-shot: build a fresh one for each run.
 type Simulator struct {
-	sim  *shard.Sim
+	sim  *campaign.Sim
 	used bool
 	// set is what New resolved; with WithObservability attached, a run
 	// manifest built from it is appended to the ledger when the run
-	// finishes, on both the monolithic and the sharded path.
+	// finishes.
 	set settings
 }
-
-// Checkpoint is the lightweight architectural checkpoint a sharded run
-// records at each interval boundary: stream positions plus digests of the
-// rename maps, branch-predictor state, and cache/TLB tags. Equal
-// checkpoints identify equal architectural state.
-type Checkpoint = core.Checkpoint
-
-// ShardTolerance is the documented per-structure |ΔAVF| bound between a
-// sharded run and the equivalent monolithic run, for interval lengths of at
-// least 5k instructions per thread. See docs/sharding.md for the contract
-// and the measurements behind it.
-const ShardTolerance = shard.DefaultTolerance
 
 // settings accumulates the effect of the Options passed to New.
 type settings struct {
 	cfg       Config
-	factory   shard.SourceFactory // builds one fresh set of per-thread sources
-	kind      string              // which workload option supplied the factory
-	workloads []string            // workload identifiers for the run manifest
-	opts      shard.Options       // shard shape, observers, observability
+	srcs      []core.Source    // the per-thread instruction sources
+	kind      string           // which workload option supplied them
+	workloads []string         // workload identifiers for the run manifest
+	opts      campaign.Options // observers and observability
 }
 
-func (s *settings) setSource(kind string, workloads []string, f shard.SourceFactory) error {
-	if s.factory != nil {
+func (s *settings) setSource(kind string, workloads []string, srcs []core.Source) error {
+	if s.srcs != nil {
 		return fmt.Errorf("smtavf: both %s and %s given; a simulator takes exactly one workload source", s.kind, kind)
 	}
-	s.kind, s.workloads, s.factory = kind, workloads, f
+	s.kind, s.workloads, s.srcs = kind, workloads, srcs
 	return nil
 }
 
@@ -168,10 +152,11 @@ func WithBenchmarks(benchmarks ...string) Option {
 			}
 			profiles = append(profiles, p)
 		}
-		cfg := s.cfg
-		return s.setSource("WithBenchmarks", benchmarks, func() ([]core.Source, error) {
-			return core.Sources(cfg, profiles)
-		})
+		srcs, err := core.Sources(s.cfg, profiles)
+		if err != nil {
+			return err
+		}
+		return s.setSource("WithBenchmarks", benchmarks, srcs)
 	}
 }
 
@@ -199,38 +184,33 @@ func WithPhases(phases [][]string, period uint64) Option {
 		for i, names := range phases {
 			ids[i] = strings.Join(names, "+")
 		}
-		cfg := s.cfg
-		return s.setSource("WithPhases", ids, func() ([]core.Source, error) {
-			srcs := make([]core.Source, 0, len(resolved))
-			for i, profiles := range resolved {
-				gen, err := trace.NewPhased(profiles, period, cfg.Seed+uint64(i)*0x9e37)
-				if err != nil {
-					return nil, err
-				}
-				srcs = append(srcs, core.Source{Gen: gen})
+		srcs := make([]core.Source, 0, len(resolved))
+		for i, profiles := range resolved {
+			gen, err := trace.NewPhased(profiles, period, s.cfg.Seed+uint64(i)*0x9e37)
+			if err != nil {
+				return err
 			}
-			return srcs, nil
-		})
+			srcs = append(srcs, core.Source{Gen: gen})
+		}
+		return s.setSource("WithPhases", ids, srcs)
 	}
 }
 
 // WithTraceFiles replays recorded instruction traces (cmd/tracegen)
 // instead of generating synthetic streams; finite recordings loop.
-// len(paths) must equal cfg.Threads. Files are loaded once; sharded runs
-// share the recording across shards.
+// len(paths) must equal cfg.Threads.
 func WithTraceFiles(paths ...string) Option {
 	return func(s *settings) error {
-		f, err := core.ReplayFactory(paths)
+		srcs, err := core.ReplaySources(paths)
 		if err != nil {
 			return err
 		}
-		return s.setSource("WithTraceFiles", paths, f)
+		return s.setSource("WithTraceFiles", paths, srcs)
 	}
 }
 
 // WithTelemetry attaches a cycle-windowed live-metrics collector to the
-// run (see Telemetry). Incompatible with WithShards(n > 1): a sharded run
-// has no single contiguous cycle timeline to sample.
+// run (see Telemetry).
 func WithTelemetry(c *Telemetry) Option {
 	return func(s *settings) error {
 		s.opts.Telemetry = c
@@ -239,7 +219,7 @@ func WithTelemetry(c *Telemetry) Option {
 }
 
 // WithPipeTrace attaches a pipeline flight recorder to the run (see
-// PipeTrace). Incompatible with WithShards(n > 1).
+// PipeTrace).
 func WithPipeTrace(r *PipeTrace) Option {
 	return func(s *settings) error {
 		s.opts.PipeTrace = r
@@ -248,7 +228,7 @@ func WithPipeTrace(r *PipeTrace) Option {
 }
 
 // WithFaultInjection attaches a statistical fault-injection campaign to
-// the run (see FaultCampaign). Incompatible with WithShards(n > 1).
+// the run (see FaultCampaign).
 func WithFaultInjection(c *FaultCampaign) Option {
 	return func(s *settings) error {
 		s.opts.Inject = c
@@ -259,8 +239,7 @@ func WithFaultInjection(c *FaultCampaign) Option {
 // WithPropagation attaches a fault-propagation tracer to the run (see
 // PropagationTracer): after the run, feed it the strikes of a
 // FaultCampaign (SampleStrikes) and Analyze taint-tracks each corruption
-// through the recorded dataflow. Incompatible with WithShards(n > 1): a
-// sharded run has no single dataflow timeline to trace over.
+// through the recorded dataflow.
 func WithPropagation(t *PropagationTracer) Option {
 	return func(s *settings) error {
 		s.opts.Propagation = t
@@ -271,10 +250,9 @@ func WithPropagation(t *PropagationTracer) Option {
 // WithCPIStack attaches the explainability observer to the run (see
 // CPIStack): every thread-cycle is attributed to a CPI-stack component
 // and structure occupancy is decomposed by ACE fate in cycle windows, so
-// the run's AVF numbers come with their why. Incompatible with
-// WithShards(n > 1): a sharded run has no single cycle timeline to
-// attribute. A nil observer leaves the layer detached at zero per-cycle
-// cost (BenchmarkCPIStackOverhead pins this).
+// the run's AVF numbers come with their why. A nil observer leaves the
+// layer detached at zero per-cycle cost (BenchmarkCPIStackOverhead pins
+// this).
 func WithCPIStack(o *CPIStack) Option {
 	return func(s *settings) error {
 		s.opts.CPIStack = o
@@ -285,9 +263,8 @@ func WithCPIStack(o *CPIStack) Option {
 // WithObservability attaches the campaign-observability layer to the run
 // (see Observability): live metrics land on its Registry, the run's
 // phases drive its Progress tracker, and a RunManifest is appended to its
-// Ledger when the run finishes. Unlike the pipeline observers, this
-// option is valid on BOTH monolithic and sharded runs — it watches the
-// campaign, not the simulated cycle timeline. See docs/campaigns.md.
+// Ledger when the run finishes. It watches the run, not the simulated
+// machine, so attaching it does not change results. See docs/campaigns.md.
 func WithObservability(o *Observability) Option {
 	return func(s *settings) error {
 		s.opts.Obs = o
@@ -295,58 +272,11 @@ func WithObservability(o *Observability) Option {
 	}
 }
 
-// WithShards splits the run into n deterministic intervals per thread and
-// simulates them concurrently on at most workers goroutines (workers <= 0
-// means GOMAXPROCS). Each shard starts from a per-shard functional warmup
-// of the long-lived structures (caches, TLBs, branch predictors) and the
-// merged report sums the shards' raw counters, so committed-instruction
-// counts are exact and per-structure AVFs agree with the monolithic run
-// within ShardTolerance — docs/sharding.md documents the contract and its
-// interval-length requirements. n <= 1 runs monolithically.
-//
-// Sharded results are deterministic: the same cfg and workload produce
-// bit-identical Results for any worker count.
-func WithShards(n, workers int) Option {
-	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("smtavf: shard count must be at least 1, got %d", n)
-		}
-		s.opts.Shards, s.opts.Workers = n, workers
-		return nil
-	}
-}
-
-// WithShardWarmupWindow bounds each shard's functional warmup to the last
-// window instructions per thread before its interval instead of the full
-// prefix — faster for deep shards, with a documented accuracy floor
-// (window must be at least 4096; see docs/sharding.md). Zero (the
-// default) warms through the full prefix.
-func WithShardWarmupWindow(window uint64) Option {
-	return func(s *settings) error {
-		if window != 0 && window < 4096 {
-			return fmt.Errorf("smtavf: shard warmup window %d below the documented floor of 4096", window)
-		}
-		s.opts.WarmupWindow = window
-		return nil
-	}
-}
-
-// observerOption names the With* Option behind each shard.Options
-// pipeline-observer field, for New's sharded-run rejection.
-var observerOption = map[string]string{
-	"Telemetry":   "WithTelemetry",
-	"PipeTrace":   "WithPipeTrace",
-	"Inject":      "WithFaultInjection",
-	"Propagation": "WithPropagation",
-	"CPIStack":    "WithCPIStack",
-}
-
 // New builds a simulator for cfg. Exactly one workload option
-// (WithBenchmarks, WithPhases, WithTraceFiles) selects what runs;
-// the remaining options attach observers or split the run into parallel
-// shards.
+// (WithBenchmarks, WithPhases, WithTraceFiles) selects what runs; the
+// remaining options attach observers.
 func New(cfg Config, opts ...Option) (*Simulator, error) {
-	s := settings{cfg: cfg, opts: shard.Options{Shards: 1}}
+	s := settings{cfg: cfg}
 	for _, o := range opts {
 		if o == nil {
 			return nil, fmt.Errorf("smtavf: nil Option")
@@ -355,14 +285,10 @@ func New(cfg Config, opts ...Option) (*Simulator, error) {
 			return nil, err
 		}
 	}
-	if s.factory == nil {
+	if s.srcs == nil {
 		return nil, fmt.Errorf("smtavf: no workload given; pass WithBenchmarks, WithPhases, or WithTraceFiles")
 	}
-	sim, err := shard.Build(cfg, s.factory, s.opts)
-	var oe *shard.ObserverError
-	if errors.As(err, &oe) {
-		return nil, fmt.Errorf("smtavf: %s requires a monolithic run (WithShards(1, ...))", observerOption[oe.Observer])
-	}
+	sim, err := campaign.Build(cfg, s.srcs, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -370,13 +296,8 @@ func New(cfg Config, opts ...Option) (*Simulator, error) {
 }
 
 // Run simulates until total instructions have committed across all threads
-// (the paper's stop rule) and returns the results.
-//
-// On a sharded simulator the total is split evenly across threads
-// (remainder to the low-numbered contexts) and each thread runs to its
-// exact quota — the per-thread commit counts are deterministic, where the
-// monolithic stop rule lets the faster threads commit more. Use
-// RunPerThread for identical commit counts across both paths.
+// (the paper's stop rule, under which faster threads commit more) and
+// returns the results.
 func (s *Simulator) Run(total uint64) (*Results, error) {
 	if err := s.markUsed(); err != nil {
 		return nil, err
@@ -398,7 +319,7 @@ func (s *Simulator) RunPerThread(quotas []uint64) (*Results, error) {
 }
 
 // appendManifest writes the run's provenance record to the attached
-// ledger — on success, on error, and regardless of execution path.
+// ledger, on success and on error.
 func (s *Simulator) appendManifest(res *Results, runErr error) {
 	o := s.set.opts.Obs
 	if o == nil || o.Ledger == nil {
@@ -416,7 +337,6 @@ func (s *Simulator) appendManifest(res *Results, runErr error) {
 		m.Policy = cfg.Policy.Name()
 	}
 	m.Workloads = append([]string(nil), s.set.workloads...)
-	m.Shards = s.set.opts.Shards
 	if s.set.kind != "" {
 		m.Extra = map[string]string{"source": s.set.kind}
 	}
@@ -427,15 +347,6 @@ func (s *Simulator) appendManifest(res *Results, runErr error) {
 	m.Finish(obs.StatusOK, runErr)
 	o.Ledger.Append(m)
 }
-
-// Timeline returns the per-worker phase spans of the last sharded run —
-// export them with WriteTimeline for chrome://tracing. Nil unless the
-// simulator was built with both WithShards(n > 1) and WithObservability.
-func (s *Simulator) Timeline() []Span { return s.sim.Timeline() }
-
-// Checkpoints returns the interval-boundary checkpoints recorded by the
-// last sharded run, in shard order; nil for monolithic simulators.
-func (s *Simulator) Checkpoints() []Checkpoint { return s.sim.Checkpoints() }
 
 func (s *Simulator) markUsed() error {
 	if s.used {
@@ -656,11 +567,3 @@ func OpenRunLedger(path string) (*RunLedger, error) { return obs.OpenLedger(path
 
 // ReadRunLedger reads every manifest in a runs.jsonl, oldest first.
 func ReadRunLedger(path string) ([]RunManifest, error) { return obs.ReadLedger(path) }
-
-// Span is one worker-phase interval of a sharded run's utilization
-// timeline (Simulator.Timeline).
-type Span = obs.Span
-
-// WriteTimeline writes spans as Chrome trace_event JSON for
-// chrome://tracing / Perfetto — one row per worker, one slice per phase.
-func WriteTimeline(w io.Writer, spans []Span) error { return obs.WriteChromeSpans(w, spans) }
