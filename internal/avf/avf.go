@@ -77,6 +77,7 @@ type Tracker struct {
 	ace     [NumStructs][]uint64
 	unace   [NumStructs][]uint64
 	sinks   []Sink
+	muted   bool   // sinks hear nothing until the next Rebase (MuteSinks)
 	rebase  uint64 // intervals are clipped to start no earlier than this
 
 	// pend holds batched occupancy deltas not yet folded into ace/unace:
@@ -119,10 +120,11 @@ func (t *Tracker) AddSpan(s Struct, tid int, bits, start, end uint64, ace bool) 
 	t.pend[i] += bits * (end - start)
 }
 
-// HasSink reports whether any positioned-interval sink is attached. Batched
-// call sites check it to fall back to AddInterval, which forwards interval
-// positions the batch cannot carry.
-func (t *Tracker) HasSink() bool { return len(t.sinks) > 0 }
+// HasSink reports whether any positioned-interval sink is listening: one
+// is attached and the sinks are not muted. Batched call sites check it to
+// fall back to AddInterval, which forwards interval positions the batch
+// cannot carry.
+func (t *Tracker) HasSink() bool { return len(t.sinks) > 0 && !t.muted }
 
 // drain folds the pending batched bit-cycles into the accumulators.
 // Every reader calls it first, so the batch is never observable.

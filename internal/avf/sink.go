@@ -36,17 +36,32 @@ func (t *Tracker) AddInterval(s Struct, tid int, bits, start, end uint64, ace bo
 		return
 	}
 	t.Add(s, tid, bits, end-start, ace)
+	if t.muted {
+		return
+	}
 	for _, k := range t.sinks {
 		k.Interval(s, tid, bits, start, end, ace)
 	}
 }
 
+// MuteSinks stops forwarding intervals to the sinks until the next Rebase,
+// which unmutes them; the accumulators still count every interval. The
+// simulator mutes them for a warmup: a sink sees only the measurement
+// window (RebaseObserver), so what it would hear before the rebase is
+// work it discards.
+func (t *Tracker) MuteSinks() { t.muted = true }
+
 // RebaseObserver is the optional half of the sink contract: a Sink that
 // also implements it is told when the tracker rebases, so interval
-// consumers (fault-injection campaigns, telemetry windows) can drop their
-// warmup-era state instead of silently mixing it with measured intervals.
-// Sinks that never see a rebase (no warmup configured) need not implement
-// it.
+// consumers (fault-injection campaigns, the CPI-stack observer) start
+// their measurement window there. Sinks that never see a rebase (no
+// warmup configured) need not implement it.
+//
+// Sinks and retire observers see only the measurement window. Rebase
+// discards whatever a sink heard before it, so the simulator mutes the
+// sinks (MuteSinks) and calls no retire observer until the warmup rebase:
+// a sink hears nothing before its Rebase, and its state after it is what
+// it would be had it heard the warmup and discarded it.
 type RebaseObserver interface {
 	// Rebase reports that accumulation restarted at cycle: intervals
 	// observed before it belong to warmup and must not contribute to
@@ -54,14 +69,15 @@ type RebaseObserver interface {
 	Rebase(cycle uint64)
 }
 
-// Rebase zeroes the accumulators and clips all future intervals at cycle:
-// the simulator calls it at the end of a warmup period, so that AVFs cover
-// only the measurement window. Callers must thereafter compute AVFs over
-// cycles-since-rebase. Every attached Sink that implements RebaseObserver
-// is notified after the accumulators reset.
+// Rebase zeroes the accumulators, unmutes the sinks and clips all future
+// intervals at cycle: the simulator calls it at the end of a warmup
+// period, so that AVFs cover only the measurement window. Callers must
+// thereafter compute AVFs over cycles-since-rebase. Every attached Sink
+// that implements RebaseObserver is notified after the accumulators reset.
 func (t *Tracker) Rebase(cycle uint64) {
 	t.drain() // pre-rebase spans must be zeroed with everything else
 	t.rebase = cycle
+	t.muted = false
 	for s := 0; s < NumStructs; s++ {
 		for tid := range t.ace[s] {
 			t.ace[s][tid] = 0

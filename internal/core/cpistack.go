@@ -31,7 +31,7 @@ func (p *Processor) SetCPIStack(o *cpistack.Observer) {
 	o.Configure(p.cfg.Bits, StructBits(p.cfg), p.cfg.Threads, p.now)
 	p.cpi = o
 	p.trk.AddSink(o)
-	p.observers = append(p.observers, o)
+	p.AttachObserver(o)
 	p.cpiComps = make([]cpistack.Component, p.cfg.Threads)
 	p.cpiPrev = make([]cpiPrev, p.cfg.Threads)
 }
@@ -84,7 +84,9 @@ func (p *Processor) cpiAccount() {
 		prev.rename = t.renameStalls
 		prev.fetched = t.fetched
 	}
-	p.cpi.Tick(p.now, p.cpiComps)
+	if !p.warming { // the observer's Rebase would discard the cycle
+		p.cpi.Tick(p.now, p.cpiComps)
+	}
 }
 
 // cpiStall classifies a runnable, non-committing thread — clauses 3-10 of

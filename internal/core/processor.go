@@ -92,10 +92,14 @@ type Processor struct {
 	telFlushes   *telemetry.Counter
 	telSquashed  *telemetry.Counter
 
-	// Retire observers (SetPipeTrace, SetPropagation, SetCPIStack) in
-	// attach order. Every classification site reports the retiring pool
-	// slot to each of them; with none attached the loop is empty.
-	observers []retireObserver
+	// Retire observers (SetPipeTrace, SetPropagation, SetCPIStack,
+	// AttachObserver) in attach order. Every classification site after the
+	// warmup reports the retiring pool slot to each of them; with none
+	// attached the loop is empty.
+	observers []RetireObserver
+	// warming is set while a warmup rebase is pending: the tracker's sinks
+	// are muted and no observer is called (RetireObserver).
+	warming bool
 
 	// CPI-stack observer (SetCPIStack), also on the observer list. nil
 	// when detached: the per-cycle attribution pass is skipped entirely.
@@ -115,11 +119,15 @@ type Processor struct {
 	flushBuf    []pipeline.UID
 }
 
-// retireObserver is a pipeline observer fed at every classification site
+// RetireObserver is a pipeline observer fed at every classification site
 // (commit, squash, and end-of-run accounting) with the retiring pool slot,
 // and rebased at the end of warmup together with the AVF tracker. Record
 // must copy out what it keeps: the slot is recycled once it returns.
-type retireObserver interface {
+//
+// Like the tracker's sinks (avf.RebaseObserver), an observer sees only the
+// measurement window: during a warmup no observer is called, and Rebase
+// must discard whatever Record kept before it.
+type RetireObserver interface {
 	Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool)
 	Rebase(cycle uint64)
 }
@@ -310,6 +318,10 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 		if lim.PerThread != nil {
 			return nil, fmt.Errorf("core: Warmup cannot be combined with per-thread quotas")
 		}
+		// Every sink and observer discards in Rebase what it saw before,
+		// so none hears the warmup.
+		p.trk.MuteSinks()
+		p.warming = true
 		for p.totalCommitted < p.cfg.Warmup {
 			if err := guard(); err != nil {
 				return nil, fmt.Errorf("during warmup: %w", err)
@@ -356,7 +368,8 @@ func (p *Processor) rebaseMeasurement() {
 		// so no window mixes warmup-era and measured intervals.
 		p.telemetryRoll(false)
 	}
-	p.trk.Rebase(p.now) // also rebases the cpistack observer via its sink
+	p.trk.Rebase(p.now) // unmutes the sinks; also rebases the cpistack observer
+	p.warming = false
 	for _, o := range p.observers {
 		o.Rebase(p.now) // idempotent for the cpistack observer
 	}
@@ -449,6 +462,14 @@ func (p *Processor) Tracker() *avf.Tracker { return p.trk }
 // Call before Run; nil attaches nothing.
 func (p *Processor) AttachSink(s avf.Sink) { p.trk.AddSink(s) }
 
+// AttachObserver registers a retire observer after any already attached.
+// Call before Run; nil attaches nothing.
+func (p *Processor) AttachObserver(o RetireObserver) {
+	if o != nil {
+		p.observers = append(p.observers, o)
+	}
+}
+
 // SetPipeTrace attaches a pipeline flight recorder; every uop leaving the
 // machine is reported to it at the same three sites that feed the AVF
 // tracker, so the recorder's provenance totals reconcile with the
@@ -459,7 +480,7 @@ func (p *Processor) SetPipeTrace(r *pipetrace.Recorder) {
 		return
 	}
 	r.SetBits(p.cfg.Bits)
-	p.observers = append(p.observers, r)
+	p.AttachObserver(r)
 }
 
 // SetPropagation attaches a fault-propagation tracer; it observes the
@@ -471,7 +492,7 @@ func (p *Processor) SetPropagation(t *propagation.Tracer) {
 		return
 	}
 	t.Configure(p.cfg.Bits, p.cfg.DL1, p.cfg.Threads)
-	p.observers = append(p.observers, t)
+	p.AttachObserver(t)
 }
 
 // closeAccounting finalizes every open residency interval at the end of a
@@ -502,13 +523,14 @@ func (p *Processor) closeAccounting() {
 }
 
 // classifyUop retires slot u's residency accounting. With no interval
-// sink attached it takes the batched occupancy path (Pool.ClassifyBatch →
+// sink listening it takes the batched occupancy path (Pool.ClassifyBatch →
 // Tracker.AddSpan), which accumulates bit-cycle deltas and never emits
 // positioned intervals; with a sink (a fault-injection campaign or the
 // CPI-stack observer) it emits every interval through Pool.Classify in the
-// classic order. The check is per-call, so a sink attached mid-run switches
-// paths at the next classification with no pending-state handoff — the
-// tracker drains its batch on first read.
+// classic order. The sinks are muted during a warmup, so warmup-era uops
+// take the batched path too. The check is per-call, so a sink attached
+// mid-run switches paths at the next classification with no pending-state
+// handoff — the tracker drains its batch on first read.
 func (p *Processor) classifyUop(u pipeline.UID, squashed bool) {
 	if p.trk.HasSink() {
 		p.pool.Classify(p.trk, p.cfg.Bits, u, squashed)
@@ -518,8 +540,11 @@ func (p *Processor) classifyUop(u pipeline.UID, squashed bool) {
 }
 
 // recordObservers reports slot u to every retire observer at a
-// classification site.
+// classification site, outside a warmup.
 func (p *Processor) recordObservers(u pipeline.UID, squashed bool) {
+	if p.warming {
+		return
+	}
 	for _, o := range p.observers {
 		o.Record(p.pool, u, p.now, squashed)
 	}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/pipeline"
 )
 
 func TestWarmupImprovesBranchAccuracy(t *testing.T) {
@@ -94,5 +98,85 @@ func TestWarmupReproducible(t *testing.T) {
 	}
 	if math.Abs(a.StructAVF(avf.IQ)-b.StructAVF(avf.IQ)) > 0 {
 		t.Fatal("AVF differs between identical warm runs")
+	}
+}
+
+// warmupProbe is a sink or retire observer that counts what it hears
+// before its Rebase and digests what it hears after it.
+type warmupProbe struct {
+	before, after, rebases int
+	digest                 hash.Hash64
+}
+
+func (p *warmupProbe) hear(vals ...uint64) {
+	if p.rebases == 0 {
+		p.before++
+		return
+	}
+	p.after++
+	for _, v := range vals {
+		p.digest.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+}
+
+func (p *warmupProbe) Rebase(cycle uint64) {
+	p.rebases++
+	p.after = 0
+	p.digest = fnv.New64a()
+	p.hear(cycle)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+type sinkProbe struct{ warmupProbe }
+
+func (p *sinkProbe) Interval(s avf.Struct, tid int, bits, start, end uint64, ace bool) {
+	p.hear(uint64(s), uint64(tid), bits, start, end, b2u(ace))
+}
+
+type observerProbe struct{ warmupProbe }
+
+func (p *observerProbe) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool) {
+	p.hear(pl.GSeq[id], uint64(pl.TID[id]), pl.Ins[id].PC, retire, b2u(squashed), uint64(pl.Fate(id, squashed)))
+}
+
+// TestWarmupSilence attaches a sink and a retire observer to a run with a
+// warmup: neither may hear anything before its Rebase, and what each hears
+// after it must be what it heard when both were fed through the warmup and
+// left to discard it. The pinned digests were taken that way, when the
+// sink heard 52,526 warmup intervals and the observer 17,518 warmup uops.
+func TestWarmupSilence(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Warmup = 5_000
+	proc, err := New(cfg, profilesFor(t, []string{"bzip2", "eon"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, obs := &sinkProbe{}, &observerProbe{}
+	proc.AttachSink(sink)
+	proc.AttachObserver(obs)
+	if _, err := proc.Run(Limits{TotalInstructions: 5_000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		p      *warmupProbe
+		digest uint64
+	}{
+		{"sink", &sink.warmupProbe, 0x2e0e75648b044ca4},
+		{"observer", &obs.warmupProbe, 0x2be4f8cdb2206587},
+	} {
+		if c.p.before != 0 || c.p.rebases != 1 || c.p.after < 100 {
+			t.Fatalf("%s heard %d calls before its rebase, %d rebases and %d calls after, want 0, 1 and at least 100",
+				c.name, c.p.before, c.p.rebases, c.p.after)
+		}
+		if got := c.p.digest.Sum64(); got != c.digest {
+			t.Errorf("%s heard %d calls after the rebase with digest %#x, want %#x", c.name, c.p.after, got, c.digest)
+		}
 	}
 }

@@ -33,21 +33,24 @@ import (
 )
 
 // grid is the state recorded on one structure's sample grid: per sample
-// index, the occupied bits, the ACE bits, and each thread's share of the
-// ACE bits (strike outcomes are attributed to the thread that owned the
-// struck state).
+// index, the occupied bits and each thread's share of the ACE bits (strike
+// outcomes are attributed to the thread that owned the struck state). The
+// ACE bits are the sum of the shares, so no column of their own holds
+// them.
 //
 // Interval books difference-encoded — +bits at the first covered sample
 // index and -bits one past the last — so booking costs O(1) whatever the
 // interval's length. The first read resolves every column with one prefix
-// sum. The arithmetic wraps mod 2^64, so resolved values equal the plain
-// per-sample sums exactly. Memory is (2 + threads) words per sample up to
-// the last sample any interval covers, rounded up to whole blocks, so the
-// run's sample count bounds it.
+// sum. The arithmetic wraps mod 2^32; every per-sample value is at most
+// the structure's capacity, which NewCampaign keeps below 2^32, so the
+// resolved values equal the plain per-sample sums exactly. Memory is
+// (1 + threads) 4-byte words per sample up to the last sample any
+// interval covers, rounded up to whole blocks, so the run's sample count
+// bounds it.
 type grid struct {
-	occ, ace column
+	occ column
 	// thread[tid] is thread tid's share of the ACE bits, one column per
-	// thread id seen; at every index the shares sum to ace.
+	// thread id seen.
 	thread []column
 	// resolved reports the columns hold per-sample values (after a read)
 	// rather than differences (while intervals are booked).
@@ -62,7 +65,7 @@ func (g *grid) setResolved(resolved bool) {
 		return
 	}
 	g.resolved = resolved
-	for _, c := range append([]column{g.occ, g.ace}, g.thread...) {
+	for _, c := range append([]column{g.occ}, g.thread...) {
 		if resolved {
 			c.prefixSum()
 		} else {
@@ -77,19 +80,19 @@ const blockLen = 1 << 10
 
 // column holds one per-sample quantity of a grid in fixed-size blocks;
 // samples past the last block are zero.
-type column [][]uint64
+type column [][]uint32
 
 // book adds bits over sample indices [first, last] as differences: +bits
 // at first and -bits one past last.
-func (c *column) book(first, last, bits uint64) {
+func (c *column) book(first, last uint64, bits uint32) {
 	c.add(first, bits)
 	c.add(last+1, -bits)
 }
 
-func (c *column) add(idx, v uint64) {
+func (c *column) add(idx uint64, v uint32) {
 	b := idx / blockLen
 	for uint64(len(*c)) <= b {
-		*c = append(*c, make([]uint64, blockLen))
+		*c = append(*c, make([]uint32, blockLen))
 	}
 	(*c)[b][idx%blockLen] += v
 }
@@ -97,7 +100,7 @@ func (c *column) add(idx, v uint64) {
 // at returns the value at sample index idx.
 func (c column) at(idx uint64) uint64 {
 	if b := idx / blockLen; b < uint64(len(c)) {
-		return c[b][idx%blockLen]
+		return uint64(c[b][idx%blockLen])
 	}
 	return 0
 }
@@ -110,7 +113,7 @@ func (c column) sumBelow(n uint64) uint64 {
 			blk = blk[:n]
 		}
 		for _, v := range blk {
-			sum += v
+			sum += uint64(v)
 		}
 		if n <= blockLen {
 			break
@@ -122,7 +125,7 @@ func (c column) sumBelow(n uint64) uint64 {
 
 // prefixSum turns differences into per-sample values.
 func (c column) prefixSum() {
-	var run uint64
+	var run uint32
 	for _, blk := range c {
 		for i := range blk {
 			run += blk[i]
@@ -134,7 +137,7 @@ func (c column) prefixSum() {
 // difference turns per-sample values back into differences, the exact
 // inverse of prefixSum.
 func (c column) difference() {
-	var prev uint64
+	var prev uint32
 	for _, blk := range c {
 		for i, v := range blk {
 			blk[i] = v - prev
@@ -185,12 +188,23 @@ type logger interface {
 	Info(msg string, args ...any)
 }
 
+// maxBits bounds a structure's capacity: the sample grid keeps its
+// per-sample bit counts in 32-bit words.
+const maxBits = 1<<32 - 1
+
 // NewCampaign builds a campaign sampling every 'every' cycles. bits gives
 // each structure's total capacity (use the same values the Tracker was
-// built with). seed fixes the grid phase and the Bernoulli outcome draws.
+// built with); a structure of 2^32 bits or more is an error. seed fixes
+// the grid phase and the Bernoulli outcome draws.
 func NewCampaign(bits [avf.NumStructs]uint64, every uint64, seed uint64) (*Campaign, error) {
 	if every == 0 {
 		return nil, fmt.Errorf("inject: sampling pitch must be positive")
+	}
+	for s, b := range bits {
+		if b > maxBits {
+			return nil, fmt.Errorf("inject: %v holds %d bits; the sample grid counts at most %d per structure",
+				avf.Struct(s), b, uint64(maxBits))
+		}
 	}
 	c := &Campaign{every: every, bits: bits, rnd: rng.New(seed)}
 	c.phase = c.rnd.Uint64n(every)
@@ -260,13 +274,12 @@ func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 	}
 	g := &c.grids[s]
 	g.setResolved(false)
-	g.occ.book(first, last, bits)
+	g.occ.book(first, last, uint32(bits))
 	if ace {
-		g.ace.book(first, last, bits)
 		for len(g.thread) <= tid {
 			g.thread = append(g.thread, nil)
 		}
-		g.thread[tid].book(first, last, bits)
+		g.thread[tid].book(first, last, uint32(bits))
 	}
 }
 
@@ -294,7 +307,11 @@ func (c *Campaign) Estimate(s avf.Struct, cycles uint64) float64 {
 	if n == 0 || c.bits[s] == 0 {
 		return 0
 	}
-	return float64(c.values(s).ace.sumBelow(n)) / (float64(n) * float64(c.bits[s]))
+	var ace uint64
+	for _, share := range c.values(s).thread {
+		ace += share.sumBelow(n)
+	}
+	return float64(ace) / (float64(n) * float64(c.bits[s]))
 }
 
 // Occupancy returns the estimated fraction of (bits × cycles) holding any
@@ -314,7 +331,7 @@ func (c *Campaign) Overbooked(s avf.Struct) int {
 	n := 0
 	for _, blk := range c.values(s).occ {
 		for _, occ := range blk {
-			if occ > c.bits[s] {
+			if uint64(occ) > c.bits[s] {
 				n++
 			}
 		}
@@ -405,28 +422,19 @@ func (c *Campaign) strike(s avf.Struct, samples uint64) Strike {
 		TID:       -1,
 		Outcome:   Masked,
 	}
-	g := c.values(s)
-	if bit >= g.ace.at(idx) {
-		return st // idle or un-ACE state: the strike is masked
-	}
-	// The shares sum to ace, so the walk stops at the owning thread;
-	// trailing zero shares of threads seen elsewhere are never reached.
-	tid := 0
-	for _, share := range g.thread {
+	// The ACE bits are the shares laid end to end, so the walk stops at
+	// the owning thread; a bit past them all held idle or un-ACE state.
+	for tid, share := range c.values(s).thread {
 		v := share.at(idx)
 		if bit < v {
-			break
+			st.TID = tid
+			st.ThreadBit = bit
+			st.Outcome = c.protection[s].outcome()
+			return st
 		}
 		bit -= v
-		tid++
 	}
-	if tid >= len(g.thread) {
-		tid = len(g.thread) - 1 // unreachable unless shares disagree with ace
-	}
-	st.TID = tid
-	st.ThreadBit = bit
-	st.Outcome = c.protection[s].outcome()
-	return st
+	return st // the strike is masked
 }
 
 // Events returns the number of intervals observed (diagnostics).

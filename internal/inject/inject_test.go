@@ -2,9 +2,12 @@ package inject
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/rng"
 )
 
 func bits() [avf.NumStructs]uint64 {
@@ -154,5 +157,70 @@ func TestRebaseMatchesTrackerThroughWarmup(t *testing.T) {
 	got := c.Estimate(avf.IQ, measured)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("campaign %v vs tracker %v after rebase", got, want)
+	}
+}
+
+func TestNewCampaignRejectsWideStructure(t *testing.T) {
+	b := bits()
+	b[avf.DL1Data] = 1<<32 - 1
+	if _, err := NewCampaign(b, 1, 1); err != nil {
+		t.Fatalf("a %d-bit structure refused: %v", b[avf.DL1Data], err)
+	}
+	b[avf.DL1Data] = 1 << 32
+	if _, err := NewCampaign(b, 1, 1); err == nil {
+		t.Fatal("a 2^32-bit structure accepted: its per-sample counts would wrap")
+	}
+}
+
+// TestGridBytesBounded books a two-thread run's worth of intervals into
+// every structure and bounds what the grids allocate: (1 + threads) 4-byte
+// words per sample, rounded up to whole blocks, plus the block lists. The
+// bound holds on any host, since allocated bytes do not depend on it.
+func TestGridBytesBounded(t *testing.T) {
+	const (
+		threads = 2
+		horizon = 20_000 // cycles, sampled every cycle
+	)
+	type interval struct {
+		s                avf.Struct
+		tid              int
+		bits, start, end uint64
+		ace              bool
+	}
+	script := rng.New(3)
+	var ivs []interval
+	for range 50_000 {
+		start := script.Uint64n(horizon)
+		ivs = append(ivs, interval{
+			s:     avf.Struct(script.Uint64n(avf.NumStructs)),
+			tid:   int(script.Uint64n(threads)),
+			bits:  1,
+			start: start,
+			end:   min(start+1+script.Uint64n(200), horizon),
+			ace:   script.Uint64n(2) == 0,
+		})
+	}
+	c, err := NewCampaign(bits(), 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, iv := range ivs {
+		c.Interval(iv.s, iv.tid, iv.bits, iv.start, iv.end, iv.ace)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+
+	// The last difference lands one past the last sample, at most at index
+	// horizon. A block list grown by append allocates under 4 headers a
+	// block, and a grid's list of thread columns a few headers more.
+	blocks := uint64(horizon/blockLen + 1)
+	header := uint64(unsafe.Sizeof([]uint32{}))
+	perColumn := blocks * (blockLen*4 + 4*header)
+	limit := avf.NumStructs * ((1+threads)*perColumn + 8*header)
+	t.Logf("%d intervals allocated %d B, limit %d B", len(ivs), got, limit)
+	if got > limit {
+		t.Fatalf("booking allocated %d B, want at most %d ((1 + %d threads) 4-byte words per sample, in whole blocks)", got, limit, threads)
 	}
 }

@@ -8,13 +8,12 @@
 // Three pieces:
 //
 //   - Registry (registry.go): a lock-cheap typed metrics registry —
-//     counters, gauges, histograms with fixed buckets — exposed as
-//     OpenMetrics/Prometheus text (openmetrics.go) at /debug/metrics on
-//     the telemetry debug server. The telemetry.Collector's live
-//     counters/gauges are backed by it, so the inject.* and inject.prop.*
-//     campaign gauges surface on both /telemetry (dotted names) and
-//     /debug/metrics (sanitized smtavf_* families) without the
-//     publishing code changing.
+//     counters and gauges — exposed as OpenMetrics/Prometheus text
+//     (openmetrics.go) at /debug/metrics on the telemetry debug server.
+//     The telemetry.Collector's live counters/gauges are backed by it, so
+//     the inject.* and inject.prop.* campaign gauges surface on both
+//     /telemetry (dotted names) and /debug/metrics (sanitized smtavf_*
+//     families) without the publishing code changing.
 //
 //   - Ledger (ledger.go): an append-only runs.jsonl of versioned
 //     RunManifest records — config digest, seeds, workloads, cycle and

@@ -49,14 +49,13 @@ func escapeLabel(v string) string {
 }
 
 // labelString renders a label set as {a="x",b="y"} ("" when empty).
-func labelString(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
+func labelString(labels []Label) string {
+	if len(labels) == 0 {
 		return ""
 	}
-	parts := make([]string, len(all))
-	for i, l := range all {
-		parts[i] = fmt.Sprintf("%s=%q", l.Name, escapeLabel(l.Value))
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = l.Name + `="` + escapeLabel(l.Value) + `"`
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
@@ -65,8 +64,7 @@ func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // WriteOpenMetrics writes the registry's current state in OpenMetrics
 // text format: one # HELP/# TYPE header per family, every labeled series
-// under it, histograms expanded to _bucket/_sum/_count, terminated by
-// # EOF. Families appear in registration order; series within a family
+// under it, terminated by # EOF. Families appear in registration order; series within a family
 // in registration order too, so successive scrapes of the same process
 // are line-stable.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
@@ -106,14 +104,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 		}
-		typ := "gauge"
-		switch f.kind {
-		case kindCounter:
-			typ = "counter"
-		case kindHistogram:
-			typ = "histogram"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, typ)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, m := range f.series {
 			switch m.kind {
 			case kindCounter:
@@ -122,16 +113,6 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(m.labels), formatValue(m.gauge.Value()))
 			case kindGaugeFunc:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(m.labels), formatValue(m.fn()))
-			case kindHistogram:
-				cum := m.hist.cumulative()
-				for i, bound := range m.hist.bounds {
-					le := Label{Name: "le", Value: formatValue(bound)}
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelString(m.labels, le), cum[i])
-				}
-				inf := Label{Name: "le", Value: "+Inf"}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelString(m.labels, inf), cum[len(cum)-1])
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(m.labels), formatValue(m.hist.Sum()))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(m.labels), m.hist.Count())
 			}
 		}
 	}

@@ -56,86 +56,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket cumulative histogram. Buckets are upper
-// bounds in ascending order; an implicit +Inf bucket catches the rest.
-// Observe is lock-free (one atomic add per bucket walk plus a CAS loop
-// for the sum), so recording a duration costs nanoseconds.
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // counts per bound, same index
-	inf     atomic.Uint64   // +Inf bucket
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 sum, CAS-updated
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Uint64, len(bounds)),
-	}
-	if !sort.Float64sAreSorted(h.bounds) {
-		panic("obs: histogram bucket bounds must be ascending")
-	}
-	return h
-}
-
-// Observe records one sample (no-op on a nil histogram).
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	placed := false
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i].Add(1)
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.inf.Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// cumulative returns the cumulative per-bound counts (ending with the
-// +Inf total). The snapshot is not atomic across buckets, which
-// OpenMetrics tolerates: scrapes of a live process are always slightly
-// torn and monotone counters make the tear harmless.
-func (h *Histogram) cumulative() []uint64 {
-	out := make([]uint64, len(h.bounds)+1)
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.buckets[i].Load()
-		out[i] = cum
-	}
-	out[len(h.bounds)] = cum + h.inf.Load()
-	return out
-}
-
 // Label is one metric dimension ({phase="warmup"}).
 type Label struct{ Name, Value string }
 
@@ -145,19 +65,14 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindGaugeFunc
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindHistogram:
-		return "histogram"
-	default:
-		return "gauge"
 	}
+	return "gauge"
 }
 
 // metric is one registered instrument: a family name (possibly dotted —
@@ -171,7 +86,6 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	fn      func() float64
 }
 
@@ -282,18 +196,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(key(name, labels), &metric{
 		name: name, help: help, labels: labels, kind: kindGaugeFunc, fn: fn,
 	})
-}
-
-// Histogram registers (or finds) a fixed-bucket histogram. bounds are
-// ascending upper bounds; an implicit +Inf bucket is always present.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	m := r.register(key(name, labels), &metric{
-		name: name, help: help, labels: labels, kind: kindHistogram, hist: newHistogram(bounds),
-	})
-	return m.hist
 }
 
 // Has reports whether a metric with the given name (any label set) is

@@ -19,13 +19,8 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge value = %v", g.Value())
 	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil histogram observed something")
-	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil {
 		t.Fatalf("nil registry handed out live instruments")
 	}
 	if err := r.WriteOpenMetrics(&strings.Builder{}); err != nil {
@@ -67,27 +62,6 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r.Gauge("x", "")
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("dur", "", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if got, want := h.Sum(), 0.05+0.5+0.5+5+50; got != want {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
-	cum := h.cumulative()
-	want := []uint64{1, 3, 4, 5}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("cumulative[%d] = %d, want %d (%v)", i, cum[i], want[i], cum)
-		}
-	}
-}
-
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -96,10 +70,10 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("concurrent.events", "")
-			h := r.Histogram("concurrent.dur", "", []float64{0.001, 0.1, 1})
+			g := r.Gauge("concurrent.last", "")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				h.Observe(0.01)
+				g.SetUint(uint64(j))
 			}
 		}()
 	}
@@ -107,8 +81,8 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("concurrent.events", "").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("concurrent.dur", "", []float64{0.001, 0.1, 1}).Count(); got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
+	if got := r.Gauge("concurrent.last", "").Value(); got != 999 {
+		t.Fatalf("gauge = %v, want 999", got)
 	}
 }
 

@@ -23,7 +23,7 @@ type wordKey struct {
 	word uint64
 }
 
-func (n *node) word() wordKey { return wordKey{n.tid, n.addr >> 3} }
+func (n *node) word() wordKey { return wordKey{int32(n.tid), n.addr >> 3} }
 
 // touch is one access to a DL1 set: a load reading the array at issue, or
 // a committed store writing it at retire.
@@ -35,12 +35,12 @@ type touch struct {
 // dl1Access returns the cycle node n accessed the DL1 array, if it did: a
 // committed store writes it at retire, and an issued load that was not
 // forwarded reads it at issue (wrong-path loads access the DL1 too).
-func (n *node) dl1Access() (uint64, bool) {
+func (t *Tracer) dl1Access(n *node) (uint64, bool) {
 	switch n.class {
 	case isa.Store:
-		return n.retire, n.committed()
+		return t.cycle(n.retire), n.committed()
 	case isa.Load:
-		return n.issueAt, n.issued && !n.forwarded
+		return t.cycle(n.issueAt), n.has(fIssued) && !n.has(fForwarded)
 	}
 	return 0, false
 }
@@ -181,8 +181,8 @@ func (t *Tracer) build(workers int) *analysis {
 		case 0:
 			a.writes = newCSR(regs, func(add func(int32, int32)) {
 				for i := range int32(t.n) {
-					if n := t.node(i); n.executed && n.physDest >= 0 {
-						add(n.physDest, i)
+					if n := t.node(i); n.has(fExecuted) && n.physDest >= 0 {
+						add(int32(n.physDest), i)
 					}
 				}
 			})
@@ -190,14 +190,14 @@ func (t *Tracer) build(workers int) *analysis {
 			a.reads = newCSR(regs, func(add func(int32, int32)) {
 				for i := range int32(t.n) {
 					n := t.node(i)
-					if !n.issued {
+					if !n.has(fIssued) {
 						continue
 					}
 					if n.physSrc1 >= 0 {
-						add(n.physSrc1, i)
+						add(int32(n.physSrc1), i)
 					}
 					if n.physSrc2 >= 0 && n.physSrc2 != n.physSrc1 {
-						add(n.physSrc2, i)
+						add(int32(n.physSrc2), i)
 					}
 				}
 			})
@@ -205,7 +205,7 @@ func (t *Tracer) build(workers int) *analysis {
 			a.sets = newCSR(sets, func(add func(int32, touch)) {
 				for i := range int32(t.n) {
 					n := t.node(i)
-					if cycle, ok := n.dl1Access(); ok && sets > 0 {
+					if cycle, ok := t.dl1Access(n); ok && sets > 0 {
 						add(a.setOf(n.addr), touch{cycle, i})
 					}
 				}
@@ -235,13 +235,13 @@ func (t *Tracer) build(workers int) *analysis {
 			n := t.node(i)
 			for k, s := range n.spans {
 				if s.end > s.start {
-					add(int32(k*threads)+n.tid, i)
+					add(int32(k*threads)+int32(n.tid), i)
 				}
 			}
 			// A consumer issues at or after its writer's writeback, so a
 			// writer with consumers has a nonempty liveness window.
 			if c := a.cons[i]; c.hi > c.lo {
-				add(int32(liveWindow*threads)+n.tid, i)
+				add(int32(liveWindow*threads)+int32(n.tid), i)
 			}
 		}
 	})
@@ -265,13 +265,13 @@ func (t *Tracer) build(workers int) *analysis {
 func (a *analysis) indexReg(r int32, sorter *nodeSorter) {
 	t := a.t
 	writers, reads := a.writes.list(r), a.reads.list(r)
-	sorter.sort(writers, func(i int32) (uint64, uint64) { return t.node(i).ready, t.node(i).gseq })
-	sorter.sort(reads, func(i int32) (uint64, uint64) { return t.node(i).issueAt, t.node(i).gseq })
+	sorter.sort(writers, func(i int32) (uint64, uint64) { return t.cycle(t.node(i).ready), t.node(i).gseq })
+	sorter.sort(reads, func(i int32) (uint64, uint64) { return t.cycle(t.node(i).issueAt), t.node(i).gseq })
 	// Writers are sorted by writeback and readers by issue, so one forward
 	// walk finds every writer's range.
 	base, p := a.reads.start[r], 0
 	issuedFrom := func(cycle uint64) int32 {
-		for p < len(reads) && t.node(reads[p]).issueAt < cycle {
+		for p < len(reads) && t.cycle(t.node(reads[p]).issueAt) < cycle {
 			p++
 		}
 		return base + int32(p)
@@ -279,9 +279,9 @@ func (a *analysis) indexReg(r int32, sorter *nodeSorter) {
 	for w, wi := range writers {
 		limit := ^uint64(0)
 		if w+1 < len(writers) {
-			limit = t.node(writers[w+1]).ready
+			limit = t.cycle(t.node(writers[w+1]).ready)
 		}
-		a.cons[wi].lo = issuedFrom(t.node(wi).ready)
+		a.cons[wi].lo = issuedFrom(t.cycle(t.node(wi).ready))
 		a.cons[wi].hi = issuedFrom(limit)
 	}
 }
@@ -324,13 +324,13 @@ func (a *analysis) matchLoads(sorter *nodeSorter) {
 		n := t.node(i)
 		switch {
 		case n.class == isa.Store:
-			if n.executed {
+			if n.has(fExecuted) {
 				fwdStores[n.word()] = append(fwdStores[n.word()], i)
 			}
 			if n.committed() {
 				memStores[n.word()] = append(memStores[n.word()], i)
 			}
-		case n.class == isa.Load && n.issued:
+		case n.class == isa.Load && n.has(fIssued):
 			loads = append(loads, i)
 		}
 	}
@@ -338,18 +338,18 @@ func (a *analysis) matchLoads(sorter *nodeSorter) {
 		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.node(i).gseq, 0 })
 	}
 	for _, idxs := range memStores {
-		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.node(i).retire, t.node(i).gseq })
+		sorter.sort(idxs, func(i int32) (uint64, uint64) { return t.cycle(t.node(i).retire), t.node(i).gseq })
 	}
 	var fwd, mem [][2]int32 // (store, load), in load order
 	for _, li := range loads {
 		ld := t.node(li)
-		if ld.forwarded {
+		if ld.has(fForwarded) {
 			// The youngest store older than the load that had executed by
 			// its issue.
 			stores := fwdStores[ld.word()]
 			p := sort.Search(len(stores), func(i int) bool { return t.node(stores[i]).gseq >= ld.gseq })
 			for p--; p >= 0; p-- {
-				if t.node(stores[p]).ready <= ld.issueAt {
+				if t.cycle(t.node(stores[p]).ready) <= t.cycle(ld.issueAt) {
 					fwd = append(fwd, [2]int32{stores[p], li})
 					break
 				}
@@ -357,7 +357,7 @@ func (a *analysis) matchLoads(sorter *nodeSorter) {
 			continue
 		}
 		stores := memStores[ld.word()]
-		if p := sort.Search(len(stores), func(i int) bool { return t.node(stores[i]).retire > ld.issueAt }); p > 0 {
+		if p := sort.Search(len(stores), func(i int) bool { return t.cycle(t.node(stores[i]).retire) > t.cycle(ld.issueAt) }); p > 0 {
 			mem = append(mem, [2]int32{stores[p-1], li})
 		}
 	}
@@ -408,21 +408,26 @@ type radixSorter struct {
 }
 
 type keyedIdx struct {
-	key uint64
+	key uint32
 	idx int32
 }
 
 // sortStable orders idxs by key as by returns it, keeping equal keys in
-// their order: a least-significant-digit radix sort, one pass per byte
-// the largest key uses.
+// their order: a least-significant-digit radix sort of the keys less
+// their minimum, one pass per byte the largest difference uses. The keys
+// must span less than 2^32, as a tracer's cycles do (Record).
 func (s *radixSorter) sortStable(idxs []int32, by func(i int32) uint64) {
 	if cap(s.src) < len(idxs) {
 		s.src, s.dst = make([]keyedIdx, len(idxs)), make([]keyedIdx, len(idxs))
 	}
 	src, dst := s.src[:len(idxs)], s.dst[:len(idxs)]
-	var used uint64
+	lo := ^uint64(0)
+	for _, i := range idxs {
+		lo = min(lo, by(i))
+	}
+	var used uint32
 	for j, i := range idxs {
-		k := by(i)
+		k := uint32(by(i) - lo)
 		src[j] = keyedIdx{k, i}
 		used |= k
 	}
@@ -489,23 +494,23 @@ func (a *analysis) consumers(wi int32) []int32 {
 // none: a residency span, or for liveWindow the cycles from its register
 // writeback through its last consumer's issue.
 func (a *analysis) window(k int, i int32) span {
-	n := a.t.node(i)
+	t, n := a.t, a.t.node(i)
 	if k < liveWindow {
-		return n.spans[k]
+		return t.span(n, k)
 	}
 	c := a.cons[i]
 	if c.lo == c.hi {
 		return span{}
 	}
-	return span{n.ready, a.t.node(a.reads.items[c.hi-1]).issueAt + 1}
+	return span{t.cycle(n.ready), t.cycle(t.node(a.reads.items[c.hi-1]).issueAt) + 1}
 }
 
 // windowStart is window(k, i).start.
 func (a *analysis) windowStart(k int, i int32) uint64 {
 	if k < liveWindow {
-		return a.t.node(i).spans[k].start
+		return a.t.cycle(a.t.node(i).spans[k].start)
 	}
-	return a.t.node(i).ready
+	return a.t.cycle(a.t.node(i).ready)
 }
 
 // cover appends to dst the nodes of thread tid whose window of kind k
@@ -548,7 +553,7 @@ func (w *walker) firstTouches(touches []touch, cycle uint64, skip int32, visit f
 	i := sort.Search(len(touches), func(i int) bool { return touches[i].cycle > cycle })
 	for ; i < len(touches) && unseen > 0; i++ {
 		tc := touches[i]
-		if tid := w.t.node(tc.idx).tid; !seen[tid] {
+		if tid := int32(w.t.node(tc.idx).tid); !seen[tid] {
 			seen[tid] = true
 			unseen--
 			visit(tc, tid)
@@ -686,23 +691,23 @@ func (w *walker) trace(st inject.Strike) Trace {
 			continue
 		}
 		for _, ri := range w.consumers(ni) {
-			w.edge(&tr, ni, ri, edgeReg, t.node(ri).issueAt)
+			w.edge(&tr, ni, ri, edgeReg, t.cycle(t.node(ri).issueAt))
 		}
 		n := t.node(ni)
 		if n.class != isa.Store {
 			continue
 		}
 		for _, li := range w.fwdOut.list(ni) {
-			w.edge(&tr, ni, li, edgeForward, t.node(li).issueAt)
+			w.edge(&tr, ni, li, edgeForward, t.cycle(t.node(li).issueAt))
 		}
 		for _, li := range w.memOut.list(ni) {
-			w.edge(&tr, ni, li, edgeMemory, t.node(li).issueAt)
+			w.edge(&tr, ni, li, edgeMemory, t.cycle(t.node(li).issueAt))
 		}
 		// A tainted committed store also dirties its DL1 set: the next
 		// access each *other* thread makes to that set after the writeback
 		// crosses the shared-array boundary.
 		if n.committed() && w.sets.keys() > 0 {
-			w.firstTouches(w.sets.list(w.setOf(n.addr)), n.retire, n.tid, func(tc touch, _ int32) {
+			w.firstTouches(w.sets.list(w.setOf(n.addr)), t.cycle(n.retire), int32(n.tid), func(tc touch, _ int32) {
 				w.edge(&tr, ni, tc.idx, edgeCrossThread, tc.cycle)
 			})
 		}

@@ -19,16 +19,67 @@ func (t *Tracer) CheckConsumers() (writers int, err error) {
 	a := t.build(runtime.GOMAXPROCS(0))
 	for i := range int32(t.n) {
 		n := t.node(i)
-		if !n.executed || n.physDest < 0 {
+		if !n.has(fExecuted) || n.physDest < 0 {
 			continue
 		}
 		writers++
-		got, want := a.consumers(i), a.scanConsumers(n.physDest, i)
+		got, want := a.consumers(i), a.scanConsumers(int32(n.physDest), i)
 		if !slices.Equal(got, want) {
 			return writers, fmt.Errorf("writer %d of p%d: consumers %v, linear scan %v", i, n.physDest, got, want)
 		}
 	}
 	return writers, nil
+}
+
+// WideNode is a recorded uop at full width: what Record copies out of the
+// pool slot, before packing. Spans are clipped at the rebase and zero when
+// empty; a uop that never issued keeps the pool's zero issue and
+// writeback cycles.
+type WideNode struct {
+	TID                          int32
+	PhysSrc1, PhysSrc2, PhysDest int32
+	Class                        isa.Class
+	Fate                         avf.Fate
+	WrongPath, Forwarded         bool
+	Issued, Executed             bool
+	GSeq, PC, Addr               uint64
+	IssueAt, Ready, Retire       uint64
+	Spans                        [5][2]uint64 // spanStructs order
+}
+
+// Decoded returns every recorded node, decoded through the layout
+// accessors the analysis reads.
+func (t *Tracer) Decoded() []WideNode {
+	out := make([]WideNode, t.n)
+	for i := range out {
+		n := t.node(int32(i))
+		w := WideNode{
+			TID:       int32(n.tid),
+			PhysSrc1:  int32(n.physSrc1),
+			PhysSrc2:  int32(n.physSrc2),
+			PhysDest:  int32(n.physDest),
+			Class:     n.class,
+			Fate:      n.fate,
+			WrongPath: n.has(fWrongPath),
+			Forwarded: n.has(fForwarded),
+			Issued:    n.has(fIssued),
+			Executed:  n.has(fExecuted),
+			GSeq:      n.gseq,
+			PC:        n.pc,
+			Addr:      n.addr,
+			Retire:    t.cycle(n.retire),
+		}
+		if w.Issued {
+			w.IssueAt, w.Ready = t.cycle(n.issueAt), t.cycle(n.ready)
+		}
+		for k := range w.Spans {
+			if s := t.span(n, k); s.end > s.start {
+				w.Spans[k] = [2]uint64{s.start, s.end}
+			}
+		}
+		out[i] = w
+	}
+	return out
 }
 
 // SetOptions replaces the tracer's options; after a run, only the bounds
@@ -107,16 +158,16 @@ func (t *Tracer) CheckCover() error {
 // a register writer the cycles from its writeback through the issue of its
 // last consumer, found by scanConsumers.
 func (a *analysis) scanWindow(k int, i int32) span {
-	n := a.t.node(i)
+	t, n := a.t, a.t.node(i)
 	if k < liveWindow {
-		return n.spans[k]
+		return t.span(n, k)
 	}
-	if !n.executed || n.physDest < 0 {
+	if !n.has(fExecuted) || n.physDest < 0 {
 		return span{}
 	}
 	var w span
-	for _, ri := range a.scanConsumers(n.physDest, i) {
-		w = span{n.ready, a.t.node(ri).issueAt + 1}
+	for _, ri := range a.scanConsumers(int32(n.physDest), i) {
+		w = span{t.cycle(n.ready), t.cycle(t.node(ri).issueAt) + 1}
 	}
 	return w
 }
@@ -130,18 +181,18 @@ func (a *analysis) scanConsumers(phys, wi int32) []int32 {
 	if pos < 0 {
 		return nil
 	}
-	w := a.t.node(wi)
+	t, w := a.t, a.t.node(wi)
 	limit := ^uint64(0)
 	if pos+1 < len(writers) {
-		limit = a.t.node(writers[pos+1]).ready
+		limit = t.cycle(t.node(writers[pos+1]).ready)
 	}
 	var out []int32
 	for _, ri := range a.reads.list(phys) {
-		r := a.t.node(ri)
-		if r.issueAt < w.ready {
+		r := t.node(ri)
+		if t.cycle(r.issueAt) < t.cycle(w.ready) {
 			continue
 		}
-		if r.issueAt >= limit {
+		if t.cycle(r.issueAt) >= limit {
 			break
 		}
 		out = append(out, ri)
@@ -174,14 +225,14 @@ func (a *analysis) reference() *reference {
 		n := t.node(i)
 		switch n.class {
 		case isa.Store:
-			if n.executed {
+			if n.has(fExecuted) {
 				fwdStores[n.word()] = append(fwdStores[n.word()], i)
 			}
 			if n.committed() {
 				memStores[n.word()] = append(memStores[n.word()], i)
 			}
 		case isa.Load:
-			if n.issued {
+			if n.has(fIssued) {
 				loads = append(loads, i)
 			}
 		}
@@ -192,22 +243,22 @@ func (a *analysis) reference() *reference {
 	for _, idxs := range memStores {
 		sort.Slice(idxs, func(x, y int) bool {
 			nx, ny := t.node(idxs[x]), t.node(idxs[y])
-			if nx.retire != ny.retire {
-				return nx.retire < ny.retire
+			if t.cycle(nx.retire) != t.cycle(ny.retire) {
+				return t.cycle(nx.retire) < t.cycle(ny.retire)
 			}
 			return nx.gseq < ny.gseq
 		})
 	}
 	for _, li := range loads {
 		ld := t.node(li)
-		if ld.forwarded {
+		if ld.has(fForwarded) {
 			best := int32(-1)
 			for _, si := range fwdStores[ld.word()] {
 				st := t.node(si)
 				if st.gseq >= ld.gseq {
 					break
 				}
-				if st.ready <= ld.issueAt {
+				if t.cycle(st.ready) <= t.cycle(ld.issueAt) {
 					best = si
 				}
 			}
@@ -218,7 +269,7 @@ func (a *analysis) reference() *reference {
 		}
 		best := int32(-1)
 		for _, si := range memStores[ld.word()] {
-			if t.node(si).retire > ld.issueAt {
+			if t.cycle(t.node(si).retire) > t.cycle(ld.issueAt) {
 				break
 			}
 			best = si
@@ -241,7 +292,7 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 			if int(n.tid) != st.TID {
 				continue
 			}
-			sp := n.spans[si]
+			sp := t.span(n, si)
 			if sp.end > sp.start && sp.start <= st.Cycle && st.Cycle < sp.end {
 				cands = append(cands, i)
 			}
@@ -252,11 +303,11 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 		var cands []int32
 		for i := range int32(t.n) {
 			n := t.node(i)
-			if int(n.tid) != st.TID || !n.executed || n.physDest < 0 || n.ready > st.Cycle {
+			if int(n.tid) != st.TID || !n.has(fExecuted) || n.physDest < 0 || t.cycle(n.ready) > st.Cycle {
 				continue
 			}
-			for _, ri := range a.scanConsumers(n.physDest, i) {
-				if t.node(ri).issueAt >= st.Cycle {
+			for _, ri := range a.scanConsumers(int32(n.physDest), i) {
+				if t.cycle(t.node(ri).issueAt) >= st.Cycle {
 					cands = append(cands, i)
 					break
 				}
@@ -292,7 +343,7 @@ func (r *reference) resolve(st inject.Strike) (victim int32, seeds []refSeed, ok
 			if tc.cycle <= st.Cycle {
 				continue
 			}
-			tid := t.node(tc.idx).tid
+			tid := int32(t.node(tc.idx).tid)
 			if seen[tid] || tc.idx == victim {
 				continue
 			}
@@ -392,26 +443,26 @@ func (r *reference) trace(st inject.Strike) Trace {
 			continue
 		}
 		n := t.node(ni)
-		if n.executed && n.physDest >= 0 {
-			for _, ri := range a.scanConsumers(n.physDest, ni) {
-				edge(ni, ri, EdgeReg, t.node(ri).issueAt)
+		if n.has(fExecuted) && n.physDest >= 0 {
+			for _, ri := range a.scanConsumers(int32(n.physDest), ni) {
+				edge(ni, ri, EdgeReg, t.cycle(t.node(ri).issueAt))
 			}
 		}
 		if n.class == isa.Store {
 			for _, li := range r.fwdOut[ni] {
-				edge(ni, li, EdgeForward, t.node(li).issueAt)
+				edge(ni, li, EdgeForward, t.cycle(t.node(li).issueAt))
 			}
 			for _, li := range r.memOut[ni] {
-				edge(ni, li, EdgeMemory, t.node(li).issueAt)
+				edge(ni, li, EdgeMemory, t.cycle(t.node(li).issueAt))
 			}
 			if n.committed() && a.sets.keys() > 0 {
 				set := int32(n.addr / uint64(t.dl1.LineSize) % uint64(a.sets.keys()))
-				seen := map[int32]bool{n.tid: true}
+				seen := map[int32]bool{int32(n.tid): true}
 				for _, tc := range a.sets.list(set) {
-					if tc.cycle <= n.retire {
+					if tc.cycle <= t.cycle(n.retire) {
 						continue
 					}
-					tid := t.node(tc.idx).tid
+					tid := int32(t.node(tc.idx).tid)
 					if seen[tid] {
 						continue
 					}

@@ -90,7 +90,8 @@ func (o Options) withDefaults() Options {
 }
 
 // span is one structure-residency interval of a node, already clipped at
-// the warmup rebase. Index order follows spanStructs.
+// the warmup rebase; nodes store it packed (offSpan). Index order follows
+// spanStructs.
 type span struct {
 	start, end uint64
 }
@@ -110,28 +111,46 @@ func spanIndex(s avf.Struct) int {
 
 // node is the compact per-uop capture the offline analysis runs over —
 // everything copied out of the pool slot inside Record, per the
-// flight-recorder ownership contract.
+// flight-recorder ownership contract — packed into 88 bytes. Cycles are
+// signed 32-bit offsets from the tracer's rebase cycle (a uop retiring
+// after the rebase may have issued before it), which Tracer.cycle and
+// Tracer.span decode; register ids are 16-bit and the thread id 8-bit. A
+// uop with a value outside those ranges is not recorded (Tracer.Record).
 type node struct {
-	tid       int32
-	physSrc1  int32
-	physSrc2  int32
-	physDest  int32
-	class     isa.Class
-	fate      avf.Fate
-	wrongPath bool
-	forwarded bool
-	issued    bool
-	executed  bool
-	gseq      uint64
-	pc        uint64
-	addr      uint64
-	issueAt   uint64
-	ready     uint64 // writeback cycle (valid when executed)
-	retire    uint64
-	spans     [5]span
+	gseq, pc, addr uint64
+	issueAt        int32 // valid when issued
+	ready          int32 // writeback cycle (valid when executed)
+	retire         int32
+	spans          [5]offSpan
+	physSrc1       int16
+	physSrc2       int16
+	physDest       int16
+	tid            uint8
+	class          isa.Class
+	fate           avf.Fate
+	flags          uint8
 }
 
-// The node log is a list of chunks of chunkLen nodes (1.2 MB each), so
+// offSpan is a span as two offsets from the rebase cycle.
+type offSpan struct {
+	start, end int32
+}
+
+// node flags.
+const (
+	fWrongPath uint8 = 1 << iota
+	fForwarded
+	fIssued
+	fExecuted
+)
+
+// poolFlags are the pipeline flags the node flags copy, bit i from
+// poolFlags[i].
+var poolFlags = [...]uint32{pipeline.FWrongPath, pipeline.FForwarded, pipeline.FIssued, pipeline.FExecuted}
+
+func (n *node) has(f uint8) bool { return n.flags&f != 0 }
+
+// The node log is a list of chunks of chunkLen nodes (704 KiB each), so
 // recording never copies what is already logged.
 const (
 	chunkBits = 13
@@ -166,6 +185,9 @@ type Tracer struct {
 	chunks  []*chunk
 	n       int
 	dropped uint64
+	// overflow is set once a uop did not fit the node layout; like the
+	// cap, it ends recording until the next Rebase.
+	overflow bool
 
 	// Live result gauges (PublishTelemetry); nil-receiver no-ops when
 	// telemetry is not attached.
@@ -202,11 +224,17 @@ func (t *Tracer) Configure(bits pipeline.Bits, dl1 mem.Config, threads int) {
 // accounting — so the tracer sees exactly the population the tracker
 // classified. Everything is copied out of pl before returning (the core
 // recycles the slot the moment Record returns).
+//
+// Recording stops at Options.Cap nodes, and at the first uop with a value
+// the node cannot hold (a cycle more than 2^31 cycles from the rebase
+// cycle, a register id beyond int16, a thread id beyond 255): the analysis
+// needs an unbroken prefix of the run, so every later uop is dropped and
+// counted too (Dropped). A value is never wrapped.
 func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool) {
 	if t == nil {
 		return
 	}
-	if t.n >= t.opt.Cap {
+	if t.n >= t.opt.Cap || t.overflow {
 		t.dropped++
 		return
 	}
@@ -214,26 +242,51 @@ func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squas
 	if c == len(t.chunks) {
 		t.chunks = append(t.chunks, new(chunk))
 	}
-	n := &t.chunks[c][t.n%chunkLen]
+	if !t.pack(&t.chunks[c][t.n%chunkLen], pl, id, retire, squashed) {
+		t.overflow = true
+		t.dropped++
+		return
+	}
 	t.n++
-	in, m := &pl.Ins[id], &pl.Meta[id]
+}
+
+// pack writes pool slot id into n and reports whether every value fit.
+func (t *Tracer) pack(n *node, pl *pipeline.Pool, id pipeline.UID, retire uint64, squashed bool) bool {
+	// excess collects every value's bits beyond its field: zero iff all fit.
+	var excess int64
+	offset := func(cycle uint64) int32 {
+		d := int64(cycle - t.rebase)
+		excess |= d ^ int64(int32(d))
+		return int32(d)
+	}
+	reg := func(r int32) int16 {
+		excess |= int64(r ^ int32(int16(r)))
+		return int16(r)
+	}
+	in, m, tid := &pl.Ins[id], &pl.Meta[id], pl.TID[id]
+	excess |= int64(tid &^ 0xff)
+	var flags uint8
+	for i, f := range poolFlags {
+		if pl.Has(id, f) {
+			flags |= 1 << i
+		}
+	}
 	*n = node{
-		tid:       pl.TID[id],
-		physSrc1:  m.PhysSrc1,
-		physSrc2:  m.PhysSrc2,
-		physDest:  m.PhysDest,
-		class:     in.Class,
-		fate:      pl.Fate(id, squashed),
-		wrongPath: pl.Has(id, pipeline.FWrongPath),
-		forwarded: pl.Has(id, pipeline.FForwarded),
-		issued:    pl.Has(id, pipeline.FIssued),
-		executed:  pl.Has(id, pipeline.FExecuted),
-		gseq:      pl.GSeq[id],
-		pc:        in.PC,
-		addr:      in.Addr,
-		issueAt:   pl.Res[id].IssuedAt,
-		ready:     m.ReadyAt,
-		retire:    retire,
+		gseq:     pl.GSeq[id],
+		pc:       in.PC,
+		addr:     in.Addr,
+		retire:   offset(retire),
+		physSrc1: reg(m.PhysSrc1),
+		physSrc2: reg(m.PhysSrc2),
+		physDest: reg(m.PhysDest),
+		tid:      uint8(tid),
+		class:    in.Class,
+		fate:     pl.Fate(id, squashed),
+		flags:    flags,
+	}
+	if flags&fIssued != 0 { // a uop that never issued has neither cycle
+		n.issueAt = offset(pl.Res[id].IssuedAt)
+		n.ready = offset(m.ReadyAt)
 	}
 	for i, res := range pl.Residencies(id, t.bits) {
 		start, end := res.Start, res.End
@@ -243,13 +296,23 @@ func (t *Tracer) Record(pl *pipeline.Pool, id pipeline.UID, retire uint64, squas
 		if end <= start {
 			continue // never occupied (or entirely pre-rebase)
 		}
-		n.spans[i] = span{start, end}
+		n.spans[i] = offSpan{offset(start), offset(end)}
 	}
+	return excess == 0
 }
 
 // node returns recorded node i (0 <= i < t.n).
 func (t *Tracer) node(i int32) *node {
 	return &t.chunks[i>>chunkBits][uint32(i)%chunkLen]
+}
+
+// cycle decodes a node's cycle offset.
+func (t *Tracer) cycle(off int32) uint64 { return t.rebase + uint64(int64(off)) }
+
+// span decodes node n's residency span k (spanStructs order).
+func (t *Tracer) span(n *node, k int) span {
+	s := n.spans[k]
+	return span{t.cycle(s.start), t.cycle(s.end)}
 }
 
 // Rebase drops everything recorded so far and clips all future residency
@@ -263,6 +326,7 @@ func (t *Tracer) Rebase(cycle uint64) {
 	t.rebase = cycle
 	t.n = 0
 	t.dropped = 0
+	t.overflow = false
 }
 
 // Len returns the number of retained nodes.
@@ -273,9 +337,10 @@ func (t *Tracer) Len() int {
 	return t.n
 }
 
-// Dropped returns the number of uops discarded by the node cap; a nonzero
-// value means traces past the capped region cannot resolve victims.
-// Analyze copies it into Atlas.Dropped.
+// Dropped returns the number of uops discarded by the node cap or after a
+// uop that did not fit the node layout (Record); a nonzero value means
+// traces past the recorded region cannot resolve victims. Analyze copies
+// it into Atlas.Dropped.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

@@ -39,19 +39,11 @@ func record(t *testing.T, benches []string, total uint64, every, seed uint64,
 	t.Helper()
 	cfg := core.DefaultConfig(len(benches))
 	cfg.Seed = seed
-	profiles := make([]trace.Profile, 0, len(benches))
-	for _, b := range benches {
-		p, err := workload.Profile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles = append(profiles, p)
-	}
 	camp, err := inject.NewCampaign(core.StructBits(cfg), every, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, err := core.New(cfg, profiles)
+	proc, err := core.New(cfg, profiles(t, benches))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +61,20 @@ func record(t *testing.T, benches []string, total uint64, every, seed uint64,
 		t.Fatalf("tracer dropped %d nodes below the cap", tracer.Dropped())
 	}
 	return tracer, camp, res
+}
+
+// profiles looks up the workload profile of each benchmark.
+func profiles(t *testing.T, benches []string) []trace.Profile {
+	t.Helper()
+	out := make([]trace.Profile, 0, len(benches))
+	for _, b := range benches {
+		p, err := workload.Profile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // TestConsumersMatchLinearScan checks the precomputed register consumer

@@ -535,9 +535,8 @@ func CrossValidate(meta CrossValMeta, res *Results, stats *InjectStats) *CrossVa
 type Observability = obs.Observability
 
 // MetricsRegistry is the typed metrics registry of the observability
-// layer: counters, gauges, and fixed-bucket histograms, exposed as
-// OpenMetrics text. Registration takes a short lock; the returned handles
-// update with plain atomics.
+// layer: counters and gauges, exposed as OpenMetrics text. Registration
+// takes a short lock; the returned handles update with plain atomics.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry builds a registry pre-populated with the process
