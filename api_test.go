@@ -136,6 +136,31 @@ func TestWithObservability(t *testing.T) {
 	}
 }
 
+// TestObservabilityPublishes: a facade run with WithObservability gets
+// the live metrics an observed smtsim run gets, on its Registry.
+func TestObservabilityPublishes(t *testing.T) {
+	cfg := smtavf.DefaultConfig(1)
+	camp, err := smtavf.NewFaultCampaign(cfg, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := smtavf.NewMetricsRegistry()
+	sim, err := smtavf.New(cfg, smtavf.WithBenchmarks("gcc"), smtavf.WithFaultInjection(camp),
+		smtavf.WithObservability(&smtavf.Observability{Registry: reg}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(6_000); err != nil {
+		t.Fatal(err)
+	}
+	if !reg.Has("inject.events") {
+		t.Fatal("inject.events is not registered")
+	}
+	if got := reg.Counter("inject.events", "").Value(); got == 0 || got != camp.Events() {
+		t.Fatalf("inject.events = %d, want the campaign's %d", got, camp.Events())
+	}
+}
+
 // TestObservabilityIsInert: attaching WithObservability must not change
 // the simulated results.
 func TestObservabilityIsInert(t *testing.T) {

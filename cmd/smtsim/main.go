@@ -274,10 +274,13 @@ func main() {
 		return
 	}
 
-	// Campaign observability: the metrics registry behind /debug/metrics,
-	// the progress tracker behind the heartbeats and /debug/progress, and
-	// the run ledger, shared by every point.
-	s.reg = obs.NewRegistry()
+	// Campaign observability, shared by every point: the metrics registry
+	// (only under -debug-addr, the one place it is served), the progress
+	// tracker behind the heartbeats and /debug/progress, and the run
+	// ledger.
+	if s.tel.DebugAddr != "" {
+		s.reg = obs.NewRegistry()
+	}
 	s.prog = obs.NewProgress(obs.ProgressOptions{
 		Logger:    s.logger,
 		Heartbeat: s.obsFlags.HeartbeatInterval(),
@@ -369,7 +372,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	var col *telemetry.Collector
 	if s.tel.Enabled() {
 		col = telemetry.New(telemetry.Options{WindowCycles: s.tel.Window, Logger: s.logger, Registry: s.reg})
-		col.SetProgress(s.prog)
 		paths := []string{s.tel.Path}
 		if s.tel.Dir != "" {
 			paths = append(paths, filepath.Join(s.tel.Dir, strings.ReplaceAll(name, "/", "_")+".jsonl"))
@@ -397,7 +399,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		if camp, err = rv.StrikeCampaign(); err != nil {
 			fatal(err)
 		}
-		camp.PublishTelemetry(col)
 		opts.Inject = camp
 		man.CampaignSeed = rv.CampaignSeed
 	}
@@ -406,7 +407,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	var tracer *propagation.Tracer
 	if s.prop.Enabled() {
 		tracer = propagation.New(propagation.Options{})
-		tracer.PublishTelemetry(col)
 		opts.Propagation = tracer
 	}
 	// Explainability observer: per-thread CPI stacks plus occupancy-by-fate,
@@ -414,7 +414,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	var stack *cpistack.Observer
 	if s.cpi.Enabled() {
 		stack = cpistack.New(s.cpi.Options())
-		stack.PublishTelemetry(col)
 		opts.CPIStack = stack
 	}
 	// Pipeline flight recorder, when a trace file or provenance report is
@@ -448,13 +447,14 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 	if err != nil {
 		fatal(err)
 	}
-	if s.tel.DebugAddr != "" {
-		if s.dbg == nil {
-			if s.dbg, err = telemetry.ServeDebug(s.tel.DebugAddr, col, s.logger); err != nil {
-				fatal(err)
-			}
-		} else {
-			s.dbg.SetCollector(col)
+	// The debug server starts once the first point is built, so it
+	// answers with that point's metrics registered, and then follows each
+	// point's windows.
+	if s.dbg != nil {
+		s.dbg.SetCollector(col)
+	} else if s.reg != nil {
+		if s.dbg, err = telemetry.ServeDebug(s.tel.DebugAddr, s.reg, s.prog, col, s.logger); err != nil {
+			fatal(err)
 		}
 	}
 

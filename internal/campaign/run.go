@@ -15,9 +15,11 @@ import (
 // Options names what a Build attaches to its run: campaign
 // observability and the pipeline observers. Nil fields stay detached.
 type Options struct {
-	// Obs, when non-nil, has its Progress track the run's "run" phase.
-	// It watches the run rather than the simulated machine, so attaching
-	// it does not perturb results.
+	// Obs, when non-nil, has its Progress track the run's "run" phase and
+	// the strike campaign's "strikes" phase, and its Registry carry the
+	// strike campaign's, the propagation tracer's and the CPI-stack
+	// observer's live metrics. It watches the run rather than the
+	// simulated machine, so attaching it does not perturb results.
 	Obs *obs.Observability
 
 	Telemetry   *telemetry.Collector
@@ -31,15 +33,19 @@ type Options struct {
 // drives it, is put together here. It builds one processor and attaches
 // the pipeline observers in a fixed order: telemetry, pipetrace, the
 // strike campaign, propagation, and last the CPI-stack observer, which
-// joins the campaign's tracker sink through AddSink.
+// joins the campaign's tracker sink through AddSink. It is also the one
+// place the observers publish their live metrics, on opts.Obs.
 func Build(cfg core.Config, srcs []core.Source, opts Options) (*Sim, error) {
 	proc, err := core.NewFromSources(cfg, srcs)
 	if err != nil {
 		return nil, err
 	}
 	sim := &Sim{proc: proc}
-	if opts.Obs != nil {
-		sim.prog = opts.Obs.Progress
+	if o := opts.Obs; o != nil {
+		sim.prog = o.Progress
+		opts.Inject.Publish(o.Registry, o.Progress)
+		opts.Propagation.Publish(o.Registry)
+		opts.CPIStack.Publish(o.Registry)
 	}
 	if opts.Telemetry != nil {
 		proc.SetTelemetry(opts.Telemetry)

@@ -109,15 +109,6 @@ func (i *Inject) RegisterStop(fs *flag.FlagSet) {
 	fs.StringVar(&i.Report, "inject-report", "", help("inject-report"))
 }
 
-// CampaignSeed resolves the campaign seed: -inject-seed, or the run seed
-// when unset.
-func (i *Inject) CampaignSeed(runSeed uint64) uint64 {
-	if i.Seed != 0 {
-		return i.Seed
-	}
-	return runSeed
-}
-
 // Validate rejects meaningless settings.
 func (i *Inject) Validate() error {
 	if i.On && i.Every == 0 {

@@ -69,13 +69,6 @@ func TestInject(t *testing.T) {
 	if err := inj.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := inj.CampaignSeed(7); got != 7 {
-		t.Fatalf("unset seed resolved to %d, want run seed 7", got)
-	}
-	inj.Seed = 9
-	if got := inj.CampaignSeed(7); got != 9 {
-		t.Fatalf("explicit seed resolved to %d, want 9", got)
-	}
 	for _, bad := range []Inject{
 		{On: true, Every: 0, CI: 0.01},
 		{Every: 1, CI: 0},

@@ -126,17 +126,3 @@ func TestProtectionModesDetections(t *testing.T) {
 		t.Error("ProtectionMode strings changed")
 	}
 }
-
-// TestProtectTop protects the top-k of a FIT-ranked plan.
-func TestProtectTop(t *testing.T) {
-	plan := []ProtectionItem{
-		{Struct: avf.DL1Tag}, {Struct: avf.IQ}, {Struct: avf.ROB},
-	}
-	p := ProtectTop(plan, 2, ProtectECC)
-	if p[avf.DL1Tag] != ProtectECC || p[avf.IQ] != ProtectECC {
-		t.Errorf("top-2 not protected: %v", p)
-	}
-	if p[avf.ROB] != ProtectNone {
-		t.Errorf("rank 3 should stay unprotected: %v", p)
-	}
-}

@@ -81,16 +81,11 @@ type Processor struct {
 	warmThread    []ThreadStats
 	warmCounters  MachineCounters
 
-	// Telemetry (SetTelemetry). tel is nil when disabled. The live
-	// registry handles below advance once per window, in telemetryRoll.
-	tel          *telemetry.Collector
-	telBase      telemetrySnap
-	telNext      uint64
-	telIndex     int
-	telCycle     *telemetry.Gauge
-	telCommitted *telemetry.Counter
-	telFlushes   *telemetry.Counter
-	telSquashed  *telemetry.Counter
+	// Telemetry (SetTelemetry). tel is nil when disabled.
+	tel      *telemetry.Collector
+	telBase  telemetrySnap
+	telNext  uint64
+	telIndex int
 
 	// Retire observers (SetPipeTrace, SetPropagation, SetCPIStack,
 	// AttachObserver) in attach order. Every classification site after the

@@ -56,21 +56,6 @@ func (p ProtectionModes) Detections() [avf.NumStructs]inject.Detection {
 	return d
 }
 
-// ProtectTop returns the protection assignment that applies mode to the
-// top-k structures of a protection plan — the paper's §5 "protect the
-// biggest FIT contributors first" guidance turned into a campaign
-// configuration.
-func ProtectTop(plan []ProtectionItem, k int, mode ProtectionMode) ProtectionModes {
-	var p ProtectionModes
-	for i, item := range plan {
-		if i >= k {
-			break
-		}
-		p[item.Struct] = mode
-	}
-	return p
-}
-
 // ProtectionItem ranks one structure in a protection plan.
 type ProtectionItem struct {
 	Struct avf.Struct

@@ -7,16 +7,9 @@ import (
 
 // SetTelemetry attaches a telemetry collector: every WindowCycles cycles
 // the processor emits one telemetry.Window of per-interval IPC, AVF,
-// occupancy, and event counters, and advances a handful of live registry
-// metrics for the debug server by the same window. Call before Run; a
-// nil collector leaves telemetry disabled.
-func (p *Processor) SetTelemetry(c *telemetry.Collector) {
-	p.tel = c
-	p.telCycle = c.Gauge("sim.cycle")
-	p.telCommitted = c.Counter("sim.committed")
-	p.telFlushes = c.Counter("sim.flushes")
-	p.telSquashed = c.Counter("sim.squashed_uops")
-}
+// occupancy, and event counters. Call before Run; a nil collector leaves
+// telemetry disabled.
+func (p *Processor) SetTelemetry(c *telemetry.Collector) { p.tel = c }
 
 // telemetrySnap is a baseline snapshot of every windowed quantity; the
 // rollover diffs two snapshots, so the hot path never maintains separate
@@ -110,12 +103,6 @@ func (p *Processor) telemetryRoll(final bool) {
 		// window agrees with it bit for bit.
 		w.CumAVF[name] = p.trk.AVF(st, meas)
 	}
-	// The live metrics move once per window, from the window itself, so
-	// the pipeline stages never touch telemetry.
-	p.telCycle.SetUint(w.EndCycle)
-	p.telCommitted.Add(w.Committed)
-	p.telFlushes.Add(w.Flushes)
-	p.telSquashed.Add(w.SquashedUops)
 	p.tel.Record(w)
 	p.telIndex++
 	p.telBase = cur

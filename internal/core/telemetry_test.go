@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/obs"
 	"smtavf/internal/telemetry"
 	"smtavf/internal/trace"
 	"smtavf/internal/workload"
 )
 
-func runWithTelemetry(t *testing.T, warmup uint64, window uint64, total uint64) (*Results, *telemetry.Collector) {
+func runWithTelemetry(t *testing.T, reg *obs.Registry, warmup uint64, window uint64, total uint64) (*Results, *telemetry.Collector) {
 	t.Helper()
 	cfg := DefaultConfig(2)
 	cfg.Warmup = warmup
@@ -18,7 +19,7 @@ func runWithTelemetry(t *testing.T, warmup uint64, window uint64, total uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := telemetry.New(telemetry.Options{WindowCycles: window})
+	col := telemetry.New(telemetry.Options{WindowCycles: window, Registry: reg})
 	proc.SetTelemetry(col)
 	res, err := proc.Run(Limits{TotalInstructions: total})
 	if err != nil {
@@ -28,7 +29,8 @@ func runWithTelemetry(t *testing.T, warmup uint64, window uint64, total uint64) 
 }
 
 func TestTelemetryWindowsMatchFinalReport(t *testing.T) {
-	res, col := runWithTelemetry(t, 0, 2_000, 30_000)
+	reg := obs.NewRegistry()
+	res, col := runWithTelemetry(t, reg, 0, 2_000, 30_000)
 	ws := col.Ring()
 	if len(ws) < 2 {
 		t.Fatalf("got %d windows, want >= 2", len(ws))
@@ -83,19 +85,18 @@ func TestTelemetryWindowsMatchFinalReport(t *testing.T) {
 		}
 	}
 
-	// The live registry counters track the run totals.
-	snap := col.Snapshot()
-	if snap.Counters["sim.committed"] != res.Total {
-		t.Fatalf("live committed counter = %d, run total = %d",
-			snap.Counters["sim.committed"], res.Total)
+	// The collector's sim.* metrics on the registry track the run totals
+	// (registering a name again returns the live instrument).
+	if got := reg.Counter("sim.committed", "").Value(); got != res.Total {
+		t.Fatalf("live committed counter = %d, run total = %d", got, res.Total)
 	}
-	if uint64(snap.Gauges["sim.cycle"]) != res.Cycles {
-		t.Fatalf("live cycle gauge = %v, run cycles = %d", snap.Gauges["sim.cycle"], res.Cycles)
+	if got := reg.Gauge("sim.cycle", "").Value(); uint64(got) != res.Cycles {
+		t.Fatalf("live cycle gauge = %v, run cycles = %d", got, res.Cycles)
 	}
 }
 
 func TestTelemetryWarmupRebase(t *testing.T) {
-	res, col := runWithTelemetry(t, 8_000, 2_000, 20_000)
+	res, col := runWithTelemetry(t, nil, 8_000, 2_000, 20_000)
 	ws := col.Ring()
 	if len(ws) < 3 {
 		t.Fatalf("got %d windows, want >= 3", len(ws))

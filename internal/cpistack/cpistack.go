@@ -28,8 +28,8 @@ import (
 	"strings"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/obs"
 	"smtavf/internal/pipeline"
-	"smtavf/internal/telemetry"
 )
 
 // Component is one CPI-stack cycle class. Each thread-cycle is attributed
@@ -135,11 +135,11 @@ type Observer struct {
 	stack [][NumComponents]uint64              // [tid][comp] cycles
 	occ   [avf.NumStructs][avf.NumFates]uint64 // bit-cycles by fate
 
-	// Live gauges (PublishTelemetry); nil-receiver no-ops when detached.
-	gComp [NumComponents]*telemetry.Gauge
-	gOcc  [avf.NumStructs]*telemetry.Gauge
-	gACE  [avf.NumStructs]*telemetry.Gauge
-	gWins *telemetry.Gauge
+	// Live gauges (Publish); nil-receiver no-ops when unpublished.
+	gComp [NumComponents]*obs.Gauge
+	gOcc  [avf.NumStructs]*obs.Gauge
+	gACE  [avf.NumStructs]*obs.Gauge
+	gWins *obs.Gauge
 }
 
 // windowAcc is one in-memory accounting window. Residency classification
@@ -371,23 +371,23 @@ func (o *Observer) Span() (start, end uint64) {
 	return o.base, o.max
 }
 
-// PublishTelemetry registers the observer's live gauges on the collector:
+// Publish registers the observer's live gauges on reg:
 // smtavf_cpistack_<component> (share of the last closed window's
-// thread-cycles, refreshed as windows close) and smtavf_occupancy_<S> /
-// smtavf_occupancy_<S>_ace (cumulative occupied fraction of structure S
-// and the ACE share of that occupancy, classified-so-far). A nil collector
-// leaves the gauges detached.
-func (o *Observer) PublishTelemetry(col *telemetry.Collector) {
+// thread-cycles, refreshed as windows close), smtavf_cpistack_windows,
+// and smtavf_occupancy_<S> / smtavf_occupancy_<S>_ace (cumulative
+// occupied fraction of structure S and the ACE share of that occupancy,
+// classified-so-far). A nil registry leaves the gauges detached.
+func (o *Observer) Publish(reg *obs.Registry) {
 	if o == nil {
 		return
 	}
 	for c := Component(0); c < NumComponents; c++ {
-		o.gComp[c] = col.Gauge("cpistack." + c.String())
+		o.gComp[c] = reg.Gauge("cpistack."+c.String(), "")
 	}
-	o.gWins = col.Gauge("cpistack.windows")
+	o.gWins = reg.Gauge("cpistack.windows", "")
 	for _, s := range OccupancyStructs() {
-		o.gOcc[s] = col.Gauge("occupancy." + s.String())
-		o.gACE[s] = col.Gauge("occupancy." + s.String() + ".ace")
+		o.gOcc[s] = reg.Gauge("occupancy."+s.String(), "")
+		o.gACE[s] = reg.Gauge("occupancy."+s.String()+".ace", "")
 	}
 }
 

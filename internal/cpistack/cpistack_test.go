@@ -43,7 +43,7 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.Record(nil, 0, 0, false)
 	o.Interval(avf.Reg, 0, 64, 0, 10, true)
 	o.Rebase(5)
-	o.PublishTelemetry(nil)
+	o.Publish(nil)
 	if o.CycleCount(0) != 0 || o.Windows() != nil || o.FormatStack() != "" {
 		t.Fatal("nil observer accumulated state")
 	}

@@ -20,7 +20,7 @@
 // The statistics layer (stats.go) turns the recorded grid into a
 // confidence-bounded instrument: sequential strike sampling with a
 // Wilson-score stopping rule, a per-structure / per-thread strike-outcome
-// taxonomy, and live progress published through internal/telemetry.
+// taxonomy, and live progress published on the internal/obs registry.
 package inject
 
 import (
@@ -29,7 +29,6 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
 	"smtavf/internal/rng"
-	"smtavf/internal/telemetry"
 )
 
 // grid is the state recorded on one structure's sample grid: per sample
@@ -172,20 +171,14 @@ type Campaign struct {
 	rnd        *rng.Source
 	events     uint64
 
-	// Live progress handles (PublishTelemetry); nil-receiver no-ops when
-	// telemetry is not attached.
-	telEvents  *telemetry.Counter
-	telStrikes *telemetry.Gauge
-	telRounds  *telemetry.Gauge
-	telETA     *telemetry.Gauge
-	telHW      [avf.NumStructs]*telemetry.Gauge
-	telLogger  logger
+	// Live progress handles (Publish); nil-receiver no-ops when
+	// unpublished.
+	telEvents  *obs.Counter
+	telStrikes *obs.Gauge
+	telRounds  *obs.Gauge
+	telETA     *obs.Gauge
+	telHW      [avf.NumStructs]*obs.Gauge
 	prog       *obs.Progress
-}
-
-// logger is the slog subset the campaign emits progress on.
-type logger interface {
-	Info(msg string, args ...any)
 }
 
 // maxBits bounds a structure's capacity: the sample grid keeps its
@@ -259,7 +252,7 @@ func (c *Campaign) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 	start -= c.origin
 	end -= c.origin
 	c.events++
-	c.telEvents.Inc() // nil-receiver no-op without telemetry
+	c.telEvents.Inc() // nil-receiver no-op when unpublished
 	if end <= c.phase {
 		return // ends before the first sample cycle
 	}

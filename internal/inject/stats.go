@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"smtavf/internal/avf"
-	"smtavf/internal/telemetry"
+	"smtavf/internal/obs"
 )
 
 // Detection describes the error protection of a structure, as seen by a
@@ -190,8 +190,7 @@ func (st *Stats) Table() string {
 // until the stopping rule is satisfied. Outcomes honour the configured
 // protection (SetProtection) and are attributed per thread. Progress —
 // strikes drawn, per-structure CI half-width, estimated strikes to stop —
-// is published through the telemetry registry when PublishTelemetry was
-// called.
+// is published on the registry and progress tracker given to Publish.
 func (c *Campaign) RunStrikes(cycles uint64, rule Stop) *Stats {
 	rule = rule.withDefaults()
 	z := zQuantile(rule.Confidence)
@@ -275,32 +274,30 @@ func etaStrikes(st *Stats, rule Stop, z float64) float64 {
 	return eta
 }
 
-// PublishTelemetry registers the campaign's live progress metrics on the
-// collector: the inject.events counter ticks with every residency
-// interval during the run, and the strike phase (RunStrikes) keeps
-// inject.strikes, inject.rounds, inject.eta_strikes, and per-structure
-// inject.halfwidth.* gauges current — all visible on the /telemetry and
-// /debug/metrics endpoints while a long campaign converges. A nil collector
-// leaves the campaign unobserved.
-func (c *Campaign) PublishTelemetry(col *telemetry.Collector) {
+// Publish registers the campaign's live metrics on reg and hands it the
+// progress tracker its strike phase advances: the inject.events counter
+// ticks with every residency interval during the run, and each round of
+// the strike phase (RunStrikes) sets the inject.strikes, inject.rounds,
+// inject.eta_strikes and per-structure inject.halfwidth.* gauges and
+// advances prog's "strikes" phase. Either may be nil; with no registry
+// the handles are no-ops, so intervals book without an atomic add.
+func (c *Campaign) Publish(reg *obs.Registry, prog *obs.Progress) {
 	if c == nil {
 		return
 	}
-	c.telEvents = col.Counter("inject.events")
-	c.telStrikes = col.Gauge("inject.strikes")
-	c.telRounds = col.Gauge("inject.rounds")
-	c.telETA = col.Gauge("inject.eta_strikes")
+	c.telEvents = reg.Counter("inject.events", "")
+	c.telStrikes = reg.Gauge("inject.strikes", "")
+	c.telRounds = reg.Gauge("inject.rounds", "")
+	c.telETA = reg.Gauge("inject.eta_strikes", "")
 	for s := avf.Struct(0); s < avf.NumStructs; s++ {
-		c.telHW[s] = col.Gauge("inject.halfwidth." + s.String())
+		c.telHW[s] = reg.Gauge("inject.halfwidth."+s.String(), "")
 	}
-	c.prog = col.Progress()
-	if l := col.SlogLogger(); l != nil {
-		c.telLogger = l
-	}
+	c.prog = prog
 }
 
 // publishProgress pushes one round of strike-phase progress to the
-// registry (every handle is a nil-receiver no-op when detached).
+// registry and the progress tracker (every handle is a nil-receiver
+// no-op when detached).
 func (c *Campaign) publishProgress(st *Stats, rule Stop, z float64) {
 	c.telStrikes.SetUint(st.TotalStrikes)
 	c.telRounds.SetUint(uint64(st.Rounds))
@@ -314,14 +311,6 @@ func (c *Campaign) publishProgress(st *Stats, rule Stop, z float64) {
 	c.prog.Phase("strikes", 0)
 	c.prog.SetTotal(st.TotalStrikes + uint64(eta))
 	c.prog.Observe(st.TotalStrikes, 0)
-	if c.telLogger != nil && st.Rounds%16 == 0 {
-		c.telLogger.Info("inject round",
-			"round", st.Rounds,
-			"strikes", st.TotalStrikes,
-			"max_halfwidth", fmt.Sprintf("%.5f", st.MaxHalfWidth()),
-			"eta_strikes", fmt.Sprintf("%.0f", eta),
-		)
-	}
 }
 
 // Wilson returns the two-sided Wilson-score confidence interval of a

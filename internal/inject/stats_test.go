@@ -8,7 +8,6 @@ import (
 
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
-	"smtavf/internal/telemetry"
 )
 
 // fill books a constant pattern into the campaign: structure s fully
@@ -242,8 +241,8 @@ func TestRunStrikesDeterministic(t *testing.T) {
 	}
 }
 
-// TestPublishTelemetry: progress gauges appear in the collector snapshot
-// after a strike run; a nil collector is a no-op.
+// TestPublishTelemetry: the live metrics Publish registers carry the
+// strike run's progress; an unpublished or nil campaign is a no-op.
 func TestPublishTelemetry(t *testing.T) {
 	var bits [avf.NumStructs]uint64
 	bits[avf.IQ] = 100
@@ -251,41 +250,37 @@ func TestPublishTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := telemetry.New(telemetry.Options{})
-	c.PublishTelemetry(col)
+	reg := obs.NewRegistry()
+	c.Publish(reg, nil)
 	fill(t, c, avf.IQ, 10, map[int]uint64{0: 25})
 	st := c.RunStrikes(10, StopWhen(0.05, 1<<16))
 
-	snap := col.Snapshot()
-	if got := snap.Counters["inject.events"]; got != c.Events() {
+	// Registering a name again returns the live instrument.
+	if got := reg.Counter("inject.events", "").Value(); got != c.Events() {
 		t.Errorf("inject.events = %d, want %d", got, c.Events())
 	}
-	if got := snap.Gauges["inject.strikes"]; got != float64(st.TotalStrikes) {
+	if got := reg.Gauge("inject.strikes", "").Value(); got != float64(st.TotalStrikes) {
 		t.Errorf("inject.strikes = %v, want %d", got, st.TotalStrikes)
 	}
-	if got := snap.Gauges["inject.rounds"]; got != float64(st.Rounds) {
+	if got := reg.Gauge("inject.rounds", "").Value(); got != float64(st.Rounds) {
 		t.Errorf("inject.rounds = %v, want %d", got, st.Rounds)
 	}
-	if _, ok := snap.Gauges["inject.halfwidth.IQ"]; !ok {
-		t.Error("per-structure half-width gauge missing from the snapshot")
-	}
-	if _, ok := snap.Gauges["inject.eta_strikes"]; !ok {
-		t.Error("eta gauge missing from the snapshot")
+	if got := reg.Gauge("inject.halfwidth.IQ", "").Value(); got != st.PerStruct[avf.IQ].HalfWidth {
+		t.Errorf("inject.halfwidth.IQ = %v, want %v", got, st.PerStruct[avf.IQ].HalfWidth)
 	}
 
 	// Detached publishing is a no-op, not a panic.
 	var c2 *Campaign
-	c2.PublishTelemetry(nil)
+	c2.Publish(nil, nil)
 	c3, _ := NewCampaign(bits, 1, 9)
-	c3.PublishTelemetry(nil)
+	c3.Publish(nil, nil)
 	fill(t, c3, avf.IQ, 10, map[int]uint64{0: 25})
 	c3.RunStrikes(10, StopWhen(0.05, 1<<16))
 }
 
-// TestTelemetryNameParity pins the migration contract of the campaign
-// gauges: every dotted name stays in the collector snapshot (the
-// /telemetry surface) AND registers on the obs registry (the
-// /debug/metrics surface) under the same dotted family name.
+// TestTelemetryNameParity pins the campaign's metric names: every dotted
+// name registers on the obs registry and is served on /debug/metrics
+// under its smtavf_ exposition name.
 func TestTelemetryNameParity(t *testing.T) {
 	var bits [avf.NumStructs]uint64
 	bits[avf.IQ] = 100
@@ -293,8 +288,8 @@ func TestTelemetryNameParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := telemetry.New(telemetry.Options{})
-	c.PublishTelemetry(col)
+	reg := obs.NewRegistry()
+	c.Publish(reg, nil)
 	fill(t, c, avf.IQ, 10, map[int]uint64{0: 25})
 	c.RunStrikes(10, StopWhen(0.05, 1<<16))
 
@@ -302,22 +297,22 @@ func TestTelemetryNameParity(t *testing.T) {
 	for _, s := range avf.Structs() {
 		names = append(names, "inject.halfwidth."+s.String())
 	}
-	snap := col.Snapshot()
-	reg := col.Registry()
+	var exp strings.Builder
+	if err := reg.WriteOpenMetrics(&exp); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range names {
-		_, inCounters := snap.Counters[name]
-		_, inGauges := snap.Gauges[name]
-		if !inCounters && !inGauges {
-			t.Errorf("legacy name %q missing from the collector snapshot", name)
-		}
 		if !reg.Has(name) {
 			t.Errorf("name %q missing from the obs registry", name)
+		}
+		if en := obs.ExpositionName(name); !strings.Contains(exp.String(), "\n"+en+" ") {
+			t.Errorf("family %s missing from the exposition", en)
 		}
 	}
 }
 
-// TestStrikeProgress: a progress tracker attached to the collector tracks
-// the strike phase through the stopping rule.
+// TestStrikeProgress: the progress tracker given to Publish tracks the
+// strike phase through the stopping rule.
 func TestStrikeProgress(t *testing.T) {
 	var bits [avf.NumStructs]uint64
 	bits[avf.IQ] = 100
@@ -325,10 +320,8 @@ func TestStrikeProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := telemetry.New(telemetry.Options{})
-	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1, Registry: col.Registry()})
-	col.SetProgress(p)
-	c.PublishTelemetry(col)
+	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
+	c.Publish(nil, p)
 	fill(t, c, avf.IQ, 10, map[int]uint64{0: 25})
 	st := c.RunStrikes(10, StopWhen(0.05, 1<<16))
 

@@ -10,10 +10,11 @@
 //   - Registry (registry.go): a lock-cheap typed metrics registry —
 //     counters and gauges — exposed as OpenMetrics/Prometheus text
 //     (openmetrics.go) at /debug/metrics on the telemetry debug server.
-//     The telemetry.Collector's live counters/gauges are backed by it, so
-//     the inject.* and inject.prop.* campaign gauges surface on both
-//     /telemetry (dotted names) and /debug/metrics (sanitized smtavf_*
-//     families) without the publishing code changing.
+//     It is the one home of every live metric: campaign.Build has the
+//     fault campaign, the propagation tracer and the CPI-stack observer
+//     publish theirs (inject.*, inject.prop.*, cpistack.*, occupancy.*)
+//     on the run's Observability.Registry, and a telemetry.Collector
+//     advances sim.* on the registry in its options.
 //
 //   - Ledger (ledger.go): an append-only runs.jsonl of versioned
 //     RunManifest records — config digest, seeds, workloads, cycle and
@@ -26,8 +27,8 @@
 //     to slog and served as JSON at /debug/progress.
 //
 // The package depends only on the standard library and internal/jsonlio,
-// so every subsystem (telemetry, campaign, inject) can attach to it without
-// import cycles. docs/campaigns.md documents the ledger schema, the
+// so every subsystem (telemetry, campaign, inject, propagation, cpistack)
+// can attach to it without import cycles. docs/campaigns.md documents the ledger schema, the
 // OpenMetrics name table, and the scrape recipes.
 package obs
 

@@ -165,21 +165,3 @@ func (q *IQ) Remove(u UID, now uint64) {
 	}
 	q.remove(i, now)
 }
-
-// SquashThread removes every entry of thread tid with GSeq > after,
-// closing residencies at cycle now, and appends the removed uops to dst.
-// As with Remove, entries still watching operands must be unwatched by the
-// caller.
-func (q *IQ) SquashThread(tid int, after uint64, now uint64, dst []UID) []UID {
-	p := q.pool
-	for i := 0; i < len(q.entries); {
-		u := q.entries[i]
-		if int(p.TID[u]) == tid && p.GSeq[u] > after {
-			q.remove(i, now)
-			dst = append(dst, u)
-			continue
-		}
-		i++
-	}
-	return dst
-}

@@ -162,38 +162,6 @@ func TestIQPartitionReleasedOnRemove(t *testing.T) {
 	}
 }
 
-func TestIQSquashThread(t *testing.T) {
-	p := NewPool(8)
-	q := NewIQ(p, 8, 2, 0)
-	keep := newUop(p, 0, 1, isa.IntALU)
-	gone := newUop(p, 0, 5, isa.IntALU)
-	other := newUop(p, 1, 9, isa.IntALU)
-	q.Insert(keep, 0)
-	q.Insert(gone, 0)
-	q.Insert(other, 0)
-	// Mid-wakeup squash: one victim already woken, survivors woken too.
-	q.MarkReady(gone)
-	q.MarkReady(other)
-	removed := q.SquashThread(0, 1, 10, nil)
-	if len(removed) != 1 || removed[0] != gone {
-		t.Fatalf("squash removed %v", removed)
-	}
-	if q.Len() != 2 || q.ThreadCount(0) != 1 || q.ThreadCount(1) != 1 {
-		t.Fatal("squash bookkeeping wrong")
-	}
-	if p.Has(gone, FInReady) || p.Has(gone, FInIQ) {
-		t.Fatal("squashed entry still marked resident/ready")
-	}
-	if cand := q.AppendReady(nil); len(cand) != 1 || cand[0] != other {
-		t.Fatalf("ready set after squash: %v", cand)
-	}
-	// The survivor that had not yet woken must still be wakeable.
-	q.MarkReady(keep)
-	if cand := q.AppendReady(nil); len(cand) != 2 || cand[0] != keep {
-		t.Fatalf("post-squash wakeup wrong: %v", cand)
-	}
-}
-
 func TestIQRemoveAbsentPanics(t *testing.T) {
 	p := NewPool(8)
 	q := NewIQ(p, 4, 1, 0)

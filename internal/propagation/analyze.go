@@ -810,8 +810,8 @@ func (t *Tracer) Analyze(strikes []inject.Strike) *Atlas {
 	return atlas
 }
 
-// publish pushes the atlas headline numbers to the telemetry gauges
-// (every handle is a nil-receiver no-op when detached).
+// publish pushes the atlas headline numbers to the live gauges (every
+// handle is a nil-receiver no-op when unpublished).
 func (t *Tracer) publish(atlas *Atlas) {
 	t.telStrikes.SetUint(uint64(atlas.Strikes))
 	t.telResolved.SetUint(uint64(atlas.Resolved))

@@ -45,8 +45,8 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/isa"
 	"smtavf/internal/mem"
+	"smtavf/internal/obs"
 	"smtavf/internal/pipeline"
-	"smtavf/internal/telemetry"
 )
 
 // Options parameterizes a Tracer.
@@ -189,13 +189,12 @@ type Tracer struct {
 	// cap, it ends recording until the next Rebase.
 	overflow bool
 
-	// Live result gauges (PublishTelemetry); nil-receiver no-ops when
-	// telemetry is not attached.
-	telStrikes  *telemetry.Gauge
-	telResolved *telemetry.Gauge
-	telSDC      *telemetry.Gauge
-	telCross    *telemetry.Gauge
-	telDepth    *telemetry.Gauge
+	// Live result gauges (Publish); nil-receiver no-ops when unpublished.
+	telStrikes  *obs.Gauge
+	telResolved *obs.Gauge
+	telSDC      *obs.Gauge
+	telCross    *obs.Gauge
+	telDepth    *obs.Gauge
 }
 
 // New builds a tracer. Geometry (bit widths, DL1 shape, thread count) is
@@ -348,18 +347,18 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// PublishTelemetry registers the tracer's result gauges on the collector:
-// after Analyze runs, inject.prop.strikes, inject.prop.resolved,
-// inject.prop.sdc, inject.prop.cross_thread, and inject.prop.depth_max
-// carry the atlas headline numbers on the /telemetry and /debug/metrics
-// endpoints. A nil collector leaves the tracer unobserved.
-func (t *Tracer) PublishTelemetry(col *telemetry.Collector) {
+// Publish registers the tracer's result gauges on reg: after Analyze
+// runs, inject.prop.strikes, inject.prop.resolved, inject.prop.sdc,
+// inject.prop.cross_thread, and inject.prop.depth_max carry the atlas
+// headline numbers on /debug/metrics. A nil registry leaves the tracer
+// unobserved.
+func (t *Tracer) Publish(reg *obs.Registry) {
 	if t == nil {
 		return
 	}
-	t.telStrikes = col.Gauge("inject.prop.strikes")
-	t.telResolved = col.Gauge("inject.prop.resolved")
-	t.telSDC = col.Gauge("inject.prop.sdc")
-	t.telCross = col.Gauge("inject.prop.cross_thread")
-	t.telDepth = col.Gauge("inject.prop.depth_max")
+	t.telStrikes = reg.Gauge("inject.prop.strikes", "")
+	t.telResolved = reg.Gauge("inject.prop.resolved", "")
+	t.telSDC = reg.Gauge("inject.prop.sdc", "")
+	t.telCross = reg.Gauge("inject.prop.cross_thread", "")
+	t.telDepth = reg.Gauge("inject.prop.depth_max", "")
 }

@@ -280,7 +280,7 @@ func TestDetachedTracerNoOps(t *testing.T) {
 	tr.Record(nil, 0, 0, false)
 	tr.Rebase(5)
 	tr.Configure(core.DefaultConfig(1).Bits, core.DefaultConfig(1).DL1, 1)
-	tr.PublishTelemetry(nil)
+	tr.Publish(nil)
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("detached tracer reports state")
 	}

@@ -17,50 +17,32 @@ import (
 //
 //	/debug/pprof/    the standard Go profiler endpoints
 //	/debug/metrics   the obs registry as OpenMetrics/Prometheus text
-//	/debug/progress  the live campaign progress as JSON
-//	/telemetry       the Collector's JSON Snapshot
-//	/telemetry/ring  the retained window series as a JSON array
+//	/debug/progress  the progress tracker as JSON
+//	/telemetry       the collector's window Snapshot as JSON
+//	/telemetry/ring  the collector's retained window series as a JSON array
 //
-// The server outlives individual runs: a sweep driver starts it once and
-// retargets it at each point's fresh collector with SetCollector.
+// The server outlives individual runs: a sweep driver starts it once with
+// the registry and progress tracker every point shares, and retargets the
+// two /telemetry routes at each point's fresh collector with SetCollector.
 type DebugServer struct {
 	srv  *http.Server
 	lis  net.Listener
+	reg  *obs.Registry
+	prog *obs.Progress
 	col  atomic.Pointer[Collector]
-	reg  atomic.Pointer[obs.Registry]
-	prog atomic.Pointer[obs.Progress]
 }
 
-func (d *DebugServer) collector() *Collector { return d.col.Load() }
+// SetCollector points /telemetry and /telemetry/ring at a new collector:
+// one point of a campaign matrix ended and the next began.
+func (d *DebugServer) SetCollector(c *Collector) { d.col.Store(c) }
 
-// SetCollector points the server at a new collector — one point of a
-// campaign matrix ended and the next began. The scraped registry and
-// progress tracker follow the collector's.
-func (d *DebugServer) SetCollector(c *Collector) {
-	d.col.Store(c)
-	if r := c.Registry(); r != nil {
-		d.reg.Store(r)
-	}
-	if p := c.Progress(); p != nil {
-		d.prog.Store(p)
-	}
-}
-
-// SetProgress points /debug/progress at a specific progress tracker.
-func (d *DebugServer) SetProgress(p *obs.Progress) {
-	if p != nil {
-		d.prog.Store(p)
-	}
-}
-
-// ServeDebug starts the debug server on addr (e.g. ":6060") reading live
-// state from c, and returns once the listener is bound. The server runs
-// until Close; serve errors after Close are swallowed.
-func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, error) {
-	if c == nil {
-		return nil, fmt.Errorf("telemetry: debug server needs a collector")
-	}
-	d := &DebugServer{}
+// ServeDebug starts the debug server on addr (e.g. ":6060") serving reg,
+// prog and, when non-nil, the windows of c, and returns once the listener
+// is bound. Any of the three may be nil: its routes then serve an empty
+// state. The server runs until Close; serve errors after Close are
+// swallowed.
+func ServeDebug(addr string, reg *obs.Registry, prog *obs.Progress, c *Collector, logger *slog.Logger) (*DebugServer, error) {
+	d := &DebugServer{reg: reg, prog: prog}
 	d.SetCollector(c)
 
 	mux := http.NewServeMux()
@@ -70,19 +52,19 @@ func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, e
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.collector().Snapshot())
+		writeJSON(w, d.col.Load().Snapshot())
 	})
 	mux.HandleFunc("/telemetry/ring", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.collector().Ring())
+		writeJSON(w, d.col.Load().Ring())
 	})
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		if err := d.reg.Load().WriteOpenMetrics(w); err != nil && logger != nil {
+		if err := d.reg.WriteOpenMetrics(w); err != nil && logger != nil {
 			logger.Error("metrics scrape", "err", err)
 		}
 	})
 	mux.HandleFunc("/debug/progress", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.prog.Load().Snapshot())
+		writeJSON(w, d.prog.Snapshot())
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -90,9 +72,9 @@ func ServeDebug(addr string, c *Collector, logger *slog.Logger) (*DebugServer, e
 			return
 		}
 		fmt.Fprint(w, "smtavf debug server\n\n"+
-			"/telemetry       live snapshot (last window, cumulative AVF, counters)\n"+
+			"/telemetry       live snapshot (last window, cumulative AVF)\n"+
 			"/telemetry/ring  retained window series\n"+
-			"/debug/metrics   OpenMetrics exposition of the campaign registry\n"+
+			"/debug/metrics   OpenMetrics exposition of the metrics registry\n"+
 			"/debug/progress  live campaign progress (phase, fraction, ETA)\n"+
 			"/debug/pprof/    profiler\n")
 	})

@@ -13,9 +13,9 @@ import (
 
 // startDebug boots a debug server on an ephemeral port and returns its
 // base URL plus a cleanup.
-func startDebug(t *testing.T, c *Collector) (*DebugServer, string) {
+func startDebug(t *testing.T, reg *obs.Registry, p *obs.Progress, c *Collector) (*DebugServer, string) {
 	t.Helper()
-	d, err := ServeDebug("127.0.0.1:0", c, nil)
+	d, err := ServeDebug("127.0.0.1:0", reg, p, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,12 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 func TestDebugServerRoutes(t *testing.T) {
-	c := New(Options{WindowCycles: 10_000})
-	c.Counter("inject.events").Add(3)
-	c.Gauge("inject.halfwidth.IQ").Set(0.25)
+	reg := obs.NewRegistry()
+	c := New(Options{WindowCycles: 10_000, Registry: reg})
+	reg.Counter("inject.events", "").Add(3)
+	reg.Gauge("inject.halfwidth.IQ", "").Set(0.25)
 	c.Record(window(0))
-	_, base := startDebug(t, c)
+	_, base := startDebug(t, reg, nil, c)
 
 	// Index lists every endpoint.
 	code, body, _ := get(t, base+"/")
@@ -56,7 +57,7 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Fatalf("unknown path = %d, want 404", code)
 	}
 
-	// /telemetry serves the snapshot with the dotted legacy names.
+	// /telemetry serves the window snapshot.
 	code, body, _ = get(t, base+"/telemetry")
 	var snap Snapshot
 	if code != http.StatusOK {
@@ -65,8 +66,8 @@ func TestDebugServerRoutes(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/telemetry not JSON: %v", err)
 	}
-	if snap.Counters["inject.events"] != 3 || snap.Gauges["inject.halfwidth.IQ"] != 0.25 {
-		t.Fatalf("/telemetry snapshot missing registered metrics: %s", body)
+	if snap.Windows != 1 || snap.Cycle != 10_000 {
+		t.Fatalf("/telemetry snapshot = %s", body)
 	}
 
 	// /telemetry/ring serves the retained windows.
@@ -93,6 +94,8 @@ func TestDebugServerRoutes(t *testing.T) {
 	for _, want := range []string{
 		"smtavf_inject_events 3",
 		"smtavf_inject_halfwidth_IQ 0.25",
+		"smtavf_sim_committed 1000",
+		"smtavf_sim_cycle 10000",
 		"smtavf_runtime_goroutines",
 	} {
 		if !strings.Contains(body, want) {
@@ -103,10 +106,10 @@ func TestDebugServerRoutes(t *testing.T) {
 
 func TestDebugServerProgress(t *testing.T) {
 	c := New(Options{WindowCycles: 10_000})
-	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1, Registry: c.Registry()})
+	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
 	c.SetProgress(p)
 	p.Phase("run", 10_000)
-	_, base := startDebug(t, c)
+	_, base := startDebug(t, nil, p, c)
 
 	c.Record(window(1)) // Committed 2000 → fraction 0.2
 
@@ -130,11 +133,12 @@ func TestDebugServerProgress(t *testing.T) {
 // collector records windows — the race detector turns any unsynchronized
 // read into a failure.
 func TestDebugServerConcurrentScrape(t *testing.T) {
-	c := New(Options{WindowCycles: 10_000})
-	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1, Registry: c.Registry()})
+	reg := obs.NewRegistry()
+	c := New(Options{WindowCycles: 10_000, Registry: reg})
+	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1, Registry: reg})
 	c.SetProgress(p)
 	p.Phase("run", 1_000_000)
-	_, base := startDebug(t, c)
+	_, base := startDebug(t, reg, p, c)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -157,7 +161,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 			}
 		}(base + path)
 	}
-	events := c.Counter("inject.events")
+	events := reg.Counter("inject.events", "")
 	for i := 0; i < 50; i++ {
 		events.Inc()
 		c.Record(window(i))
@@ -173,29 +177,76 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 }
 
 // TestDebugServerSetCollector retargets a live server at a fresh
-// collector — the sweep-driver pattern — and checks every surface moved.
+// collector — the sweep-driver pattern: /telemetry and /telemetry/ring
+// follow it, while /debug/metrics and /debug/progress keep serving the
+// registry and tracker the server was started with.
 func TestDebugServerSetCollector(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("point.first", "").Inc()
+	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
+	p.Phase("first", 10)
 	c1 := New(Options{WindowCycles: 10_000})
-	c1.Counter("point.first").Inc()
-	d, base := startDebug(t, c1)
+	c1.Record(window(0))
+	d, base := startDebug(t, reg, p, c1)
 
-	c2 := New(Options{WindowCycles: 10_000})
-	c2.Counter("point.second").Add(5)
+	// The new collector brings its own registry and tracker; neither is
+	// served.
+	reg2 := obs.NewRegistry()
+	c2 := New(Options{WindowCycles: 10_000, Registry: reg2})
 	p2 := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
+	p2.Phase("second", 10)
 	c2.SetProgress(p2)
-	p2.Phase("point2", 10)
+	c2.Record(window(0))
+	c2.Record(window(1))
 	d.SetCollector(c2)
 
+	var snap Snapshot
 	_, body, _ := get(t, base+"/telemetry")
-	if !strings.Contains(body, "point.second") || strings.Contains(body, "point.first") {
-		t.Fatalf("/telemetry did not retarget:\n%s", body)
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || snap.Windows != 2 {
+		t.Fatalf("/telemetry did not retarget (err %v):\n%s", err, body)
+	}
+	var ring []Window
+	_, body, _ = get(t, base+"/telemetry/ring")
+	if err := json.Unmarshal([]byte(body), &ring); err != nil || len(ring) != 2 {
+		t.Fatalf("/telemetry/ring did not retarget (err %v):\n%s", err, body)
 	}
 	_, body, _ = get(t, base+"/debug/metrics")
-	if !strings.Contains(body, "smtavf_point_second 5") {
-		t.Fatalf("/debug/metrics did not retarget:\n%s", body)
+	if !strings.Contains(body, "smtavf_point_first 1") || strings.Contains(body, "smtavf_sim_") {
+		t.Fatalf("/debug/metrics left the server's registry:\n%s", body)
 	}
 	_, body, _ = get(t, base+"/debug/progress")
-	if !strings.Contains(body, `"phase": "point2"`) {
-		t.Fatalf("/debug/progress did not retarget:\n%s", body)
+	if !strings.Contains(body, `"phase": "first"`) {
+		t.Fatalf("/debug/progress left the server's tracker:\n%s", body)
+	}
+}
+
+// TestDebugServerWithoutCollector: a server given a registry and a
+// progress tracker but no collector serves both, lint-clean, and an empty
+// window snapshot.
+func TestDebugServerWithoutCollector(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1, Registry: reg})
+	p.Phase("strikes", 100)
+	p.Observe(25, 0)
+	_, base := startDebug(t, reg, p, nil)
+
+	code, body, _ := get(t, base+"/debug/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/metrics = %d", code)
+	}
+	if err := obs.Lint(body); err != nil {
+		t.Fatalf("/debug/metrics fails the linter: %v\n%s", err, body)
+	}
+	if !strings.Contains(body, "smtavf_progress_fraction 0.25") {
+		t.Fatalf("/debug/metrics misses the tracker's gauges:\n%s", body)
+	}
+	code, body, _ = get(t, base+"/debug/progress")
+	var snap obs.ProgressSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); code != http.StatusOK || err != nil ||
+		snap.Phase != "strikes" || snap.Done != 25 {
+		t.Fatalf("/debug/progress = %d (err %v):\n%s", code, err, body)
+	}
+	if code, body, _ = get(t, base+"/telemetry"); code != http.StatusOK || !strings.Contains(body, `"windows": 0`) {
+		t.Fatalf("/telemetry without a collector = %d:\n%s", code, body)
 	}
 }

@@ -5,13 +5,13 @@
 // fetch/flush/stall counters.
 //
 // The design follows the collector/exporter split of production metrics
-// agents: a Collector owns a registry of live counters and gauges that
-// hot-path code updates (nil-safe, so a disabled collector costs one
-// predictable branch), and a set of pluggable Exporters — JSONL and CSV
-// file writers plus an in-memory ring buffer — that each completed Window
-// fans out to. An optional debug HTTP server (debug.go) exposes
-// net/http/pprof, OpenMetrics, and a /telemetry JSON snapshot for live
-// inspection of long unattended sweeps.
+// agents: a Collector receives each completed Window and fans it out to a
+// set of pluggable Exporters — JSONL and CSV file writers plus an
+// in-memory ring buffer — and advances the run's sim.* metrics on the obs
+// registry it was given (a nil *Collector is disabled, so call sites need
+// no branching). An optional debug HTTP server (debug.go) exposes
+// net/http/pprof, the registry as OpenMetrics, and a /telemetry JSON
+// snapshot of the windows for live inspection of long unattended sweeps.
 //
 // AVF is strongly phase-dependent (Fu et al., MASCOTS 2006; Jaulmes et
 // al.), so the per-window series is not a convenience but a measurement:
@@ -39,9 +39,8 @@ const SchemaVersion = 1
 // rollover work is invisible next to the per-cycle simulation cost.
 const DefaultWindowCycles = 10_000
 
-// DefaultRingSize is the number of windows the built-in ring buffer
-// retains when Options.RingSize is zero.
-const DefaultRingSize = 1024
+// ringSize is the number of windows the built-in ring buffer retains.
+const ringSize = 1024
 
 // Window is one completed sampling interval: every value describes the
 // interval [StartCycle, EndCycle) alone, except the Cum* fields, which
@@ -95,33 +94,33 @@ func StructNames() []string {
 type Options struct {
 	// WindowCycles is the sampling period (default DefaultWindowCycles).
 	WindowCycles uint64
-	// RingSize bounds the built-in in-memory ring buffer (default
-	// DefaultRingSize).
-	RingSize int
 	// Logger, when non-nil, receives one progress line per window and one
 	// line per rebase.
 	Logger *slog.Logger
-	// Registry backs the collector's live counters and gauges, surfacing
-	// them on /debug/metrics as OpenMetrics families alongside the
-	// dotted names of the /telemetry snapshot. Nil builds a private
-	// registry, so existing call sites change nothing.
+	// Registry, when non-nil, receives the sim.cycle gauge and the
+	// sim.committed, sim.flushes and sim.squashed_uops counters, advanced
+	// from each recorded window. Nil: the run has no live metrics.
 	Registry *obs.Registry
 }
 
 // Collector receives completed windows from the simulator and fans them
-// out to exporters, the ring buffer, and the live registry the debug
-// server reads. A nil *Collector is a valid "disabled" collector: every
-// method is a cheap no-op, so call sites need no branching.
+// out to exporters, the ring buffer, and the registry's sim.* metrics. A
+// nil *Collector is a valid "disabled" collector: every method is a cheap
+// no-op, so call sites need no branching.
 type Collector struct {
 	window uint64
 	logger *slog.Logger
 	ring   *Ring
-	reg    *obs.Registry
+
+	// The sim.* metrics (nil-receiver no-ops without a registry) move
+	// once per window, from the window itself.
+	simCycle     *obs.Gauge
+	simCommitted *obs.Counter
+	simFlushes   *obs.Counter
+	simSquashed  *obs.Counter
 
 	mu        sync.Mutex
 	exporters []Exporter
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	prog      *obs.Progress
 	cumCommit uint64 // committed instructions across all windows
 	last      Window
@@ -136,29 +135,15 @@ func New(o Options) *Collector {
 	if o.WindowCycles == 0 {
 		o.WindowCycles = DefaultWindowCycles
 	}
-	if o.RingSize == 0 {
-		o.RingSize = DefaultRingSize
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
-	}
 	return &Collector{
-		window:   o.WindowCycles,
-		logger:   o.Logger,
-		ring:     NewRing(o.RingSize),
-		reg:      o.Registry,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
+		window:       o.WindowCycles,
+		logger:       o.Logger,
+		ring:         NewRing(ringSize),
+		simCycle:     o.Registry.Gauge("sim.cycle", ""),
+		simCommitted: o.Registry.Counter("sim.committed", ""),
+		simFlushes:   o.Registry.Counter("sim.flushes", ""),
+		simSquashed:  o.Registry.Counter("sim.squashed_uops", ""),
 	}
-}
-
-// Registry returns the metrics registry backing the collector's live
-// counters and gauges (nil for a nil collector).
-func (c *Collector) Registry() *obs.Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
 }
 
 // SetProgress attaches a progress tracker; each recorded window then
@@ -172,18 +157,6 @@ func (c *Collector) SetProgress(p *obs.Progress) {
 	c.mu.Unlock()
 }
 
-// Progress returns the attached progress tracker (nil when none), so
-// subsystems that publish through the collector — the inject stopping
-// rule — can advance the same campaign progress.
-func (c *Collector) Progress() *obs.Progress {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prog
-}
-
 // WindowCycles returns the sampling period (DefaultWindowCycles for a nil
 // collector, so disabled call sites still compute a sane next-rollover).
 func (c *Collector) WindowCycles() uint64 {
@@ -191,16 +164,6 @@ func (c *Collector) WindowCycles() uint64 {
 		return DefaultWindowCycles
 	}
 	return c.window
-}
-
-// SlogLogger returns the structured logger the collector was built with
-// (nil for a nil or unlogged collector). Subsystems that publish progress
-// through the collector's registry use it to emit matching log lines.
-func (c *Collector) SlogLogger() *slog.Logger {
-	if c == nil {
-		return nil
-	}
-	return c.logger
 }
 
 // AddExporter attaches an exporter; every subsequently recorded window is
@@ -215,8 +178,8 @@ func (c *Collector) AddExporter(e Exporter) {
 }
 
 // Record accepts one completed window: it lands in the ring buffer, every
-// exporter, the live snapshot, and — when a logger is configured — one
-// progress line.
+// exporter, the live snapshot and the sim.* metrics, and — when a logger
+// is configured — one progress line.
 func (c *Collector) Record(w Window) {
 	if c == nil {
 		return
@@ -225,6 +188,10 @@ func (c *Collector) Record(w Window) {
 		w.V = SchemaVersion
 	}
 	c.ring.push(w)
+	c.simCycle.SetUint(w.EndCycle)
+	c.simCommitted.Add(w.Committed)
+	c.simFlushes.Add(w.Flushes)
+	c.simSquashed.Add(w.SquashedUops)
 	c.mu.Lock()
 	c.last = w
 	c.windows++
@@ -324,45 +291,8 @@ func (c *Collector) Close() error {
 	return c.err
 }
 
-// Counter returns the registered live counter with the given name,
-// creating it on first use. Hot-path code holds the returned pointer and
-// calls Add/Inc on it; a nil *Collector returns a nil *Counter whose
-// methods are no-ops, so disabled telemetry costs one branch per event.
-func (c *Collector) Counter(name string) *Counter {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ctr, ok := c.counters[name]; ok {
-		return ctr
-	}
-	// The registry owns the instrument; the collector's map is the
-	// dotted-name view that Snapshot serves.
-	ctr := c.reg.Counter(name, "")
-	c.counters[name] = ctr
-	return ctr
-}
-
-// Gauge returns the registered live gauge with the given name, creating
-// it on first use; nil-collector semantics match Counter.
-func (c *Collector) Gauge(name string) *Gauge {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g, ok := c.gauges[name]; ok {
-		return g
-	}
-	g := c.reg.Gauge(name, "")
-	c.gauges[name] = g
-	return g
-}
-
-// Snapshot is the live state the /telemetry endpoint serves:
-// the latest window, cumulative AVF so far, and every registered
-// counter/gauge.
+// Snapshot is the live state the /telemetry endpoint serves: the latest
+// window and the cumulative AVF so far.
 type Snapshot struct {
 	WindowCycles uint64             `json:"window_cycles"`
 	Windows      int                `json:"windows"`
@@ -372,8 +302,6 @@ type Snapshot struct {
 	IPC          float64            `json:"ipc"`       // of the last window
 	CumAVF       map[string]float64 `json:"cum_avf,omitempty"`
 	Last         *Window            `json:"last_window,omitempty"`
-	Counters     map[string]uint64  `json:"counters,omitempty"`
-	Gauges       map[string]float64 `json:"gauges,omitempty"`
 }
 
 // Snapshot assembles the current live state. It is safe to call from a
@@ -397,32 +325,8 @@ func (c *Collector) Snapshot() Snapshot {
 		s.CumAVF = w.CumAVF
 		s.Last = &w
 	}
-	if len(c.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(c.counters))
-		for name, ctr := range c.counters {
-			s.Counters[name] = ctr.Value()
-		}
-	}
-	if len(c.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(c.gauges))
-		for name, g := range c.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
 	return s
 }
-
-// Counter is a monotonically increasing live metric; it is the obs
-// registry's counter, aliased so the packages that publish through the
-// collector (inject, propagation, core) migrated to the campaign
-// observability layer without a source change. The zero value is ready to
-// use; a nil *Counter is a no-op, which is how disabled telemetry keeps
-// hot paths branch-cheap. Updates are atomic so the debug server can read
-// them mid-run.
-type Counter = obs.Counter
-
-// Gauge is a live point-in-time metric; nil-safety matches Counter.
-type Gauge = obs.Gauge
 
 // round4 trims a float for log lines (full precision stays in the
 // exporters).

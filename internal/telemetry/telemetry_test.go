@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/obs"
 )
 
 func window(i int) Window {
@@ -32,21 +33,9 @@ func window(i int) Window {
 
 func TestNilCollectorIsDisabled(t *testing.T) {
 	var c *Collector
-	// None of these may panic, and the registry hands out nil metrics
-	// whose methods are no-ops.
+	// None of these may panic.
 	c.Record(window(0))
 	c.Rebase(5)
-	ctr := c.Counter("commits")
-	ctr.Inc()
-	ctr.Add(41)
-	if got := ctr.Value(); got != 0 {
-		t.Fatalf("nil counter value = %d, want 0", got)
-	}
-	g := c.Gauge("ipc")
-	g.Set(3.5)
-	if got := g.Value(); got != 0 {
-		t.Fatalf("nil gauge value = %v, want 0", got)
-	}
 	if c.WindowCycles() != DefaultWindowCycles {
 		t.Fatalf("nil collector window = %d", c.WindowCycles())
 	}
@@ -59,55 +48,49 @@ func TestNilCollectorIsDisabled(t *testing.T) {
 }
 
 func TestCollectorRecordAndSnapshot(t *testing.T) {
-	c := New(Options{WindowCycles: 10_000, RingSize: 4})
-	c.Counter("sim.committed").Add(7)
-	c.Gauge("sim.cycle").SetUint(42)
-	for i := 0; i < 6; i++ {
-		c.Record(window(i))
+	reg := obs.NewRegistry()
+	c := New(Options{WindowCycles: 10_000, Registry: reg})
+	const n = ringSize + 2
+	var committed, flushes uint64
+	for i := 0; i < n; i++ {
+		w := window(i)
+		w.Flushes = uint64(i)
+		committed += w.Committed
+		flushes += w.Flushes
+		c.Record(w)
 	}
-	if got := c.Windows(); got != 6 {
-		t.Fatalf("windows = %d, want 6", got)
+	if got := c.Windows(); got != n {
+		t.Fatalf("windows = %d, want %d", got, n)
 	}
-	// The ring keeps only the last 4.
+	// The ring keeps only the last ringSize.
 	ring := c.Ring()
-	if len(ring) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(ring))
+	if len(ring) != ringSize {
+		t.Fatalf("ring len = %d, want %d", len(ring), ringSize)
 	}
-	if ring[0].Index != 2 || ring[3].Index != 5 {
-		t.Fatalf("ring order wrong: first=%d last=%d", ring[0].Index, ring[3].Index)
+	if ring[0].Index != 2 || ring[ringSize-1].Index != n-1 {
+		t.Fatalf("ring order wrong: first=%d last=%d", ring[0].Index, ring[ringSize-1].Index)
 	}
 	last, ok := c.Last()
-	if !ok || last.Index != 5 {
+	if !ok || last.Index != n-1 {
 		t.Fatalf("last = %+v ok=%v", last, ok)
 	}
 	s := c.Snapshot()
-	if s.Windows != 6 || s.Cycle != 60_000 {
+	if s.Windows != n || s.Cycle != n*10_000 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if s.Counters["sim.committed"] != 7 {
-		t.Fatalf("snapshot counter = %v", s.Counters)
+	// The sim.* metrics advance from the recorded windows (registering a
+	// name again returns the live instrument).
+	if got := reg.Counter("sim.committed", "").Value(); got != committed {
+		t.Fatalf("sim.committed = %d, want %d", got, committed)
 	}
-	if s.Gauges["sim.cycle"] != 42 {
-		t.Fatalf("snapshot gauge = %v", s.Gauges)
+	if got := reg.Counter("sim.flushes", "").Value(); got != flushes {
+		t.Fatalf("sim.flushes = %d, want %d", got, flushes)
+	}
+	if got := reg.Gauge("sim.cycle", "").Value(); got != float64(last.EndCycle) {
+		t.Fatalf("sim.cycle = %v, want %d", got, last.EndCycle)
 	}
 	if s.CumAVF[avf.IQ.String()] != last.CumAVF[avf.IQ.String()] {
 		t.Fatalf("snapshot cum AVF mismatch")
-	}
-}
-
-func TestCounterRegistryReturnsSameInstance(t *testing.T) {
-	c := New(Options{})
-	a := c.Counter("x")
-	b := c.Counter("x")
-	if a != b {
-		t.Fatal("registry returned distinct counters for one name")
-	}
-	a.Add(3)
-	if b.Value() != 3 {
-		t.Fatalf("shared counter value = %d", b.Value())
-	}
-	if counters := c.Snapshot().Counters; len(counters) != 1 || counters["x"] != 3 {
-		t.Fatalf("snapshot counters = %v, want only x=3", counters)
 	}
 }
 
@@ -206,7 +189,7 @@ func TestRingWrapAround(t *testing.T) {
 func TestDebugServerEndpoints(t *testing.T) {
 	c := New(Options{WindowCycles: 1000})
 	c.Record(window(0))
-	d, err := ServeDebug("127.0.0.1:0", c, nil)
+	d, err := ServeDebug("127.0.0.1:0", nil, nil, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,15 +356,16 @@ func (s *Simulator) markUsed() error {
 	return nil
 }
 
-// Telemetry is a cycle-windowed live-metrics collector: attach one with
+// Telemetry is a cycle-windowed series collector: attach one with
 // WithTelemetry and the run emits a per-window time-series of
 // IPC, per-structure AVF, occupancy, and event counters — to JSONL/CSV
 // exporters, an in-memory ring buffer, and the optional debug HTTP
 // server. See docs/telemetry.md.
 type Telemetry = telemetry.Collector
 
-// TelemetryOptions parameterizes a Telemetry collector (window length in
-// cycles, ring size, progress logger).
+// TelemetryOptions parameterizes a Telemetry collector: window length in
+// cycles, progress logger, and the MetricsRegistry the collector advances
+// its sim.* metrics on (nil: no live metrics).
 type TelemetryOptions = telemetry.Options
 
 // TelemetryWindow is one completed sampling interval of the series.
@@ -535,8 +536,11 @@ func CrossValidate(meta CrossValMeta, res *Results, stats *InjectStats) *CrossVa
 type Observability = obs.Observability
 
 // MetricsRegistry is the typed metrics registry of the observability
-// layer: counters and gauges, exposed as OpenMetrics text. Registration
-// takes a short lock; the returned handles update with plain atomics.
+// layer and the one home of every live metric: counters and gauges,
+// exposed as OpenMetrics text. With WithObservability, New registers the
+// fault campaign's, propagation tracer's and CPI-stack observer's
+// metrics on the Observability's registry. Registration takes a short
+// lock; the returned handles update with plain atomics.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry builds a registry pre-populated with the process
