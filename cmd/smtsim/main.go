@@ -33,11 +33,13 @@
 // the point with "/" replaced by "_". -inject-report collects every
 // point's cross-validation report in one file, and -dumpspec and
 // -dumpconfig print one document per point. The flags that write a
-// single run's file (-telemetry, -pipetrace, -cpistack-out,
-// -propagation-out) are rejected for several points.
+// single run's file (-telemetry, -pipetrace, -propagation-out) are
+// rejected for several points.
 //
-// With -telemetry the run emits a cycle-windowed time-series (JSONL, or
-// CSV if the path ends in .csv); with -debug-addr a live HTTP server
+// With -telemetry the run emits a cycle-windowed time-series (JSONL, CSV
+// if the path ends in .csv, Chrome trace_event counters if it ends in
+// .json); -phases must then equal -telemetry-window, since the phases
+// are read from the same windows. With -debug-addr a live HTTP server
 // exposes /telemetry, /debug/metrics (OpenMetrics),
 // /debug/progress, and /debug/pprof/ while the run is in flight, and
 // follows each point of a matrix as it runs.
@@ -66,11 +68,11 @@
 //
 // With -cpistack the run attributes every thread-cycle to a CPI-stack
 // component and decomposes structure occupancy by ACE fate, printing both
-// tables after the run; -cpistack-out writes the windowed series (.csv
-// CSV, .json Chrome trace_event counters, else JSONL; docs/cpistack.md):
+// tables after the run; with -telemetry too, every window of the series
+// carries its stack and fate split (docs/cpistack.md):
 //
 //	smtsim -bench mcf,gcc -instructions 20000 -cpistack
-//	smtsim -mix 2ctx-MIX-A -policy FLUSH -cpistack-out stacks.jsonl
+//	smtsim -mix 2ctx-MIX-A -policy FLUSH -cpistack -telemetry stacks.jsonl
 //
 // With -inject -propagation the run additionally taint-tracks sampled
 // strikes through the recorded dataflow and prints the fault-propagation
@@ -148,7 +150,7 @@ func main() {
 	if s.logger, err = logFlags.Logger(os.Stderr); err != nil {
 		fatal(err)
 	}
-	for _, validate := range []func() error{s.tel.Validate, s.inj.Validate, s.prop.Validate, s.cpi.Validate, s.obsFlags.Validate} {
+	for _, validate := range []func() error{s.tel.Validate, s.inj.Validate, s.prop.Validate, s.obsFlags.Validate} {
 		if err := validate(); err != nil {
 			fatal(err)
 		}
@@ -214,8 +216,7 @@ func main() {
 	s.multi = len(points) > 1
 	if s.multi {
 		for _, f := range []struct{ name, val string }{
-			{"telemetry", s.tel.Path}, {"pipetrace", s.pt.Path}, {"cpistack-out", s.cpi.Out},
-			{"propagation-out", s.prop.Out},
+			{"telemetry", s.tel.Path}, {"pipetrace", s.pt.Path}, {"propagation-out", s.prop.Out},
 		} {
 			if f.val != "" {
 				fatal(fmt.Errorf("-%s writes a single run's file, but %s expands to %d points (use -telemetry-dir for per-point series)", f.name, *specPath, len(points)))
@@ -241,6 +242,11 @@ func main() {
 		}
 		if s.prop.Enabled() && p.Inject == nil {
 			fatal(fmt.Errorf("-propagation needs the strike campaign: pass -inject"))
+		}
+		// One roll feeds the telemetry series and the phases, so their
+		// periods must agree; neither is changed behind the user's back.
+		if iv := p.PhaseInterval; iv != 0 && s.tel.Enabled() && iv != s.tel.Window {
+			fatal(fmt.Errorf("-phases %d differs from -telemetry-window %d: the phases are read from the telemetry windows, so give both one period", iv, s.tel.Window))
 		}
 	}
 
@@ -410,10 +416,11 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		opts.Propagation = tracer
 	}
 	// Explainability observer: per-thread CPI stacks plus occupancy-by-fate,
-	// printed after the run and optionally exported as a windowed series.
+	// printed after the run; each telemetry window carries its slice of
+	// both, and -telemetry-window paces the observer's live gauges.
 	var stack *cpistack.Observer
-	if s.cpi.Enabled() {
-		stack = cpistack.New(s.cpi.Options())
+	if s.cpi.On {
+		stack = cpistack.New(cpistack.Options{WindowCycles: s.tel.Window})
 		opts.CPIStack = stack
 	}
 	// Pipeline flight recorder, when a trace file or provenance report is
@@ -476,13 +483,6 @@ func (s *session) run(i int, p campaign.Spec, rv *campaign.Resolved) {
 		ptWritten = true
 		man.AddArtifact("pipetrace", s.pt.Path)
 		s.logger.Info("pipetrace written", "path", s.pt.Path, "records", rec.Len())
-	}
-	if stack != nil && s.cpi.Out != "" {
-		if err := stack.WriteFile(s.cpi.Out); err != nil {
-			fatal(fmt.Errorf("cpistack-out: %w", err))
-		}
-		man.AddArtifact("cpistack", s.cpi.Out)
-		s.logger.Info("cpistack series written", "path", s.cpi.Out, "windows", len(stack.Windows()))
 	}
 	var (
 		xval  *crossval.Report

@@ -191,10 +191,31 @@ func TestMatrixArtifacts(t *testing.T) {
 		}
 	}
 
-	for _, flag := range []string{"-telemetry", "-pipetrace", "-cpistack-out", "-propagation-out"} {
+	for _, flag := range []string{"-telemetry", "-pipetrace", "-propagation-out"} {
 		_, stderr, err := execSmtsim("-spec", sweep, "-inject", flag, filepath.Join(dir, "out.jsonl"))
 		if err == nil || !strings.Contains(stderr, flag+" writes a single run's file") {
 			t.Errorf("%s with 4 points: err %v, stderr %q; want a refusal", flag, err, stderr)
 		}
+	}
+}
+
+// TestPhasesNeedTheTelemetryWindow: the phases are read from the
+// telemetry windows, so -phases beside a telemetry sink of another
+// -telemetry-window is refused with both flags named, and is accepted
+// with the same period.
+func TestPhasesNeedTheTelemetryWindow(t *testing.T) {
+	series := filepath.Join(t.TempDir(), "run.jsonl")
+	_, stderr, err := execSmtsim("-bench", "gcc", "-instructions", "2000", "-phases", "1000", "-telemetry", series)
+	if err == nil || !strings.Contains(stderr, "-phases 1000") || !strings.Contains(stderr, "-telemetry-window 10000") {
+		t.Fatalf("-phases 1000 beside -telemetry-window 10000: err %v, stderr %q; want a refusal naming both", err, stderr)
+	}
+	out := runSmtsim(t, "-bench", "gcc", "-instructions", "2000", "-phases", "1000",
+		"-telemetry", series, "-telemetry-window", "1000", "-json", "-log-level", "warn")
+	var res core.Results
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) == 0 {
+		t.Fatal("no phases with -phases equal to -telemetry-window")
 	}
 }

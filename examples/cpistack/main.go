@@ -5,13 +5,16 @@
 // causal chain the paper argues — FLUSH squashes the pipeline behind
 // every L2 miss, so IQ occupancy drops, and the IQ AVF drops with it.
 //
-// Usage: cpistack [out.jsonl|out.csv|out.json]
-// With an argument, the ICOUNT run's windowed series is also written to
-// that path (.csv for CSV, .json for Chrome trace_event counters,
-// otherwise JSONL; .gz compresses).
+// Usage: cpistack [out.jsonl]
+// With an argument, the ICOUNT run also carries a telemetry collector and
+// its series is written to that path as JSONL: one 5k-cycle window per
+// line, each with the window's CPI stack ("stack") and occupancy-by-fate
+// split ("fates") beside its IPC and AVF. smtsim -cpistack -telemetry
+// writes the same series (as CSV or Chrome trace_event counters too).
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -36,10 +39,15 @@ func main() {
 		cfg.Seed = 42
 		cfg.Policy = pol
 
-		stack := smtavf.NewCPIStack(smtavf.CPIStackOptions{WindowCycles: 5_000})
+		stack := smtavf.NewCPIStack(smtavf.CPIStackOptions{})
+		var tel *smtavf.Telemetry
+		if name == "ICOUNT" && len(os.Args) > 1 {
+			tel = smtavf.NewTelemetry(smtavf.TelemetryOptions{WindowCycles: 5_000})
+		}
 		sim, err := smtavf.New(cfg,
 			smtavf.WithBenchmarks("mcf", "gcc"),
-			smtavf.WithCPIStack(stack))
+			smtavf.WithCPIStack(stack),
+			smtavf.WithTelemetry(tel))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,12 +67,12 @@ func main() {
 			float64(stack.Capacity(smtavf.IQ)*(end-start))
 		runs = append(runs, run{name, stack, occ, res.StructAVF(smtavf.IQ)})
 
-		if name == "ICOUNT" && len(os.Args) > 1 {
-			if err := stack.WriteFile(os.Args[1]); err != nil {
+		if tel != nil {
+			wins := tel.Ring()
+			if err := writeSeries(os.Args[1], wins); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("windowed series (%d windows) written to %s\n\n",
-				len(stack.Windows()), os.Args[1])
+			fmt.Printf("windowed series (%d windows) written to %s\n\n", len(wins), os.Args[1])
 		}
 	}
 
@@ -74,4 +82,20 @@ func main() {
 	fmt.Printf("  IQ AVF        ICOUNT %5.1f%%  ->  FLUSH %5.1f%%\n", 100*ico.avf, 100*fl.avf)
 	fmt.Println("FLUSH drains the queues behind every L2 miss: fewer resident")
 	fmt.Println("bits means fewer ACE bits, so vulnerability falls with occupancy.")
+}
+
+// writeSeries writes the windows as JSONL, one window per line.
+func writeSeries(path string, wins []smtavf.TelemetryWindow) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	for _, w := range wins {
+		if err := enc.Encode(w); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }

@@ -144,6 +144,8 @@ var badSubmissions = []string{
 	`{"base":{"mix":"4ctx-MIX-A","shards":4}}`,
 	`{"base":{"mix":"4ctx-MIX-A","shard_workers":2}}`,
 	`{"base":{"mix":"4ctx-MIX-A","shard_warmup_window":4096}}`,
+	// The retired explain window.
+	`{"base":{"mix":"2ctx-MIX-A","explain":{"window":5000}}}`,
 }
 
 func TestHTTPStream(t *testing.T) {

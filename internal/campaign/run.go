@@ -34,18 +34,24 @@ type Options struct {
 // the pipeline observers in a fixed order: telemetry, pipetrace, the
 // strike campaign, propagation, and last the CPI-stack observer, which
 // joins the campaign's tracker sink through AddSink. It is also the one
-// place the observers publish their live metrics, on opts.Obs.
+// place the observers publish their live metrics, on opts.Obs. The
+// telemetry windows are what advance the run's progress, so an Obs
+// carrying a Progress and no collector gets one without exporters, on
+// cfg.PhaseInterval's period when that is set.
 func Build(cfg core.Config, srcs []core.Source, opts Options) (*Sim, error) {
 	proc, err := core.NewFromSources(cfg, srcs)
 	if err != nil {
 		return nil, err
 	}
-	sim := &Sim{proc: proc}
+	sim := &Sim{proc: proc, warmup: cfg.Warmup}
 	if o := opts.Obs; o != nil {
 		sim.prog = o.Progress
 		opts.Inject.Publish(o.Registry, o.Progress)
 		opts.Propagation.Publish(o.Registry)
 		opts.CPIStack.Publish(o.Registry)
+		if o.Progress != nil && opts.Telemetry == nil {
+			opts.Telemetry = telemetry.New(telemetry.Options{WindowCycles: cfg.PhaseInterval, Registry: o.Registry})
+		}
 	}
 	if opts.Telemetry != nil {
 		proc.SetTelemetry(opts.Telemetry)
@@ -71,14 +77,16 @@ func Build(cfg core.Config, srcs []core.Source, opts Options) (*Sim, error) {
 // Sim is one assembled simulation: a processor with its observers
 // attached. It is single-shot.
 type Sim struct {
-	proc *core.Processor
-	prog *obs.Progress // tracks the "run" phase
+	proc   *core.Processor
+	prog   *obs.Progress // tracks the "run" phase
+	warmup uint64        // commits before measurement, on the run phase's axis
 }
 
 // Run simulates until total instructions commit across all threads: the
-// paper's stop rule, under which faster threads commit more.
+// paper's stop rule, under which faster threads commit more. The run
+// phase counts every commit, so its total includes the warmup.
 func (s *Sim) Run(total uint64) (*core.Results, error) {
-	s.prog.Phase("run", total)
+	s.prog.Phase("run", s.warmup+total)
 	return s.proc.Run(core.Limits{TotalInstructions: total})
 }
 

@@ -84,3 +84,39 @@ func TestBuildPublishesEveryFamily(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProgressFollowsRun: a Build given a Progress and no collector
+// still advances the run phase window by window, and the phase's total
+// counts the warmup commits its done count includes.
+func TestRunProgressFollowsRun(t *testing.T) {
+	rv, err := Spec{Benchmarks: []string{"gcc", "mcf"}, Instructions: 6_000, Warmup: 2_000}.Resolve(Defaults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := obs.NewProgress(obs.ProgressOptions{Heartbeat: -1})
+	res, err := rv.Run(Options{Obs: &obs.Observability{Progress: prog}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := prog.Snapshot()
+	if snap.Phase != "run" || snap.Total != 8_000 {
+		t.Fatalf("run phase %q totals %d, want run over 8000 (warmup + measured)", snap.Phase, snap.Total)
+	}
+	if width := uint64(rv.Config.CommitWidth); snap.Done < snap.Total || snap.Done-snap.Total > width {
+		t.Errorf("run phase ended at done=%d, want within %d of total %d", snap.Done, width, snap.Total)
+	}
+	// The progress cycle is absolute, like the windows' cycles, so it ends
+	// Results.Cycles past the rebase; a twin run's collector names that
+	// cycle.
+	col := telemetry.New(telemetry.Options{})
+	if _, err := rv.Run(Options{Telemetry: col}); err != nil {
+		t.Fatal(err)
+	}
+	rebase := col.Snapshot().RebaseCycle
+	if rebase == 0 {
+		t.Fatal("twin run recorded no rebase")
+	}
+	if snap.Cycle != rebase+res.Cycles {
+		t.Errorf("run phase ended at cycle %d, want %d (rebase %d + Results.Cycles %d)", snap.Cycle, rebase+res.Cycles, rebase, res.Cycles)
+	}
+}

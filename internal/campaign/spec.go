@@ -130,9 +130,6 @@ type PropagationSpec struct {
 type ExplainSpec struct {
 	// Policies compared (default ICOUNT/STALL/FLUSH).
 	Policies []string `json:"policies,omitempty"`
-	// Window is the observer's accounting window in cycles (default
-	// cpistack.DefaultWindowCycles).
-	Window uint64 `json:"window,omitempty"`
 }
 
 // Kind returns what the spec runs.

@@ -222,6 +222,9 @@ var invalidSpecDocs = []string{
 	`{"v":1,"mix":"4ctx-MIX-A","shards":1}`,
 	`{"base":{"mix":"4ctx-MIX-A","shard_workers":2}}`,
 	`{"base":{"mix":"4ctx-MIX-A","shard_warmup_window":4096}}`,
+	// The retired explain window: the observer's series is the telemetry
+	// window's now.
+	`{"v":1,"benchmarks":["mcf","gcc"],"explain":{"policies":["ICOUNT","FLUSH"],"window":5000}}`,
 }
 
 func TestReadSpecFileRejectsInvalid(t *testing.T) {
@@ -283,7 +286,7 @@ func FuzzReadFile(f *testing.F) {
 		`{"v":1,"mix":"2ctx-MIX-A","crossval":{"seeds":[1,2,3]},"inject":{"stop":{"half_width":0.05}}}`,
 		`{"v":1,"mix":"2ctx-MEM-A","propagation":{"strikes":8,"options":{"max_hops":4}}}`,
 		`{"v":1,"mix":"2ctx-MEM-A","propagation":{"strikes":8,"options":{"cap":4096,"max_hops":4,"max_nodes":64,"max_recorded_hops":8}}}`,
-		`{"v":1,"benchmarks":["mcf","gcc"],"explain":{"policies":["ICOUNT","FLUSH"],"window":5000}}`,
+		`{"v":1,"benchmarks":["mcf","gcc"],"explain":{"policies":["ICOUNT","FLUSH"]}}`,
 		`{"v":1,"trace_files":["a.trc","b.trc"],"no_warmup":true,"phase_interval":256}`,
 	} {
 		f.Add(doc)

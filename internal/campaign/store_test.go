@@ -54,6 +54,36 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreLoadsRetiredExplainWindow: an explain point an older avfd
+// stored with "window" still loads and resumes. The field set only the
+// observer's live-gauge period, which an explain point never publishes.
+func TestStoreLoadsRetiredExplainWindow(t *testing.T) {
+	dir := t.TempDir()
+	const id = "20261001T080000-0000abcd"
+	if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stored := `{"v":1,"id":"` + id + `","name":"old","issued":"2026-10-01T08:00:00Z","points":[
+	  {"v":1,"mix":"2ctx-MIX-A","explain":{"policies":["ICOUNT","FLUSH"],"window":5000}}]}`
+	if err := os.WriteFile(filepath.Join(dir, id, "campaign.json"), []byte(stored), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := st.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lc.Points) != 1 || lc.Points[0].Kind() != KindExplain || len(lc.Refused) != 0 {
+		t.Fatalf("loaded points %+v (refused %v), want one resumable explain point", lc.Points, lc.Refused)
+	}
+	if _, err := lc.Points[0].Resolve(Defaults{}); err != nil {
+		t.Fatalf("stored explain point does not resolve: %v", err)
+	}
+}
+
 // TestStoreTruncatedResult simulates a SIGKILL mid-append: the trailing
 // partial line must be skipped, losing only that point.
 func TestStoreTruncatedResult(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"smtavf/internal/cpistack"
 	"smtavf/internal/jsonlio"
 	"smtavf/internal/obs"
 	"smtavf/internal/pipetrace"
@@ -151,35 +150,16 @@ func (p *Propagation) Validate() error {
 	return nil
 }
 
-// CPIStack is the explainability flag group (-cpistack, -cpistack-out,
-// -cpistack-window).
+// CPIStack is the explainability flag group (-cpistack). Its windowed
+// series rides on the telemetry windows (-telemetry), whose
+// -telemetry-window also sets the observer's live-gauge period.
 type CPIStack struct {
-	On     bool
-	Out    string
-	Window uint64
+	On bool
 }
 
-// Register binds the CPI-stack flags.
+// Register binds the CPI-stack flag.
 func (c *CPIStack) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.On, "cpistack", false, help("cpistack"))
-	fs.StringVar(&c.Out, "cpistack-out", "", help("cpistack-out"))
-	fs.Uint64Var(&c.Window, "cpistack-window", cpistack.DefaultWindowCycles, help("cpistack-window"))
-}
-
-// Enabled reports whether CPI-stack accounting was requested.
-func (c *CPIStack) Enabled() bool { return c.On || c.Out != "" }
-
-// Validate rejects meaningless settings.
-func (c *CPIStack) Validate() error {
-	if c.Enabled() && c.Window == 0 {
-		return fmt.Errorf("-cpistack-window must be positive")
-	}
-	return nil
-}
-
-// Options builds the observer options from the flags.
-func (c *CPIStack) Options() cpistack.Options {
-	return cpistack.Options{WindowCycles: c.Window}
 }
 
 // PipeTrace is the pipeline flight-recorder flag group (-pipetrace,

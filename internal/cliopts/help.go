@@ -32,9 +32,7 @@ var helpText = map[string]string{
 	"propagation-top":     "root-cause instructions shown in the atlas tables",
 
 	// CPIStack
-	"cpistack":        "attribute every thread-cycle to a CPI-stack component and decompose structure occupancy by ACE fate; prints the stack and occupancy tables",
-	"cpistack-out":    "write the windowed CPI-stack/occupancy series to this file (.csv for CSV, .json for Chrome trace_event counters, else JSONL, .gz compresses; enables -cpistack)",
-	"cpistack-window": "CPI-stack accounting window in cycles",
+	"cpistack": "attribute every thread-cycle to a CPI-stack component and decompose structure occupancy by ACE fate; prints the stack and occupancy tables",
 
 	// PipeTrace
 	"pipetrace":        "record per-uop pipeline lifecycles to this file (.kanata/.kan Kanata, .json Chrome trace_event, else JSONL; .gz compresses)",

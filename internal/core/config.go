@@ -71,7 +71,10 @@ type Config struct {
 	// PhaseInterval cycles into Results.Phases — the AVF phase-behaviour
 	// view of Fu et al. (MASCOTS 2006), which the paper builds on. Note
 	// that residency is booked when state *leaves* a structure, so a long
-	// stall's contribution lands in the phase where it ends.
+	// stall's contribution lands in the phase where it ends. The phases
+	// are the measured telemetry windows, so with a collector attached
+	// PhaseInterval must equal its window (Run refuses a mismatch); without
+	// one it sets the window clock's period.
 	PhaseInterval uint64
 
 	// Warmup commits this many instructions before measurement begins,

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"smtavf/internal/avf"
+	"smtavf/internal/telemetry"
 )
 
 func TestPhaseSampling(t *testing.T) {
@@ -52,6 +57,66 @@ func TestPhaseSampling(t *testing.T) {
 	}
 	if got := ipcw / float64(res.Cycles); math.Abs(got-res.IPC()) > 1e-9 {
 		t.Fatalf("phase-weighted IPC %v vs run IPC %v", got, res.IPC())
+	}
+
+	// The phases are the measured telemetry windows: these digests of the
+	// whole Results JSON were taken when phases had a sampler of their
+	// own, and hold with or without a collector on the same window.
+	for _, tc := range []struct {
+		benches  []string
+		warmup   uint64
+		interval uint64
+		col      bool
+		digest   string
+	}{
+		{[]string{"gcc", "mcf"}, 0, 1_000, false, "46dad2a981a65ff19e2b623009a48e5dd16399328d2d23caa853f74baa6cb01d"},
+		{[]string{"gcc", "mcf"}, 5_000, 1_000, false, "c0c7fd9d5490b47deacffd0eeb1a2eb3ebcf405169b89442e58725e81557fc6c"},
+		{[]string{"mcf", "equake", "vpr", "swim"}, 4_000, 2_500, false, "3c38db0a4adfba6f3ede292c36234124acf9ebce49066c0545c44f54c0ac4580"},
+		{[]string{"mcf", "equake", "vpr", "swim"}, 4_000, 2_500, true, "3c38db0a4adfba6f3ede292c36234124acf9ebce49066c0545c44f54c0ac4580"},
+	} {
+		name := fmt.Sprintf("%s/warmup=%d/interval=%d/collector=%v", strings.Join(tc.benches, ","), tc.warmup, tc.interval, tc.col)
+		cfg := DefaultConfig(len(tc.benches))
+		cfg.Warmup = tc.warmup
+		cfg.PhaseInterval = tc.interval
+		proc, err := New(cfg, profilesFor(t, tc.benches))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.col {
+			proc.SetTelemetry(telemetry.New(telemetry.Options{WindowCycles: tc.interval}))
+		}
+		res, err := proc.Run(Limits{TotalInstructions: 30_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.digest {
+			t.Errorf("%s: Results digest %s, want %s", name, got, tc.digest)
+		}
+	}
+}
+
+// TestPhaseIntervalMustMatchTelemetryWindow: one roll feeds the collector
+// and the phases, so Run refuses two different periods and names both.
+func TestPhaseIntervalMustMatchTelemetryWindow(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.PhaseInterval = 1_000
+	proc, err := New(cfg, profilesFor(t, []string{"gcc"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.SetTelemetry(telemetry.New(telemetry.Options{WindowCycles: 2_500}))
+	_, err = proc.Run(Limits{TotalInstructions: 1_000})
+	if err == nil {
+		t.Fatal("Run accepted a phase interval unlike the telemetry window")
+	}
+	for _, v := range []string{"1000", "2500"} {
+		if !strings.Contains(err.Error(), v) {
+			t.Errorf("error %q does not name %s", err, v)
+		}
 	}
 }
 

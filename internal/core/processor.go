@@ -68,12 +68,6 @@ type Processor struct {
 	lastCommitCycle uint64
 	totalQuota      uint64
 
-	// Phase sampling state (Config.PhaseInterval).
-	phases      []Phase
-	phaseCycle  uint64
-	phaseCommit uint64
-	phaseACE    [avf.NumStructs]uint64
-
 	// Measurement window (Config.Warmup rebases these).
 	measureStart  uint64
 	warmCommitted uint64
@@ -81,11 +75,15 @@ type Processor struct {
 	warmThread    []ThreadStats
 	warmCounters  MachineCounters
 
-	// Telemetry (SetTelemetry). tel is nil when disabled.
-	tel      *telemetry.Collector
-	telBase  telemetrySnap
-	telNext  uint64
-	telIndex int
+	// The window clock (telemetry.go): every telCycles cycles one roll
+	// feeds the collector (SetTelemetry; nil when detached) and phases
+	// (Config.PhaseInterval). telNext is MaxUint64 when neither is set.
+	tel       *telemetry.Collector
+	telCycles uint64
+	telBase   telemetrySnap
+	telNext   uint64
+	telIndex  int
+	phases    []Phase
 
 	// Retire observers (SetPipeTrace, SetPropagation, SetCPIStack,
 	// AttachObserver) in attach order. Every classification site after the
@@ -282,6 +280,10 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 	if lim.PerThread != nil && len(lim.PerThread) != len(p.threads) {
 		return nil, fmt.Errorf("core: %d per-thread limits for %d threads", len(lim.PerThread), len(p.threads))
 	}
+	var err error
+	if p.telCycles, err = p.windowCycles(); err != nil {
+		return nil, err
+	}
 	for i, t := range p.threads {
 		if lim.PerThread != nil {
 			t.quota = lim.PerThread[i]
@@ -305,9 +307,7 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 		return nil
 	}
 
-	if p.tel != nil {
-		p.telemetryStart()
-	}
+	p.telemetryStart()
 
 	if p.cfg.Warmup > 0 {
 		if lim.PerThread != nil {
@@ -322,7 +322,7 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 				return nil, fmt.Errorf("during warmup: %w", err)
 			}
 			p.step()
-			if p.tel != nil && p.now >= p.telNext {
+			if p.now >= p.telNext {
 				p.telemetryRoll(false)
 			}
 		}
@@ -334,18 +334,12 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 			return nil, err
 		}
 		p.step()
-		if iv := p.cfg.PhaseInterval; iv > 0 && p.now-p.phaseCycle >= iv {
-			p.samplePhase()
-		}
-		if p.tel != nil && p.now >= p.telNext {
+		if p.now >= p.telNext {
 			p.telemetryRoll(false)
 		}
 	}
 	p.closeAccounting()
-	if p.cfg.PhaseInterval > 0 && p.now > p.phaseCycle {
-		p.samplePhase() // close the final partial phase
-	}
-	if p.tel != nil {
+	if p.telCycles > 0 {
 		// The final roll runs after closeAccounting so the intervals of
 		// still-in-flight state land in the last window, keeping its
 		// cumulative AVF identical to the end-of-run report.
@@ -358,7 +352,7 @@ func (p *Processor) Run(lim Limits) (*Results, error) {
 // the microarchitectural state (caches, predictors, in-flight pipeline)
 // stays warm.
 func (p *Processor) rebaseMeasurement() {
-	if p.tel != nil {
+	if p.telCycles > 0 {
 		// Close the partial warmup window before the accumulators reset,
 		// so no window mixes warmup-era and measured intervals.
 		p.telemetryRoll(false)
@@ -379,38 +373,8 @@ func (p *Processor) rebaseMeasurement() {
 		t.recentACE = 0
 	}
 	p.warmCounters = p.counters()
-	p.phaseCycle = p.now
-	p.phaseCommit = p.totalCommitted
-	p.phaseACE = [avf.NumStructs]uint64{}
-	if p.tel != nil {
-		p.tel.Rebase(p.now)
-		p.telemetryStart() // re-baseline: the tracker was just zeroed
-	}
-}
-
-// samplePhase records the IPC and per-structure AVF of the interval since
-// the previous sample.
-func (p *Processor) samplePhase() {
-	dCycles := p.now - p.phaseCycle
-	if dCycles == 0 {
-		return
-	}
-	ph := Phase{
-		Cycle:     p.now - p.measureStart, // relative to the measurement window
-		Committed: p.totalCommitted - p.phaseCommit,
-	}
-	ph.IPC = float64(ph.Committed) / float64(dCycles)
-	for s := avf.Struct(0); s < avf.NumStructs; s++ {
-		ace := p.trk.ACEBitCycles(s)
-		den := float64(p.trk.Bits(s)) * float64(dCycles)
-		if den > 0 {
-			ph.AVF[s] = float64(ace-p.phaseACE[s]) / den
-		}
-		p.phaseACE[s] = ace
-	}
-	p.phaseCycle = p.now
-	p.phaseCommit = p.totalCommitted
-	p.phases = append(p.phases, ph)
+	p.tel.Rebase(p.now)
+	p.telemetryStart() // re-baseline: the tracker was just zeroed
 }
 
 // done reports whether the run limits are satisfied. The total-instruction

@@ -54,9 +54,10 @@ type MachineStats struct {
 }
 
 // Phase is one sampled interval of a run (Config.PhaseInterval): the IPC
-// and per-structure AVF of that interval alone.
+// and per-structure AVF of that interval alone, read from the measured
+// telemetry window that covers it.
 type Phase struct {
-	Cycle     uint64 // end cycle of the interval
+	Cycle     uint64 // end cycle of the interval, counted from the end of warmup
 	Committed uint64 // instructions committed within the interval
 	IPC       float64
 	AVF       [avf.NumStructs]float64

@@ -1,5 +1,5 @@
 // Package cpistack is the explainability observer: per-thread cycle
-// accounting joined with a windowed occupancy-by-fate decomposition of the
+// accounting joined with an occupancy-by-fate decomposition of the
 // AVF-tracked structures.
 //
 // The AVF report says *how vulnerable* each structure was; this package
@@ -9,10 +9,15 @@
 // or idle), so per-thread components sum to the measured cycles — a CPI
 // stack in the cycle-accounting tradition. Alongside, every classified
 // residency interval of the occupancy-tracked structures (IQ, ROB, LSQ
-// tag/data, FU, Reg) is split across the same cycle windows by its
-// avf.Fate, using the tracker's exact clipped-interval arithmetic, so the
-// windowed occupancy-by-fate bit-cycles sum to the tracker's ACE/un-ACE
-// totals bit for bit. A window then reads "the IQ was 78% occupied, 61%
+// tag/data, FU, Reg) is booked by its avf.Fate when it is classified,
+// using the tracker's exact clipped-interval arithmetic, so the
+// occupancy-by-fate bit-cycles sum to the tracker's ACE/un-ACE totals bit
+// for bit.
+//
+// The observer keeps run totals only. The windowed series is the
+// telemetry collector's: with the observer attached, every telemetry
+// window carries the interval's stack and fate split, diffed from these
+// totals at each roll, so a window reads "the IQ was 78% occupied, 61%
 // of that ACE, while thread 1 spent 70% of its cycles L2-miss-stalled" —
 // the causal chain (fetch policy → occupancy → ACE composition → AVF) the
 // paper argues, observable per interval.
@@ -104,19 +109,22 @@ func OccupancyStructs() []avf.Struct {
 	return []avf.Struct{avf.IQ, avf.ROB, avf.LSQTag, avf.LSQData, avf.FU, avf.Reg}
 }
 
-// DefaultWindowCycles is the default sampling window, matching telemetry.
+// DefaultWindowCycles is the default live-gauge period, matching
+// telemetry's default window.
 const DefaultWindowCycles = 10_000
 
 // Options parameterizes an Observer.
 type Options struct {
-	// WindowCycles is the accounting window length (default 10k cycles).
+	// WindowCycles is the period of the live component-share gauges
+	// (Publish; default 10k cycles). It sets no series: the windowed
+	// stack is the telemetry window's.
 	WindowCycles uint64
 }
 
 // Observer accumulates the per-thread CPI stack and the occupancy-by-fate
-// series. Attach with the facade's WithCPIStack (campaign.Options.CPIStack);
-// all methods are nil-receiver no-ops so a detached observer costs
-// nothing.
+// totals. Attach with the facade's WithCPIStack
+// (campaign.Options.CPIStack); all methods are nil-receiver no-ops so a
+// detached observer costs nothing.
 //
 // Ownership: Record copies everything it keeps out of the pool slot
 // before returning (docs/performance.md).
@@ -126,28 +134,23 @@ type Observer struct {
 	caps    [avf.NumStructs]uint64 // structure capacities (AVF denominators)
 	threads int
 
-	base uint64 // measurement origin: windows index from here, spans clip here
+	base uint64 // measurement origin: spans clip here
 	max  uint64 // one past the last accounted cycle
 
-	wins []windowAcc
-
-	// Cumulative accounts (equal to the window sums; kept for O(1) totals).
 	stack [][NumComponents]uint64              // [tid][comp] cycles
 	occ   [avf.NumStructs][avf.NumFates]uint64 // bit-cycles by fate
 
-	// Live gauges (Publish); nil-receiver no-ops when unpublished.
-	gComp [NumComponents]*obs.Gauge
-	gOcc  [avf.NumStructs]*obs.Gauge
-	gACE  [avf.NumStructs]*obs.Gauge
-	gWins *obs.Gauge
-}
-
-// windowAcc is one in-memory accounting window. Residency classification
-// lags residency by the pipeline depth, so closed windows keep receiving
-// occupancy back-fill until the run ends; export happens after the run.
-type windowAcc struct {
-	stack [][NumComponents]uint64
-	occ   [avf.NumStructs][avf.NumFates]uint64
+	// Live gauges (Publish); nil-receiver no-ops when unpublished. Only a
+	// published observer keeps live, the all-thread component cycles of
+	// the gauge window that ends at liveEnd; liveWins counts the windows
+	// begun.
+	gComp    [NumComponents]*obs.Gauge
+	gOcc     [avf.NumStructs]*obs.Gauge
+	gACE     [avf.NumStructs]*obs.Gauge
+	gWins    *obs.Gauge
+	live     [NumComponents]uint64
+	liveEnd  uint64
+	liveWins uint64
 }
 
 // New builds an observer. A zero WindowCycles selects DefaultWindowCycles.
@@ -169,19 +172,8 @@ func (o *Observer) Configure(bits pipeline.Bits, caps [avf.NumStructs]uint64, th
 	o.bits = bits
 	o.caps = caps
 	o.threads = threads
-	o.base = start
-	o.max = start
-	o.wins = o.wins[:0]
 	o.stack = make([][NumComponents]uint64, threads)
-	o.occ = [avf.NumStructs][avf.NumFates]uint64{}
-}
-
-// WindowCycles returns the configured window length.
-func (o *Observer) WindowCycles() uint64 {
-	if o == nil {
-		return 0
-	}
-	return o.window
+	o.Rebase(start)
 }
 
 // Threads returns the configured thread count.
@@ -199,24 +191,26 @@ func (o *Observer) Tick(now uint64, comps []Component) {
 	if o == nil {
 		return
 	}
-	idx := int((now - o.base) / o.window)
-	if idx >= len(o.wins) {
-		o.grow(idx)
-	}
-	w := &o.wins[idx]
 	for tid, c := range comps {
-		w.stack[tid][c]++
 		o.stack[tid][c]++
+	}
+	if o.gWins != nil {
+		if now >= o.liveEnd {
+			o.publish(now)
+		}
+		for _, c := range comps {
+			o.live[c]++
+		}
 	}
 	if now+1 > o.max {
 		o.max = now + 1
 	}
 }
 
-// Record accounts classified pool slot id's structure residencies, split
-// across windows by fate. It is fed at the same commit/squash/end-of-run
-// sites as the AVF tracker and uses the tracker's clipped-interval
-// arithmetic, so the per-fate sums reconcile with the tracker bit for bit.
+// Record accounts classified pool slot id's structure residencies by
+// fate. It is fed at the same commit/squash/end-of-run sites as the AVF
+// tracker and uses the tracker's clipped-interval arithmetic, so the
+// per-fate sums reconcile with the tracker bit for bit.
 // The retire cycle is unused: residencies carry their own positions.
 func (o *Observer) Record(pl *pipeline.Pool, id pipeline.UID, _ uint64, squashed bool) {
 	if o == nil {
@@ -246,7 +240,7 @@ func (o *Observer) Interval(s avf.Struct, tid int, bits, start, end uint64, ace 
 	o.addSpan(s, fate, bits, start, end)
 }
 
-// Rebase drops all warmup-era accounting and restarts the windows at
+// Rebase drops all warmup-era accounting and restarts the accounts at
 // cycle, mirroring the tracker's rebase (avf.RebaseObserver). The
 // processor calls it at the end of warmup; the tracker's sink notification
 // arrives too, and a second call with the same cycle is a no-op by
@@ -257,17 +251,18 @@ func (o *Observer) Rebase(cycle uint64) {
 	}
 	o.base = cycle
 	o.max = cycle
-	o.wins = o.wins[:0]
 	for tid := range o.stack {
 		o.stack[tid] = [NumComponents]uint64{}
 	}
 	o.occ = [avf.NumStructs][avf.NumFates]uint64{}
+	o.live = [NumComponents]uint64{}
+	o.liveEnd = cycle
+	o.liveWins = 0
 }
 
-// addSpan distributes bits×cycles of structure s's fate-f residency over
-// the windows the interval [start, end) overlaps, clipping at the
-// measurement origin exactly as avf.Tracker.AddInterval clips at its
-// rebase point.
+// addSpan books bits×cycles of structure s's fate-f residency over
+// [start, end), clipping at the measurement origin exactly as
+// avf.Tracker.AddInterval clips at its rebase point.
 func (o *Observer) addSpan(s avf.Struct, f avf.Fate, bits, start, end uint64) {
 	if start < o.base {
 		start = o.base
@@ -279,28 +274,6 @@ func (o *Observer) addSpan(s avf.Struct, f avf.Fate, bits, start, end uint64) {
 		o.max = end
 	}
 	o.occ[s][f] += bits * (end - start)
-	for start < end {
-		idx := int((start - o.base) / o.window)
-		if idx >= len(o.wins) {
-			o.grow(idx)
-		}
-		stop := o.base + uint64(idx+1)*o.window
-		if stop > end {
-			stop = end
-		}
-		o.wins[idx].occ[s][f] += bits * (stop - start)
-		start = stop
-	}
-}
-
-// grow appends windows through index idx and refreshes the live gauges
-// from the newly closed window — the only allocation the steady-state
-// hooks ever make, once per window.
-func (o *Observer) grow(idx int) {
-	for len(o.wins) <= idx {
-		o.wins = append(o.wins, windowAcc{stack: make([][NumComponents]uint64, o.threads)})
-	}
-	o.publish()
 }
 
 // CycleCount returns thread tid's accounted cycles — the sum of its stack
@@ -372,11 +345,12 @@ func (o *Observer) Span() (start, end uint64) {
 }
 
 // Publish registers the observer's live gauges on reg:
-// smtavf_cpistack_<component> (share of the last closed window's
-// thread-cycles, refreshed as windows close), smtavf_cpistack_windows,
-// and smtavf_occupancy_<S> / smtavf_occupancy_<S>_ace (cumulative
-// occupied fraction of structure S and the ACE share of that occupancy,
-// classified-so-far). A nil registry leaves the gauges detached.
+// smtavf_cpistack_<component> (share of the last closed gauge window's
+// thread-cycles, refreshed as each Options.WindowCycles window closes),
+// smtavf_cpistack_windows (gauge windows begun), and smtavf_occupancy_<S>
+// / smtavf_occupancy_<S>_ace (cumulative occupied fraction of structure S
+// and the ACE share of that occupancy, classified-so-far). A nil registry
+// leaves the gauges detached.
 func (o *Observer) Publish(reg *obs.Registry) {
 	if o == nil {
 		return
@@ -391,30 +365,24 @@ func (o *Observer) Publish(reg *obs.Registry) {
 	}
 }
 
-// publish refreshes the live gauges: component shares from the last closed
-// window, occupancy fractions from the cumulative accounts. Runs at
-// window-roll rate, never per cycle.
-func (o *Observer) publish() {
-	if o.gWins == nil {
-		return
+// publish closes the gauge window at cycle now and refreshes the live
+// gauges: component shares from the window just closed, occupancy
+// fractions from the cumulative accounts. Runs once per gauge window,
+// never per cycle.
+func (o *Observer) publish(now uint64) {
+	o.liveWins++
+	o.gWins.SetUint(o.liveWins)
+	var total uint64
+	for _, v := range o.live {
+		total += v
 	}
-	o.gWins.SetUint(uint64(len(o.wins)))
-	if n := len(o.wins); n >= 2 {
-		w := &o.wins[n-2]
-		var comp [NumComponents]uint64
-		var total uint64
-		for tid := range w.stack {
-			for c, v := range w.stack[tid] {
-				comp[c] += v
-				total += v
-			}
-		}
-		if total > 0 {
-			for c := Component(0); c < NumComponents; c++ {
-				o.gComp[c].Set(float64(comp[c]) / float64(total))
-			}
+	if total > 0 {
+		for c, v := range o.live {
+			o.gComp[c].Set(float64(v) / float64(total))
 		}
 	}
+	o.live = [NumComponents]uint64{}
+	o.liveEnd = now + o.window
 	span := o.max - o.base
 	if span == 0 {
 		return

@@ -1,15 +1,12 @@
 package cpistack
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"smtavf/internal/avf"
 	"smtavf/internal/isa"
+	"smtavf/internal/obs"
 	"smtavf/internal/pipeline"
 )
 
@@ -44,11 +41,8 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.Interval(avf.Reg, 0, 64, 0, 10, true)
 	o.Rebase(5)
 	o.Publish(nil)
-	if o.CycleCount(0) != 0 || o.Windows() != nil || o.FormatStack() != "" {
+	if o.CycleCount(0) != 0 || o.FormatStack() != "" {
 		t.Fatal("nil observer accumulated state")
-	}
-	if err := o.WriteFile("/nonexistent/should-not-be-written"); err != nil {
-		t.Fatal("nil observer tried to write")
 	}
 }
 
@@ -69,25 +63,12 @@ func TestComponentNames(t *testing.T) {
 	}
 }
 
-// TestSpanSplitsAcrossWindows pins the window arithmetic: an interval
-// spanning window boundaries lands in each window pro rata and the window
-// sum equals the cumulative total.
-func TestSpanSplitsAcrossWindows(t *testing.T) {
+// TestRegisterIntervalFates pins the register file's sink path: ACE
+// residency books the committed fate, un-ACE residency the dead fate, and
+// intervals of the uop-tracked structures are left to Record.
+func TestRegisterIntervalFates(t *testing.T) {
 	o := testObserver(10)
-	// 64 bits resident [5, 25): 5 cycles in window 0, 10 in window 1, 5 in
-	// window 2.
 	o.Interval(avf.Reg, 0, 64, 5, 25, true)
-	o.Tick(29, []Component{CompBase, CompIdle}) // materialize 3 windows
-	wins := o.Windows()
-	if len(wins) != 3 {
-		t.Fatalf("got %d windows, want 3", len(wins))
-	}
-	wantPerWin := []uint64{64 * 5, 64 * 10, 64 * 5}
-	for i, w := range wins {
-		if got := w.Occupancy["Reg"]["committed"]; got != wantPerWin[i] {
-			t.Errorf("window %d: Reg committed bit-cycles %d, want %d", i, got, wantPerWin[i])
-		}
-	}
 	if got := o.ACEBitCycles(avf.Reg); got != 64*20 {
 		t.Errorf("cumulative ACE bit-cycles %d, want %d", got, 64*20)
 	}
@@ -128,150 +109,28 @@ func TestRecordUsesFateAndClipsAtRebase(t *testing.T) {
 	}
 }
 
-func fillObserver(t *testing.T) *Observer {
-	t.Helper()
+// TestLiveGaugesShareLastClosedWindow: a published observer's component
+// gauges read the all-thread shares of the last closed gauge window, and
+// the windows gauge counts the windows begun.
+func TestLiveGaugesShareLastClosedWindow(t *testing.T) {
 	o := testObserver(10)
-	comps := []Component{CompBase, CompL2Miss}
+	reg := obs.NewRegistry()
+	o.Publish(reg)
 	for cyc := uint64(0); cyc < 25; cyc++ {
+		comps := []Component{CompBase, CompIdle}
+		if cyc >= 10 { // window 1: thread 0 stalls on L2 for 4 cycles
+			if cyc < 14 {
+				comps[0] = CompL2Miss
+			}
+		}
 		o.Tick(cyc, comps)
 	}
-	o.Interval(avf.Reg, 0, 64, 0, 25, true)
-	pl := pipeline.NewPool(1)
-	o.Record(pl, aluSlot(pl, 3, 12, 3, 14), 17, false)
-	return o
-}
-
-func TestJSONLRoundTripAndSchema(t *testing.T) {
-	o := fillObserver(t)
-	path := filepath.Join(t.TempDir(), "cpistack.jsonl")
-	if err := o.WriteFile(path); err != nil {
-		t.Fatal(err)
+	if got := reg.Gauge("cpistack.windows", "").Value(); got != 3 {
+		t.Errorf("cpistack.windows = %v, want 3", got)
 	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := o.Windows()
-	if len(back) != len(wins) {
-		t.Fatalf("round trip lost windows: %d != %d", len(back), len(wins))
-	}
-	for i := range back {
-		if back[i].V != SchemaVersion {
-			t.Fatalf("window %d schema v%d, want v%d", i, back[i].V, SchemaVersion)
-		}
-		if back[i].Stack["base"][0] != wins[i].Stack["base"][0] {
-			t.Fatalf("window %d base cycles drifted through the round trip", i)
-		}
-	}
-	// A future schema version must be rejected.
-	newer := wins
-	newer[0].V = SchemaVersion + 1
-	if err := writeRaw(path, newer); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("reader accepted a newer schema version")
-	}
-}
-
-func writeRaw(path string, wins []Window) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range wins {
-		if err := enc.Encode(&wins[i]); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-func TestCSVExport(t *testing.T) {
-	o := fillObserver(t)
-	var buf bytes.Buffer
-	if err := o.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 1+len(o.Windows()) {
-		t.Fatalf("%d CSV lines for %d windows", len(lines), len(o.Windows()))
-	}
-	header := strings.Split(lines[0], ",")
-	wantCols := 3 + o.Threads()*NumComponents + len(OccupancyStructs())*int(avf.NumFates)
-	if len(header) != wantCols {
-		t.Fatalf("%d header columns, want %d", len(header), wantCols)
-	}
-	for _, ln := range lines[1:] {
-		if got := len(strings.Split(ln, ",")); got != wantCols {
-			t.Fatalf("row has %d columns, header has %d", got, wantCols)
-		}
-	}
-	if header[3] != "t0.base" || header[len(header)-1] != "Reg.squashed" {
-		t.Fatalf("unexpected header shape: first data col %q, last %q", header[3], header[len(header)-1])
-	}
-}
-
-func TestChromeExport(t *testing.T) {
-	o := fillObserver(t)
-	var buf bytes.Buffer
-	if err := o.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Ts   uint64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	var counters, meta int
-	names := map[string]bool{}
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "C":
-			counters++
-			names[e.Name] = true
-		case "M":
-			meta++
-		default:
-			t.Fatalf("unexpected phase %q", e.Ph)
-		}
-	}
-	wantCounters := len(o.Windows()) * (o.Threads() + len(OccupancyStructs()))
-	if counters != wantCounters {
-		t.Fatalf("%d counter events, want %d", counters, wantCounters)
-	}
-	for _, n := range []string{"cpi/t0", "cpi/t1", "occupancy/IQ", "occupancy/Reg"} {
-		if !names[n] {
-			t.Fatalf("missing counter track %q", n)
-		}
-	}
-}
-
-// TestWriteFileDispatch checks the extension-driven format choice.
-func TestWriteFileDispatch(t *testing.T) {
-	o := fillObserver(t)
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		name   string
-		prefix string // expected first byte(s)
-	}{
-		{"w.jsonl", `{"v":`},
-		{"w.csv", "window,"},
-		{"w.json", `{"displayTimeUnit"`},
-	} {
-		path := filepath.Join(dir, tc.name)
-		if err := o.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(data, []byte(tc.prefix)) {
-			t.Errorf("%s starts %q, want prefix %q", tc.name, data[:20], tc.prefix)
+	for c, want := range map[Component]float64{CompBase: 6.0 / 20, CompL2Miss: 4.0 / 20, CompIdle: 10.0 / 20} {
+		if got := reg.Gauge("cpistack."+c.String(), "").Value(); got != want {
+			t.Errorf("cpistack.%s = %v, want %v (window 1's share)", c, got, want)
 		}
 	}
 }

@@ -172,10 +172,6 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	if len(policies) == 0 {
 		policies = []string{"ICOUNT", "STALL", "FLUSH"}
 	}
-	window := spec.Explain.Window
-	if window == 0 {
-		window = cpistack.DefaultWindowCycles
-	}
 	rvs := make([]*campaign.Resolved, len(policies))
 	for i, policy := range policies {
 		sp := spec
@@ -186,7 +182,7 @@ func (r *Runner) campaignExplain(spec campaign.Spec) (*campaign.Result, error) {
 	}
 	runs := make([]explainRun, len(policies))
 	err = forEach(len(policies), func(i int) error {
-		obs := cpistack.New(cpistack.Options{WindowCycles: window})
+		obs := cpistack.New(cpistack.Options{})
 		res, err := rvs[i].Run(campaign.Options{CPIStack: obs})
 		if err != nil {
 			return fmt.Errorf("explain run %s under %s: %w", rv0.Title, policies[i], err)

@@ -11,7 +11,9 @@
 // deliberately small: open a possibly-compressed stream, encode/decode a
 // record slice, and let the caller validate each record's version with a
 // closure (packages differ on whether they reject any mismatch or only
-// newer-than-supported versions).
+// newer-than-supported versions). The Chrome trace_event writer
+// (traceevent.go) lives here for the same reason: the pipetrace and
+// telemetry exporters share its header, separators and trailer.
 package jsonlio
 
 import (

@@ -57,29 +57,6 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Fatalf("unknown path = %d, want 404", code)
 	}
 
-	// /telemetry serves the window snapshot.
-	code, body, _ = get(t, base+"/telemetry")
-	var snap Snapshot
-	if code != http.StatusOK {
-		t.Fatalf("/telemetry = %d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/telemetry not JSON: %v", err)
-	}
-	if snap.Windows != 1 || snap.Cycle != 10_000 {
-		t.Fatalf("/telemetry snapshot = %s", body)
-	}
-
-	// /telemetry/ring serves the retained windows.
-	code, body, _ = get(t, base+"/telemetry/ring")
-	var ring []Window
-	if code != http.StatusOK {
-		t.Fatalf("/telemetry/ring = %d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &ring); err != nil || len(ring) != 1 {
-		t.Fatalf("/telemetry/ring: err=%v len=%d", err, len(ring))
-	}
-
 	// /debug/metrics serves lint-clean OpenMetrics with sanitized names.
 	code, body, hdr := get(t, base+"/debug/metrics")
 	if code != http.StatusOK {
@@ -101,6 +78,42 @@ func TestDebugServerRoutes(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestDebugServerEndpoints checks the collector's endpoints and the
+// profiler index on a server with no registry.
+func TestDebugServerEndpoints(t *testing.T) {
+	c := New(Options{WindowCycles: 10_000})
+	c.Record(window(0))
+	_, base := startDebug(t, nil, nil, c)
+
+	// /telemetry serves the window snapshot.
+	code, body, _ := get(t, base+"/telemetry")
+	var snap Snapshot
+	if code != http.StatusOK {
+		t.Fatalf("/telemetry = %d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/telemetry not JSON: %v", err)
+	}
+	if snap.Windows != 1 || snap.Cycle != 10_000 {
+		t.Fatalf("/telemetry snapshot = %s", body)
+	}
+
+	// /telemetry/ring serves the retained windows.
+	code, body, _ = get(t, base+"/telemetry/ring")
+	var ring []Window
+	if code != http.StatusOK {
+		t.Fatalf("/telemetry/ring = %d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &ring); err != nil || len(ring) != 1 {
+		t.Fatalf("/telemetry/ring: err=%v len=%d", err, len(ring))
+	}
+
+	// /debug/pprof/ serves the profiler index.
+	if code, body, _ := get(t, base+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "profile") {
+		t.Fatalf("/debug/pprof/ (%d) index missing", code)
 	}
 }
 

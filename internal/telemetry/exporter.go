@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 
+	"smtavf/internal/avf"
+	"smtavf/internal/cpistack"
 	"smtavf/internal/jsonlio"
 )
 
@@ -22,17 +24,20 @@ type Exporter interface {
 }
 
 // Create opens a file exporter for path, picking the format from the
-// extension: ".csv" writes CSV, everything else JSONL (one JSON object
-// per window per line). A ".gz" suffix (".jsonl.gz", ".csv.gz")
-// gzip-compresses the stream — long sweeps and flight recordings are
-// large.
+// extension: ".csv" writes CSV, ".json" Chrome trace_event counters,
+// everything else JSONL (one JSON object per window per line). A ".gz"
+// suffix (".jsonl.gz", ".csv.gz") gzip-compresses the stream — long
+// sweeps and flight recordings are large.
 func Create(path string) (Exporter, error) {
 	w, err := jsonlio.OpenWriter(path)
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasSuffix(strings.TrimSuffix(strings.ToLower(path), ".gz"), ".csv") {
+	switch name := strings.TrimSuffix(strings.ToLower(path), ".gz"); {
+	case strings.HasSuffix(name, ".csv"):
 		return NewCSV(w), nil
+	case strings.HasSuffix(name, ".json"):
+		return NewChrome(w), nil
 	}
 	return NewJSONL(w), nil
 }
@@ -67,11 +72,14 @@ func (j *JSONL) Close() error {
 
 // CSV writes one row per window with a fixed header: scalar columns, then
 // <struct>_avf and cum_<struct>_avf for every instrumented structure in
-// presentation order.
+// presentation order. When the first window carries a CPI stack, the
+// header goes on with t<tid>.<component> cycles for every thread and
+// <struct>.<fate> bit-cycles for every occupancy-tracked structure.
 type CSV struct {
 	w       *csv.Writer
 	c       io.Closer
 	structs []string
+	threads int // stack columns per component; 0 without the observer
 	wroteHd bool
 }
 
@@ -98,6 +106,19 @@ func (e *CSV) Export(w Window) error {
 		}
 		for _, s := range e.structs {
 			hd = append(hd, "cum_"+strings.ToLower(s)+"_avf")
+		}
+		e.threads = stackThreads(w)
+		for tid := 0; tid < e.threads; tid++ {
+			for _, c := range cpistack.Components() {
+				hd = append(hd, fmt.Sprintf("t%d.%s", tid, c))
+			}
+		}
+		if e.threads > 0 {
+			for _, s := range cpistack.OccupancyStructs() {
+				for _, f := range avf.Fates() {
+					hd = append(hd, s.String()+"."+f.String())
+				}
+			}
 		}
 		if err := e.w.Write(hd); err != nil {
 			return err
@@ -126,10 +147,23 @@ func (e *CSV) Export(w Window) error {
 	for _, s := range e.structs {
 		row = append(row, formatFloat(w.CumAVF[s]))
 	}
-	if err := e.w.Write(row); err != nil {
-		return err
+	for tid := 0; tid < e.threads; tid++ {
+		for _, c := range cpistack.Components() {
+			var v uint64
+			if col := w.Stack[c.String()]; tid < len(col) {
+				v = col[tid]
+			}
+			row = append(row, strconv.FormatUint(v, 10))
+		}
 	}
-	return nil
+	if e.threads > 0 {
+		for _, s := range cpistack.OccupancyStructs() {
+			for _, f := range avf.Fates() {
+				row = append(row, strconv.FormatUint(w.Fates[s.String()][f.String()], 10))
+			}
+		}
+	}
+	return e.w.Write(row)
 }
 
 // Close flushes the CSV writer and closes the destination.
@@ -145,6 +179,93 @@ func (e *CSV) Close() error {
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// stackThreads returns the thread count of w's CPI stack (0: no stack).
+func stackThreads(w Window) int {
+	return len(w.Stack[cpistack.CompBase.String()])
+}
+
+// Chrome writes the series as Chrome trace_event counter ("C") tracks,
+// loadable by chrome://tracing and Perfetto: one "avf" track whose series
+// are the window's per-structure AVFs, and, when the windows carry a CPI
+// stack, one "cpi/t<tid>" track per thread whose series are its stack
+// components (stacked by the viewer, so the track is the thread's CPI
+// stack over time) and one "occupancy/<struct>" track per
+// occupancy-tracked structure whose series are its fate bit-cycles. Each
+// window's counters sit at its start cycle; one simulated cycle maps to
+// one microsecond, as in the pipetrace exporter, so the two traces of one
+// run line up.
+type Chrome struct {
+	tw      *jsonlio.TraceWriter
+	c       io.Closer
+	threads int
+	started bool
+}
+
+// NewChrome builds a Chrome trace exporter on w; if w is also an
+// io.Closer it is closed by Close.
+func NewChrome(w io.Writer) *Chrome {
+	e := &Chrome{tw: jsonlio.NewTraceWriter(w)}
+	if c, ok := w.(io.Closer); ok {
+		e.c = c
+	}
+	return e
+}
+
+// Export writes the window's counter events (naming the thread tracks
+// first).
+func (e *Chrome) Export(w Window) error {
+	if !e.started {
+		e.started = true
+		e.threads = stackThreads(w)
+		for tid := 0; tid < e.threads; tid++ {
+			if err := e.tw.Emit(jsonlio.TraceEvent{
+				Name: "process_name", Ph: "M", Pid: tid,
+				Args: map[string]string{"name": fmt.Sprintf("hw thread %d", tid)},
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	ts := w.StartCycle
+	if err := e.tw.Emit(jsonlio.TraceEvent{Name: "avf", Cat: "avf", Ph: "C", Ts: ts, Args: w.AVF}); err != nil {
+		return err
+	}
+	for tid := 0; tid < e.threads; tid++ {
+		args := make(map[string]uint64, cpistack.NumComponents)
+		for c, col := range w.Stack {
+			if tid < len(col) {
+				args[c] = col[tid]
+			}
+		}
+		if err := e.tw.Emit(jsonlio.TraceEvent{
+			Name: fmt.Sprintf("cpi/t%d", tid), Cat: "cpistack", Ph: "C", Ts: ts, Pid: tid, Args: args,
+		}); err != nil {
+			return err
+		}
+	}
+	if e.threads > 0 {
+		for _, s := range cpistack.OccupancyStructs() {
+			if err := e.tw.Emit(jsonlio.TraceEvent{
+				Name: "occupancy/" + s.String(), Cat: "occupancy", Ph: "C", Ts: ts, Args: w.Fates[s.String()],
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Close ends the trace and closes the destination.
+func (e *Chrome) Close() error {
+	err := e.tw.Finish()
+	if e.c != nil {
+		if cerr := e.c.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
 
 // Ring is a fixed-capacity in-memory window buffer retaining the most
 // recent windows — the zero-dependency exporter behind the /telemetry

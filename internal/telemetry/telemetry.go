@@ -6,8 +6,8 @@
 //
 // The design follows the collector/exporter split of production metrics
 // agents: a Collector receives each completed Window and fans it out to a
-// set of pluggable Exporters — JSONL and CSV file writers plus an
-// in-memory ring buffer — and advances the run's sim.* metrics on the obs
+// set of pluggable Exporters — JSONL, CSV and Chrome trace_event file
+// writers plus an in-memory ring buffer — and advances the run's sim.* metrics on the obs
 // registry it was given (a nil *Collector is disabled, so call sites need
 // no branching). An optional debug HTTP server (debug.go) exposes
 // net/http/pprof, the registry as OpenMetrics, and a /telemetry JSON
@@ -17,7 +17,9 @@
 // al.), so the per-window series is not a convenience but a measurement:
 // the final window's cumulative AVF equals the end-of-run avf.Report
 // exactly, while the per-window values expose the phase structure the
-// aggregate hides.
+// aggregate hides. The windows are the run's one window clock: the
+// CPI-stack observer's stack and fate split ride on them, and the core's
+// Results.Phases is read from the same rolls.
 package telemetry
 
 import (
@@ -31,8 +33,8 @@ import (
 
 // SchemaVersion is stamped into every exported Window ("v") so offline
 // consumers can detect field-set changes; bump it whenever the JSONL/CSV
-// schema changes shape.
-const SchemaVersion = 1
+// schema changes shape. Version 2 added the CPI stack and the fate split.
+const SchemaVersion = 2
 
 // DefaultWindowCycles is the sampling window used when Options.WindowCycles
 // is zero: fine enough to resolve program phases, coarse enough that the
@@ -74,6 +76,17 @@ type Window struct {
 	Flushes        uint64 `json:"flushes"`
 	SquashedUops   uint64 `json:"squashed_uops"`
 	DispatchStalls uint64 `json:"dispatch_stalls"` // rename+IQ+ROB+LSQ full
+
+	// Stack and Fates are on every window of a run with the CPI-stack
+	// observer attached, and read zero in warmup windows, which it does
+	// not account. Stack maps each cpistack component to its cycles per
+	// thread ([tid]), summing to threads × Cycles(). Fates maps each
+	// occupancy-tracked structure to its bit-cycles by avf.Fate; they are
+	// booked when a uop is classified, like AVF and Occupancy, so the
+	// committed fate over bits × cycles is the window's AVF and the fate
+	// total its occupancy.
+	Stack map[string][]uint64          `json:"stack,omitempty"`
+	Fates map[string]map[string]uint64 `json:"fates,omitempty"`
 }
 
 // Cycles returns the window's length in cycles.
@@ -158,7 +171,7 @@ func (c *Collector) SetProgress(p *obs.Progress) {
 }
 
 // WindowCycles returns the sampling period (DefaultWindowCycles for a nil
-// collector, so disabled call sites still compute a sane next-rollover).
+// collector).
 func (c *Collector) WindowCycles() uint64 {
 	if c == nil {
 		return DefaultWindowCycles

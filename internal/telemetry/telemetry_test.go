@@ -5,8 +5,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -183,51 +181,6 @@ func TestRingWrapAround(t *testing.T) {
 		if w.Index != i+2 {
 			t.Fatalf("ws[%d].Index = %d, want %d", i, w.Index, i+2)
 		}
-	}
-}
-
-func TestDebugServerEndpoints(t *testing.T) {
-	c := New(Options{WindowCycles: 1000})
-	c.Record(window(0))
-	d, err := ServeDebug("127.0.0.1:0", nil, nil, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + d.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(get("/telemetry")), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Windows != 1 || snap.Cycle != 10_000 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	var ring []Window
-	if err := json.Unmarshal([]byte(get("/telemetry/ring")), &ring); err != nil {
-		t.Fatal(err)
-	}
-	if len(ring) != 1 {
-		t.Fatalf("ring = %+v", ring)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
-		t.Fatal("/debug/pprof/ index missing")
 	}
 }
 

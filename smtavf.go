@@ -249,10 +249,10 @@ func WithPropagation(t *PropagationTracer) Option {
 
 // WithCPIStack attaches the explainability observer to the run (see
 // CPIStack): every thread-cycle is attributed to a CPI-stack component
-// and structure occupancy is decomposed by ACE fate in cycle windows, so
-// the run's AVF numbers come with their why. A nil observer leaves the
-// layer detached at zero per-cycle cost (BenchmarkCPIStackOverhead pins
-// this).
+// and structure occupancy is decomposed by ACE fate, per telemetry window
+// when a collector is attached too, so the run's AVF numbers come with
+// their why. A nil observer leaves the layer detached at zero per-cycle
+// cost (BenchmarkCPIStackOverhead pins this).
 func WithCPIStack(o *CPIStack) Option {
 	return func(s *settings) error {
 		s.opts.CPIStack = o
@@ -463,24 +463,21 @@ func ReadPropagationTraces(path string) ([]PropagationTrace, error) {
 
 // CPIStack is the explainability observer: per-thread cycle accounting
 // (every cycle attributed to one stack component — committing, memory
-// stalls, branch recovery, structural stalls, fetch gating) joined with a
-// windowed occupancy-by-fate decomposition of the AVF-tracked structures.
+// stalls, branch recovery, structural stalls, fetch gating) joined with an
+// occupancy-by-fate decomposition of the AVF-tracked structures.
 // Per-thread components sum exactly to the simulated cycles and the
-// occupancy sums match the AVF tracker bit for bit. See docs/cpistack.md.
+// occupancy sums match the AVF tracker bit for bit. It keeps run totals;
+// attach a Telemetry collector too and every TelemetryWindow carries the
+// window's stack and fate split. See docs/cpistack.md.
 type CPIStack = cpistack.Observer
 
-// CPIStackOptions parameterizes a CPIStack observer (window length).
+// CPIStackOptions parameterizes a CPIStack observer: the period of its
+// live component-share gauges, published on a WithObservability
+// registry. The windowed series is the Telemetry collector's.
 type CPIStackOptions = cpistack.Options
-
-// CPIStackWindow is one exported accounting window (one JSONL line).
-type CPIStackWindow = cpistack.Window
 
 // NewCPIStack builds an explainability observer.
 func NewCPIStack(o CPIStackOptions) *CPIStack { return cpistack.New(o) }
-
-// ReadCPIStackWindows reads a windowed CPI-stack/occupancy series written
-// by CPIStack.WriteFile as JSONL.
-func ReadCPIStackWindows(path string) ([]CPIStackWindow, error) { return cpistack.ReadFile(path) }
 
 // InjectStats is the result of a sequential strike experiment: the
 // per-structure / per-thread strike-outcome taxonomy (masked, SDC, DUE,
