@@ -101,6 +101,19 @@ func main() {
 	if *propN < 1 {
 		fatal(fmt.Errorf("-propagation-strikes must be positive, got %d", *propN))
 	}
+	// Each mode prints its own report and skips the figures, so a second
+	// one would be silently dropped.
+	var modes []string
+	for _, m := range []struct{ flag, mix string }{
+		{"-crossval", *xvalMix}, {"-propagation", *propMix}, {"-explain", *explMix}, {"-provenance", *provMix},
+	} {
+		if m.mix != "" {
+			modes = append(modes, m.flag)
+		}
+	}
+	if len(modes) > 1 {
+		fatal(fmt.Errorf("%s and %s each print their own report; pass one", modes[0], modes[1]))
+	}
 	if err := obsFlags.Validate(); err != nil {
 		fatal(err)
 	}

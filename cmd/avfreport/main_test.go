@@ -21,7 +21,8 @@ func TestMain(m *testing.M) {
 
 // TestRejectsOutOfRangeCounts: a seed fan-out or strike count below 1
 // exits 1 with smtsim's wording before anything is simulated, instead of
-// running the campaign kind's default.
+// running the campaign kind's default; so do two report modes, instead of
+// printing one and dropping the other.
 func TestRejectsOutOfRangeCounts(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -33,6 +34,10 @@ func TestRejectsOutOfRangeCounts(t *testing.T) {
 			"avfreport: -propagation-strikes must be positive, got 0\n"},
 		{[]string{"-propagation", "2ctx-CPU-A", "-propagation-strikes", "-3"},
 			"avfreport: -propagation-strikes must be positive, got -3\n"},
+		{[]string{"-crossval", "2ctx-CPU-A", "-crossval-seeds", "1", "-propagation", "2ctx-MIX-A"},
+			"avfreport: -crossval and -propagation each print their own report; pass one\n"},
+		{[]string{"-explain", "2ctx-CPU-A", "-provenance", "2ctx-MIX-A"},
+			"avfreport: -explain and -provenance each print their own report; pass one\n"},
 	} {
 		cmd := exec.Command(os.Args[0], append(tc.args, "-base", "2000", "-log-level", "warn")...)
 		cmd.Env = append(os.Environ(), "AVFREPORT_CHILD=1")

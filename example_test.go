@@ -77,8 +77,7 @@ func ExampleNewFaultCampaign() {
 	// true
 }
 
-// ExampleSimulator_RunPerThread runs each thread to its own quota, the
-// stop rule Figures 3–4 use to replay a thread's SMT progress alone: every
+// ExampleSimulator_RunPerThread runs each thread to its own quota: every
 // thread commits exactly its quota, however fast it runs.
 func ExampleSimulator_RunPerThread() {
 	cfg := smtavf.DefaultConfig(2)

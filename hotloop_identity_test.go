@@ -76,8 +76,8 @@ var hotLoopCases = []hotLoopCase{
 	{name: "icount-partition", contexts: 4, policy: "ICOUNT",
 		benches: []string{"gcc", "mcf", "vpr", "perlbmk"}, total: 8000,
 		iqPartition: 24},
-	// The per-thread stop rule (Figures 3–4's single-thread replays): each
-	// thread retires at its own quota while the others keep running.
+	// The per-thread stop rule: each thread retires at its own quota while
+	// the others keep running.
 	{name: "perthread-mix4", contexts: 4, policy: "ICOUNT",
 		benches:   []string{"gcc", "mcf", "vpr", "perlbmk"},
 		perThread: []uint64{5000, 5000, 5000, 5000}},

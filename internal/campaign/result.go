@@ -57,8 +57,8 @@ type Result struct {
 	Propagation *PropagationSummary `json:"propagation,omitempty"`
 	Atlas       *propagation.Atlas  `json:"-"`
 
-	// Tables carries the rendered figure family of table-producing kinds
-	// (explain; also the propagation atlas tables).
+	// Tables carries the rendered tables of the explain kind, the one kind
+	// that produces them.
 	Tables []Table `json:"tables,omitempty"`
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -317,7 +318,7 @@ func (s *Service) appendPointManifest(j job, res *Result, start time.Time) {
 	m := obs.NewManifest("campaign-point", s.opts.Program)
 	m.Start = start.UTC().Format(time.RFC3339Nano)
 	m.Policy = res.Policy
-	m.Seed = spec.Seed
+	m.Seed = cmp.Or(res.Seed, spec.Seed) // a point that failed before resolving carries no seed
 	m.Workloads = spec.WorkloadIDs()
 	m.Cycles = res.Cycles
 	m.Instructions = res.Instructions

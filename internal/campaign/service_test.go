@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +15,10 @@ import (
 	"smtavf/internal/avf"
 	"smtavf/internal/obs"
 )
+
+// fakeExecutorSeed is the seed fakeExecutor resolves an unset spec seed
+// to, as a runner fills it from its own default.
+const fakeExecutorSeed = 7
 
 // fakeExecutor records executed specs and fabricates results; an optional
 // gate blocks execution so tests can observe in-flight state.
@@ -43,7 +48,7 @@ func (f *fakeExecutor) exec(spec Spec) (*Result, error) {
 		Name:     spec.Name,
 		Workload: spec.WorkloadName(),
 		Policy:   spec.PolicyName(),
-		Seed:     spec.Seed,
+		Seed:     cmp.Or(spec.Seed, fakeExecutorSeed),
 		Status:   "ok",
 		Cycles:   1000 + spec.Seed,
 		AVF:      map[string]float64{"IQ": 0.25},
@@ -135,7 +140,9 @@ func TestServiceExecutorErrorRecorded(t *testing.T) {
 // TestServiceUnpersistedResultIsError: a point whose result the store
 // cannot append (results.jsonl is a directory here; ENOSPC or EROFS fail
 // the same call) is reported as an error on the stream, in Status and in
-// its campaign-point manifest, never as ok: a restart would re-run it.
+// its campaign-point manifest, never as ok: a restart would re-run it. The
+// point leaves its seed to the executor, and the manifest records the seed
+// the executor resolved.
 func TestServiceUnpersistedResultIsError(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
@@ -196,6 +203,9 @@ func TestServiceUnpersistedResultIsError(t *testing.T) {
 		if m.Kind == "campaign-point" {
 			points++
 			check("campaign-point manifest", m.Status, m.Error)
+			if m.Seed != fakeExecutorSeed || streamed.Seed != fakeExecutorSeed {
+				t.Errorf("seed: manifest %d, result %d; want the executor's %d", m.Seed, streamed.Seed, fakeExecutorSeed)
+			}
 		}
 	}
 	if points != 1 {

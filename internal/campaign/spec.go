@@ -330,8 +330,7 @@ type Defaults struct {
 // executor runs.
 type Resolved struct {
 	Spec       Spec
-	Names      []string // benchmark names; nil for trace replay
-	Title      string   // WorkloadName
+	Title      string // WorkloadName
 	Threads    int
 	Config     core.Config
 	Profiles   []trace.Profile // nil for trace replay
@@ -362,7 +361,6 @@ func (s Spec) Resolve(d Defaults) (*Resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		rv.Names = names
 		rv.Threads = len(names)
 		rv.Profiles = make([]trace.Profile, 0, len(names))
 		for _, b := range names {

@@ -12,7 +12,7 @@ var helpText = map[string]string{
 	"log-json":  "emit structured logs as JSON instead of text",
 
 	// Telemetry
-	"telemetry":        "write a cycle-windowed telemetry series to this file (JSONL; .csv for CSV, .gz compresses)",
+	"telemetry":        "write a cycle-windowed telemetry series to this file (JSONL; .csv for CSV, .json for Chrome trace_event counters, .gz compresses)",
 	"telemetry-window": "telemetry sampling window in cycles",
 	"telemetry-dir":    "record one cycle-windowed JSONL series per run into this directory",
 	"debug-addr":       "serve /telemetry, /debug/metrics and /debug/pprof on this address during the run (e.g. :6060)",

@@ -267,8 +267,8 @@ type Limits struct {
 	// TotalInstructions across all threads; 0 means unlimited (some
 	// PerThread quota must then be set).
 	TotalInstructions uint64
-	// PerThread quotas; nil or 0 entries mean unlimited. Used to replay a
-	// thread's SMT progress in a single-thread run (Figures 3 and 4).
+	// PerThread quotas; nil or 0 entries mean unlimited. A thread stops
+	// at the commit that reaches its quota, so it commits exactly that.
 	PerThread []uint64
 }
 

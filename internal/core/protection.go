@@ -10,51 +10,22 @@ import (
 // ProtectionMode is the error-protection scheme assumed on a structure
 // when classifying fault-injection strike outcomes: parity detects an ACE
 // hit (turning silent corruption into a detected unrecoverable error),
-// ECC corrects it.
-type ProtectionMode int
+// ECC corrects it. It is the inject package's strike taxonomy level.
+type ProtectionMode = inject.Detection
 
 // Protection schemes, weakest first.
 const (
-	ProtectNone ProtectionMode = iota
-	ProtectParity
-	ProtectECC
+	ProtectNone   = inject.DetectNone
+	ProtectParity = inject.DetectOnly
+	ProtectECC    = inject.DetectCorrect
 )
-
-func (m ProtectionMode) String() string {
-	switch m {
-	case ProtectParity:
-		return "parity"
-	case ProtectECC:
-		return "ecc"
-	default:
-		return "none"
-	}
-}
-
-// Detection maps the scheme onto the inject package's strike taxonomy.
-func (m ProtectionMode) Detection() inject.Detection {
-	switch m {
-	case ProtectParity:
-		return inject.DetectOnly
-	case ProtectECC:
-		return inject.DetectCorrect
-	default:
-		return inject.DetectNone
-	}
-}
 
 // ProtectionModes assigns a scheme to every instrumented structure.
 type ProtectionModes [avf.NumStructs]ProtectionMode
 
-// Detections converts the per-structure schemes to the inject package's
-// Detection levels, ready for Campaign.SetProtection.
-func (p ProtectionModes) Detections() [avf.NumStructs]inject.Detection {
-	var d [avf.NumStructs]inject.Detection
-	for s := range p {
-		d[s] = p[s].Detection()
-	}
-	return d
-}
+// Detections returns the per-structure schemes as the array
+// Campaign.SetProtection takes.
+func (p ProtectionModes) Detections() [avf.NumStructs]inject.Detection { return p }
 
 // ProtectionItem ranks one structure in a protection plan.
 type ProtectionItem struct {

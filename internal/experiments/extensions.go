@@ -17,28 +17,14 @@ var extensionPolicies = []string{"ICOUNT", "STALL", "FLUSH", "STALLP", "VAware"}
 // efficiency, per policy (groups averaged, kinds averaged per column
 // group).
 func (r *Runner) Extensions() (*Table, error) {
-	rows := []string{"IPC", "IQ AVF", "ROB AVF", "IQ IPC/AVF"}
-	var cols []string
-	for _, k := range workload.Kinds() {
-		for _, p := range extensionPolicies {
-			cols = append(cols, k.String()+"/"+p)
-		}
-	}
-	t := NewTable("Extensions: the paper's §5 proposals (4 contexts)", rows, cols)
-	t.Note = "STALLP and VAware are the future-work mechanisms the paper sketches"
-	col := 0
-	for _, k := range workload.Kinds() {
-		for _, pol := range extensionPolicies {
-			runs, err := r.MixAvg(4, k, pol)
-			if err != nil {
-				return nil, err
-			}
-			t.Set(0, col, meanOver(runs, func(res *core.Results) float64 { return res.IPC() }))
-			t.Set(1, col, meanOver(runs, func(res *core.Results) float64 { return res.StructAVF(avf.IQ) }))
-			t.Set(2, col, meanOver(runs, func(res *core.Results) float64 { return res.StructAVF(avf.ROB) }))
-			t.Set(3, col, meanOver(runs, func(res *core.Results) float64 { return res.Efficiency(avf.IQ) }))
-			col++
-		}
-	}
-	return t, nil
+	return r.grid("Extensions: the paper's §5 proposals (4 contexts)",
+		"STALLP and VAware are the future-work mechanisms the paper sketches", false,
+		[]row{
+			{"IPC", (*core.Results).IPC},
+			{"IQ AVF", func(res *core.Results) float64 { return res.StructAVF(avf.IQ) }},
+			{"ROB AVF", func(res *core.Results) float64 { return res.StructAVF(avf.ROB) }},
+			{"IQ IPC/AVF", func(res *core.Results) float64 { return res.Efficiency(avf.IQ) }},
+		},
+		columns(workload.Kinds(), []int{4}, extensionPolicies,
+			func(c column) string { return c.kind.String() + "/" + c.policy }))
 }

@@ -217,8 +217,7 @@ func (c *Campaign) Phase() uint64 { return c.phase }
 // SetProtection declares per-structure error protection: strikes on ACE
 // state in a protected structure are detected (parity: a detected
 // unrecoverable error) or corrected (ECC) instead of silently corrupting
-// the program. core/protection.go maps its ProtectionMode values onto
-// Detection. Call before RunStrikes; the default is unprotected.
+// the program. Call before RunStrikes; the default is unprotected.
 func (c *Campaign) SetProtection(p [avf.NumStructs]Detection) { c.protection = p }
 
 // Protection returns the per-structure detection configuration.

@@ -11,8 +11,8 @@ import (
 
 // Detection describes the error protection of a structure, as seen by a
 // strike: whether an ACE hit is silent, detected (parity — a Detected
-// Unrecoverable Error), or corrected (ECC). core/protection.go maps its
-// ProtectionMode values onto this type.
+// Unrecoverable Error), or corrected (ECC). core.ProtectionMode is an
+// alias of this type.
 type Detection int
 
 // Protection levels, weakest first.

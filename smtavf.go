@@ -307,8 +307,8 @@ func (s *Simulator) Run(total uint64) (*Results, error) {
 	return res, err
 }
 
-// RunPerThread simulates until every thread has committed its quota — used
-// to replay each thread's SMT progress in single-thread mode (Figures 3–4).
+// RunPerThread simulates until every thread has committed exactly its
+// quota; a thread that reaches its quota stops while the others run on.
 func (s *Simulator) RunPerThread(quotas []uint64) (*Results, error) {
 	if err := s.markUsed(); err != nil {
 		return nil, err
